@@ -11,8 +11,8 @@ from .core import (DOMAIN_TOL, SystemParams, as_particles, as_state,
                    jacobian_g_inv, map_g, map_g_inv, partial_energies,
                    total_energy)
 from .errors import (ConfigError, DomainError, NumericalBlowup,
-                     ParameterError, RejectionStall, SimulationCap,
-                     SingularSystem, ToolkitError)
+                     ParameterError, RejectionStall, RouteMismatch,
+                     SimulationCap, SingularSystem, ToolkitError)
 from .generators import (DriftDiffusion, abep_coefficients, apply_generator,
                          bep_coefficients, intertwining_residual, model_parts)
 from .sde import (DEFAULT_CAP, SdeConfig, em_step, ensemble_endpoint,
@@ -40,6 +40,7 @@ __all__ = [
     "total_energy", "map_g", "map_g_inv", "jacobian_g_inv",
     "ToolkitError", "ParameterError", "DomainError", "NumericalBlowup",
     "SimulationCap", "RejectionStall", "SingularSystem", "ConfigError",
+    "RouteMismatch",
     "DriftDiffusion", "bep_coefficients", "abep_coefficients",
     "model_parts", "apply_generator", "intertwining_residual",
     "SdeConfig", "em_step", "simulate_trajectory", "stationary_estimate",

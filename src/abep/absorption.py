@@ -14,21 +14,25 @@ every alpha; the two bookkeepings agree at alpha = 1 (and for N = 1, where
 every bond touches a boundary).  The linear solver is the authority, the
 closed forms are validators against it.
 
-Two-particle states are unordered pairs (i, j), i <= j.  Once one particle
-is absorbed the survivor continues as a single particle, so the pair system
-closes with the single-particle solution as boundary data.
+The solver enumerates every placement of k walkers on sites 0..N+1, takes
+the jump rates from the simulator's own rate table (``sip._moves``),
+factors the sparse transient block once and solves it for every absorbed
+outcome (left count, right count).
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from .core import SystemParams
-from .errors import SingularSystem
+from .errors import RouteMismatch, SingularSystem
+from .sip import _moves
 
-_single_cache: dict = {}
-_pair_cache: dict = {}
+_exit_cache: dict = {}
 
 
 @dataclass(frozen=True)
@@ -47,37 +51,67 @@ class AbsorptionResult:
         return self.p_both_left + self.p_both_right + self.p_split
 
 
-def _edge_rate(count: int, alpha: float, edge: str) -> float:
-    if edge == "unit":
-        return float(count)
-    if edge == "walk":
-        return alpha * count
-    raise ValueError(f"edge must be 'unit' or 'walk', got {edge!r}")
+def _generator(n: int, k: int, alpha: float, edge: str):
+    """States of k walkers on 0..N+1 and the sparse rate matrix between them.
+
+    A state is the sorted tuple of walker sites.  Returns (states, Q) with
+    Q[a, b] the jump rate from states[a] to states[b]; Q has no diagonal.
+    """
+    states = list(itertools.combinations_with_replacement(range(n + 2), k))
+    index = {s: r for r, s in enumerate(states)}
+    rows, cols, rates = [], [], []
+    for r, s in enumerate(states):
+        occ = [0] * (n + 2)
+        for site in s:
+            occ[site] += 1
+        for src, dst, rate in _moves(occ, n, alpha, edge):
+            t = list(s)
+            t[t.index(src)] = dst
+            t.sort()
+            rows.append(r)
+            cols.append(index[tuple(t)])
+            rates.append(rate)
+    q = sparse.csr_matrix((rates, (rows, cols)), shape=(len(states), len(states)))
+    return states, q
 
 
-def _single_right_probs(n: int, alpha: float, edge: str) -> np.ndarray:
-    """P(absorbed right) for one particle at each start 1..N (linear solve)."""
-    key = (n, float(alpha), edge)
-    if key in _single_cache:
-        return _single_cache[key]
-    a = np.zeros((n, n))
-    b = np.zeros(n)
-    for i in range(1, n + 1):
-        rl = _edge_rate(1, alpha, edge) if i == 1 else alpha
-        rr = _edge_rate(1, alpha, edge) if i == n else alpha
-        a[i - 1, i - 1] = rl + rr
-        if i > 1:
-            a[i - 1, i - 2] = -rl
-        if i < n:
-            a[i - 1, i] = -rr
-        else:
-            b[i - 1] = rr          # jumping right from N absorbs with value 1
+def _exit_table(n: int, k: int, alpha: float, edge: str):
+    """Absorption law of k walkers from every state with a walker in 1..N.
+
+    Returns (index, outcomes, h): index maps a state to its row of h, and
+    h[row, c] is the probability of ending with outcomes[c] =
+    (left count, right count).
+    """
+    key = (n, k, float(alpha), edge)
+    if key in _exit_cache:
+        return _exit_cache[key]
+    states, q = _generator(n, k, alpha, edge)
+    live = np.array([any(1 <= site <= n for site in s) for s in states])
+    q_live = q[live]
+    a = (sparse.diags(np.asarray(q_live.sum(axis=1)).ravel())
+         - q_live[:, live]).tocsc()
+    b = q_live[:, ~live].toarray()
     try:
-        h = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem("single-particle absorption system is singular") from exc
-    _single_cache[key] = h
-    return h
+        lu = splu(a)
+    except RuntimeError as exc:
+        raise SingularSystem(
+            f"absorption system of {k} walkers on {n} sites is singular") from exc
+    h = lu.solve(b)
+    # one refinement step: the bare sparse LU leaves errors near 1e-13 at
+    # N = 80, the refined solve about 1e-15
+    h += lu.solve(b - a @ h)
+    index = {s: r for r, s in enumerate(s for s, on in zip(states, live) if on)}
+    outcomes = [(s.count(0), k - s.count(0))
+                for s, on in zip(states, live) if not on]
+    _exit_cache[key] = (index, outcomes, h)
+    return _exit_cache[key]
+
+
+def _exit_law(sites, n: int, alpha: float, edge: str) -> dict:
+    """{(left count, right count): probability} for walkers at bulk sites."""
+    index, outcomes, h = _exit_table(n, len(sites), alpha, edge)
+    row = h[index[tuple(sorted(sites))]]
+    return {o: float(v) for o, v in zip(outcomes, row)}
 
 
 def single_right_closed(i: int, n: int, alpha: float,
@@ -94,8 +128,7 @@ def single_absorption_solve(i: int, p: SystemParams, edge: str = "walk"):
     """(p_left, p_right) for one particle at site i, by linear solve."""
     if not 1 <= i <= p.n_sites:
         raise IndexError(f"site {i} outside 1..{p.n_sites}")
-    h = _single_right_probs(p.n_sites, p.alpha, edge)
-    pr = float(h[i - 1])
+    pr = _exit_law((i,), p.n_sites, p.alpha, edge)[(0, 1)]
     return (1.0 - pr, pr)
 
 
@@ -110,79 +143,10 @@ def single_absorption(i: int, p: SystemParams):
         raise IndexError(f"site {i} outside 1..{n}")
     pr = i / (n + 1.0)
     solved = single_absorption_solve(i, p, edge="walk")[1]
-    assert abs(pr - solved) <= 1e-12, (pr, solved)
+    if not abs(pr - solved) <= 1e-12:
+        raise RouteMismatch(
+            f"right exit from site {i}: closed form {pr!r}, solve {solved!r}")
     return (1.0 - pr, pr)
-
-
-def _pair_states(n: int):
-    return [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
-
-
-def _pair_moves(i: int, j: int, n: int, alpha: float, edge: str):
-    """Jumps out of the unordered pair (i, j): (rate, event).
-
-    event is either a new pair tuple, or ("L", site) / ("R", site) when one
-    particle got absorbed with the other one left at the given site.
-    """
-    mv = []
-    if i == j:
-        rate_l = _edge_rate(2, alpha, edge) if i == 1 else 2.0 * alpha
-        mv.append((rate_l, ("L", j) if i == 1 else (i - 1, j)))
-        rate_r = _edge_rate(2, alpha, edge) if i == n else 2.0 * alpha
-        mv.append((rate_r, (i, "R") if i == n else (i, j + 1)))
-        return mv
-    near = 1.0 if j == i + 1 else 0.0
-    # particle at i moving left
-    rate = _edge_rate(1, alpha, edge) if i == 1 else alpha
-    mv.append((rate, ("L", j) if i == 1 else (i - 1, j)))
-    # particle at i moving right (towards j)
-    mv.append((alpha + near, tuple(sorted((i + 1, j)))))
-    # particle at j moving left (towards i)
-    mv.append((alpha + near, tuple(sorted((i, j - 1)))))
-    # particle at j moving right
-    rate = _edge_rate(1, alpha, edge) if j == n else alpha
-    mv.append((rate, (i, "R") if j == n else (i, j + 1)))
-    return mv
-
-
-def _pair_solution(n: int, alpha: float, edge: str):
-    """Solve all three outcome probabilities for every start, in one solve."""
-    key = (n, float(alpha), edge)
-    if key in _pair_cache:
-        return _pair_cache[key]
-    states = _pair_states(n)
-    index = {s: k for k, s in enumerate(states)}
-    m = len(states)
-    a = np.zeros((m, m))
-    b = np.zeros((m, 3))          # columns: both-left, both-right, split
-    h1 = _single_right_probs(n, alpha, edge)
-    for (i, j) in states:
-        row = index[(i, j)]
-        for rate, event in _pair_moves(i, j, n, alpha, edge):
-            a[row, row] += rate
-            if isinstance(event[0], str) or isinstance(event[1], str):
-                if event[0] == "L":
-                    rest = event[1]
-                    pr = h1[rest - 1]
-                    b[row, 0] += rate * (1.0 - pr)
-                    b[row, 2] += rate * pr
-                else:
-                    rest = event[0]
-                    pr = h1[rest - 1]
-                    b[row, 1] += rate * pr
-                    b[row, 2] += rate * (1.0 - pr)
-            else:
-                a[row, index[event]] -= rate
-    try:
-        h = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem("two-particle absorption system is singular") from exc
-    sol = {
-        s: AbsorptionResult(float(h[k, 0]), float(h[k, 1]), float(h[k, 2]))
-        for s, k in index.items()
-    }
-    _pair_cache[key] = sol
-    return sol
 
 
 def two_particle_solve(i: int, j: int, p: SystemParams,
@@ -191,7 +155,8 @@ def two_particle_solve(i: int, j: int, p: SystemParams,
     n = p.n_sites
     if not (1 <= i <= j <= n):
         raise IndexError(f"need 1 <= i <= j <= N, got ({i}, {j}) with N = {n}")
-    return _pair_solution(n, p.alpha, edge)[(i, j)]
+    law = _exit_law((i, j), n, p.alpha, edge)
+    return AbsorptionResult(law[(2, 0)], law[(0, 2)], law[(1, 1)])
 
 
 def two_particle_closed_form(i: int, j: int, p: SystemParams) -> AbsorptionResult:

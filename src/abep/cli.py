@@ -386,6 +386,8 @@ def _cmd_moments(args):
             except NumericalBlowup as exc:
                 print(f"note: site {m} Monte Carlo exploded ({exc}); "
                       "emitting nan", file=sys.stderr)
+            failed = failed or not (math.isfinite(mc_mean)
+                                    and math.isfinite(mc_se))
         rows.append((m, routes["closed_form"], routes["absorption"],
                      mc_mean, mc_se))
     return header, rows, failed

@@ -31,3 +31,7 @@ class SingularSystem(ToolkitError):
 
 class ConfigError(ToolkitError):
     """Malformed command line or configuration file input."""
+
+
+class RouteMismatch(ToolkitError):
+    """Two independent routes to the same quantity disagree."""

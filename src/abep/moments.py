@@ -33,7 +33,7 @@ from scipy.integrate import cumulative_trapezoid
 from .absorption import (single_absorption_solve, single_right_closed,
                          two_particle_solve)
 from .core import DOMAIN_TOL, SystemParams, as_state, map_g_inv, partial_energies
-from .errors import ParameterError, RejectionStall
+from .errors import ParameterError, RejectionStall, RouteMismatch
 from .rng import as_generator
 
 
@@ -46,7 +46,8 @@ def one_point_moment(m: int, p: SystemParams, edge: str = "walk") -> float:
     """Stationary expectation of exp(-sigma * E_m(x)).
 
     Evaluated in closed form and re-derived through the telescoping sum of
-    single-walker exit probabilities; the two are asserted to agree.
+    single-walker exit probabilities; RouteMismatch is raised when the two
+    differ by more than 1e-12.
     """
     n = p.n_sites
     _check_site(m, n)
@@ -64,7 +65,10 @@ def one_point_moment(m: int, p: SystemParams, edge: str = "walk") -> float:
             for i in range(m, n + 1)
             for pr in (single_absorption_solve(i, p, edge=edge)[1],)
         )
-    assert abs(closed - tele) <= 1e-12, (closed, tele)
+    if not abs(closed - tele) <= 1e-12:
+        raise RouteMismatch(
+            f"one-point moment at site {m}: closed form {closed!r}, "
+            f"telescoping sum {tele!r}")
     return closed
 
 

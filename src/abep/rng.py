@@ -2,16 +2,13 @@
 
 Every stochastic routine derives its generator from (global seed, task
 label, batch index), so a result depends only on those three values and not
-on how many workers run the batches or in which order they finish.
+on how the batches are grouped or ordered.
 """
 from __future__ import annotations
 
-import os
 import zlib
 
 import numpy as np
-
-from .errors import ConfigError
 
 _SEED_MASK = (1 << 63) - 1
 
@@ -28,20 +25,3 @@ def as_generator(seed, task: str) -> np.random.Generator:
         return seed
     return stream(int(seed), task)
 
-
-def worker_count() -> int:
-    """Worker cap for parallel batches.
-
-    Reads the ABEP_THREADS environment variable; without it, the CPU count
-    capped at 4.
-    """
-    env = os.environ.get("ABEP_THREADS")
-    if env is None:
-        return min(4, os.cpu_count() or 1)
-    try:
-        n = int(env)
-    except ValueError:
-        raise ConfigError(f"ABEP_THREADS must be a positive integer, got {env!r}") from None
-    if n < 1:
-        raise ConfigError(f"ABEP_THREADS must be a positive integer, got {env!r}")
-    return n

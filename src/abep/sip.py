@@ -4,7 +4,9 @@ Particles live on sites 0..N+1.  A particle at bulk site i hops to a bulk
 neighbor j at rate (count at i) * (alpha + count at j), so particles attract
 each other on top of free diffusion.  Sites 0 and N+1 absorb: the jump
 1 -> 0 happens at rate (count at site 1) and N -> N+1 at rate (count at
-site N), and absorbed particles never move again.
+site N), and absorbed particles never move again.  That is the "unit"
+boundary bookkeeping; the rate table also serves the "walk" one (boundary
+jumps at alpha * count) for the exact solves in :mod:`abep.absorption`.
 
 The direct (Gillespie) method with full rate recomputation per event is
 plenty here: state spaces are a handful of particles on short chains.
@@ -13,13 +15,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .core import SystemParams, as_particles
 from .errors import SimulationCap
-from .rng import as_generator, stream, worker_count
+from .rng import as_generator, stream
 
 DEFAULT_MAX_EVENTS = 1_000_000
 
@@ -42,19 +43,29 @@ class _Draws:
         return v
 
 
-def _moves(occ, n: int, alpha: float):
-    """Enumerate (source, target, rate) for the current occupations."""
+def _moves(occ, n: int, alpha: float, edge: str = "unit"):
+    """Enumerate (source, target, rate) for the current occupations.
+
+    Boundary jumps go at rate (count) for edge="unit", the simulated
+    system, and at alpha * (count) for edge="walk".
+    """
+    if edge == "unit":
+        at_edge = 1.0
+    elif edge == "walk":
+        at_edge = alpha
+    else:
+        raise ValueError(f"edge must be 'unit' or 'walk', got {edge!r}")
     mv = []
     for i in range(1, n + 1):
         k = occ[i]
         if not k:
             continue
         if i == 1:
-            mv.append((1, 0, float(k)))
+            mv.append((1, 0, at_edge * k))
         else:
             mv.append((i, i - 1, k * (alpha + occ[i - 1])))
         if i == n:
-            mv.append((n, n + 1, float(k)))
+            mv.append((n, n + 1, at_edge * k))
         else:
             mv.append((i, i + 1, k * (alpha + occ[i + 1])))
     return mv
@@ -141,29 +152,20 @@ def _batch_sizes(n_runs: int, n_batches: int):
 
 def _run_batches(xi0, p: SystemParams, n_runs: int, seed: int, task: str,
                  t_max, max_events: int, key_fn) -> Counter:
-    """Split runs over a fixed batch grid and reduce outcome counts.
+    """Run a fixed grid of batches, each on its own stream, and count outcomes.
 
-    The batch grid is independent of the worker count, so results depend
-    only on (seed, n_runs).  ABEP_THREADS caps the pool size.
+    Every batch draws from stream (seed, task, batch index), so results
+    depend only on (seed, n_runs).
     """
     occ0 = as_particles(xi0, p.n_sites).tolist()
     n = p.n_sites
     n_batches = min(64, n_runs) or 1
-
-    def one_batch(args):
-        index, size = args
+    counts = Counter()
+    for index, size in enumerate(_batch_sizes(n_runs, n_batches)):
         draws = _Draws(stream(seed, task, index))
-        local = Counter()
         for _ in range(size):
             occ, _, _ = _run(list(occ0), n, p.alpha, draws, t_max, max_events)
-            local[key_fn(occ)] += 1
-        return local
-
-    jobs = list(enumerate(_batch_sizes(n_runs, n_batches)))
-    counts = Counter()
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        for local in pool.map(one_batch, jobs):
-            counts.update(local)
+            counts[key_fn(occ)] += 1
     return counts
 
 

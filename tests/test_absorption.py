@@ -3,10 +3,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import abep.absorption
 from abep import (SystemParams, mc_absorption, single_absorption,
-                  single_absorption_solve, single_right_closed,
+                  single_absorption_solve, single_right_closed, sip_rates,
                   two_particle_closed_form, two_particle_solve)
-from abep.errors import SingularSystem
+from abep.absorption import _exit_table, _generator
+from abep.errors import RouteMismatch, SingularSystem
 
 
 def params(n, alpha):
@@ -145,3 +147,46 @@ def test_gillespie_agrees_with_exact_pair():
 
 def test_singular_system_error_exists():
     assert issubclass(SingularSystem, Exception)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_singular_system_raised_when_factorisation_fails(k):
+    # alpha = 0 leaves an isolated walker with no way out
+    with pytest.raises(SingularSystem):
+        _exit_table(3, k, 0.0, "walk")
+
+
+@pytest.mark.parametrize("edge", ["walk", "unit"])
+def test_pair_mean_rule_at_large_n(edge):
+    # the expected number absorbed right is linear in the walkers (the
+    # inclusion terms cancel), so it is the sum of the one-walker values
+    n, alpha = 40, 2.0
+    p = params(n, alpha)
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            res = two_particle_solve(i, j, p, edge=edge)
+            want = (single_right_closed(i, n, alpha, edge)
+                    + single_right_closed(j, n, alpha, edge))
+            assert abs(2 * res.p_both_right + res.p_split - want) <= 1e-10
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_engine_rates_are_the_simulated_rates(k):
+    n = 3
+    p = SystemParams(n, 0.0, 0.7, 1.0, 1.0)
+    states, q = _generator(n, k, p.alpha, "unit")
+    for row, sites in enumerate(states):
+        occ = np.bincount(sites, minlength=n + 2)
+        want = {}
+        for tgt, rate in sip_rates(occ, p):
+            want[tuple(tgt)] = want.get(tuple(tgt), 0.0) + rate
+        got = {tuple(np.bincount(states[col], minlength=n + 2)): q[row, col]
+               for col in q[row].indices}
+        assert got == pytest.approx(want, abs=1e-15)
+
+
+def test_single_absorption_raises_on_route_mismatch(monkeypatch):
+    monkeypatch.setattr(abep.absorption, "single_absorption_solve",
+                        lambda i, p, edge="walk": (0.0, 1.0))
+    with pytest.raises(RouteMismatch):
+        single_absorption(1, params(3, 1.0))

@@ -87,6 +87,17 @@ def test_moments_table_without_mc(capsys):
         assert math.isnan(float(row[4]))
 
 
+def test_moments_check_fails_when_monte_carlo_blows_up(capsys):
+    # at sigma = 0.1, alpha = 2 every chain at both sites explodes
+    rc = run(["moments", "--n", "2", "--sigma", "0.1", "--alpha", "2",
+              "--tl", "1", "--tr", "2", "--check", "--no-header"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "exploded" in captured.err
+    rows = [line.split(",") for line in captured.out.strip().splitlines()]
+    assert all(math.isnan(float(row[3])) for row in rows[1:])
+
+
 def test_moments_two_point_table(capsys):
     rc = run(["moments", "--n", "2", "--sigma", "0.05", "--tl", "1.0",
               "--tr", "2.0", "--two-point", "--no-header"])

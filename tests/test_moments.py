@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import abep.moments
 from abep import (SystemParams, map_g, one_point_moment, one_point_routes,
                   partial_energies, reversible_cdf_1d,
                   reversible_density_unnormalized, reversible_log_density,
                   reversible_sampler, two_point_closed_form, two_point_moment,
                   two_point_report)
-from abep.errors import ParameterError, RejectionStall
+from abep.errors import ParameterError, RejectionStall, RouteMismatch
 
 RNG = np.random.default_rng(52)
 
@@ -57,6 +58,13 @@ def test_one_point_unit_edge_frozen_values():
     p = SystemParams(2, 0.05, 2.0, 1.0, 2.0)
     assert one_point_moment(1, p, edge="unit") == pytest.approx(0.7, abs=1e-14)
     assert one_point_moment(2, p, edge="unit") == pytest.approx(0.84, abs=1e-14)
+
+
+def test_one_point_raises_on_route_mismatch(monkeypatch):
+    monkeypatch.setattr(abep.moments, "single_absorption_solve",
+                        lambda i, p, edge="walk": (0.0, 1.0))
+    with pytest.raises(RouteMismatch):
+        one_point_moment(1, SystemParams(3, 0.1, 2.0, 1.0, 2.0), edge="unit")
 
 
 def test_two_point_walk_frozen_values():

@@ -1,4 +1,3 @@
-import os
 from collections import Counter
 
 import numpy as np
@@ -92,23 +91,6 @@ def test_pair_absorption_quarters():
     for key, prob in (((2, 0), 0.25), ((0, 2), 0.25), ((1, 1), 0.5)):
         est, se = freq[key]
         assert abs(est - prob) < 3 * se
-
-
-def test_mc_absorption_deterministic_in_worker_count():
-    p = SystemParams(2, 0.0, 1.5, 1.0, 1.0)
-    xi0 = np.array([0, 1, 2, 0])
-    old = os.environ.get("ABEP_THREADS")
-    try:
-        os.environ["ABEP_THREADS"] = "1"
-        a = mc_absorption(xi0, p, n_runs=4000, seed=6)
-        os.environ["ABEP_THREADS"] = "4"
-        b = mc_absorption(xi0, p, n_runs=4000, seed=6)
-    finally:
-        if old is None:
-            os.environ.pop("ABEP_THREADS", None)
-        else:
-            os.environ["ABEP_THREADS"] = old
-    assert a == b
 
 
 def test_final_state_counts_at_horizon():
