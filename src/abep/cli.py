@@ -360,36 +360,30 @@ def _cmd_moments(args):
                              rep.difference))
         return header, rows, False
     header = ["m", "closed_form", "absorption_route", "mc_mean", "mc_se"]
-    rows = []
-    failed = False
-    for m in range(1, args.n + 1):
-        routes = one_point_routes(m, p)
-        failed = failed or not (
-            abs(routes["closed_form"] - routes["absorption"]) <= args.tol
-            and abs(routes["closed_form"] - routes["telescoping"]) <= args.tol)
-        mc_mean = math.nan
-        mc_se = math.nan
-        if not args.no_mc:
-            cfg = SdeConfig(dt=args.mc_dt, t_end=args.mc_t_end,
-                            thinning=args.mc_thinning,
-                            burn_in=args.mc_burn_in, seed=args.seed + m)
-            sig = args.sigma
-
-            def observable(states, _m=m, _s=sig):
-                tail = np.asarray(states)[..., _m - 1:].sum(axis=-1)
-                return np.exp(-_s * tail)
-
-            try:
-                mc_mean, mc_se = stationary_estimate(
-                    p, cfg, model="abep", observable=observable,
-                    n_chains=args.mc_chains, cap=args.cap)
-            except NumericalBlowup as exc:
-                print(f"note: site {m} Monte Carlo exploded ({exc}); "
-                      "emitting nan", file=sys.stderr)
-            failed = failed or not (math.isfinite(mc_mean)
-                                    and math.isfinite(mc_se))
-        rows.append((m, routes["closed_form"], routes["absorption"],
-                     mc_mean, mc_se))
+    sites = range(1, args.n + 1)
+    routes = [one_point_routes(m, p) for m in sites]
+    failed = not all(
+        abs(r["closed_form"] - r["absorption"]) <= args.tol
+        and abs(r["closed_form"] - r["telescoping"]) <= args.tol for r in routes)
+    mc = [(math.nan, math.nan)] * args.n
+    if not args.no_mc:
+        # one ensemble serves every site: E_m = x_m + ... + x_N per chain
+        cfg = SdeConfig(dt=args.mc_dt, t_end=args.mc_t_end,
+                        thinning=args.mc_thinning, burn_in=args.mc_burn_in,
+                        seed=args.seed)
+        observables = [
+            lambda states, _m=m: np.exp(-args.sigma * states[:, _m - 1:].sum(axis=1))
+            for m in sites]
+        try:
+            mc = stationary_estimate(p, cfg, model="abep", observable=observables,
+                                     n_chains=args.mc_chains, cap=args.cap)
+        except NumericalBlowup as exc:
+            print(f"note: Monte Carlo exploded ({exc}); emitting nan for every "
+                  "site", file=sys.stderr)
+        failed = failed or not all(math.isfinite(mean) and math.isfinite(se)
+                                   for mean, se in mc)
+    rows = [(m, r["closed_form"], r["absorption"], mean, se)
+            for m, r, (mean, se) in zip(sites, routes, mc)]
     return header, rows, failed
 
 

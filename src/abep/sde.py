@@ -107,26 +107,27 @@ def _run_chains(x0: np.ndarray, p: SystemParams, model: str, dt: float,
     # chunked noise draws; the normal stream is identical for any chunking
     chunk = max(1, min(4096, 65536 // max(1, r * k)))
     step = 0
-    while step < n_steps:
-        c = min(chunk, n_steps - step)
-        gauss = rng.standard_normal((c, r, k))
-        for j in range(c):
-            # a diverging chain overflows inside the coefficient evaluation
-            # before the cap trips; the guard below turns the resulting
-            # inf/nan into a structured error, so the warnings add nothing
-            with np.errstate(over="ignore", invalid="ignore"):
+    # a diverging chain overflows inside the coefficient evaluation before
+    # the cap trips; the guard below turns the resulting inf/nan into a
+    # structured error, so the warnings add nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        while step < n_steps:
+            c = min(chunk, n_steps - step)
+            gauss = rng.standard_normal((c, r, k))
+            for j in range(c):
                 x = _step_batch(x, p, dt, gauss[j], model)
-            step += 1
-            m = float(x.max())
-            # the inverted comparison also trips on nan and inf, which a
-            # plain m > cap would let through
-            if not m <= cap:
-                raise NumericalBlowup(
-                    f"component reached {m:.4g} (cap {cap:.4g}) at t = {step * dt:.6g}"
-                )
-            while ti < len(targets) and targets[ti] == step:
-                snaps.append(x.copy())
-                ti += 1
+                step += 1
+                m = float(x.max())
+                # the inverted comparison also trips on nan and inf, which a
+                # plain m > cap would let through
+                if not m <= cap:
+                    raise NumericalBlowup(
+                        f"component reached {m:.4g} (cap {cap:.4g}) "
+                        f"at t = {step * dt:.6g}"
+                    )
+                while ti < len(targets) and targets[ti] == step:
+                    snaps.append(x.copy())
+                    ti += 1
     return x, snaps
 
 
@@ -162,27 +163,39 @@ def simulate_trajectory(x0, p: SystemParams, cfg: SdeConfig, model: str = "bep",
 
 
 def _eval_observable(observable, states2d: np.ndarray) -> np.ndarray:
-    """Evaluate a scalar observable on (M, N) stacked states, vectorizing
-    when the callable supports batched input."""
-    try:
-        vals = np.asarray(observable(states2d), dtype=float)
-        if vals.shape == (states2d.shape[0],):
-            return vals
-    except Exception:
-        pass
-    return np.array([float(observable(row)) for row in states2d])
+    """Evaluate an observable once on (M, N) stacked states; it must return
+    one value per row."""
+    vals = np.asarray(observable(states2d), dtype=float)
+    if vals.shape != (states2d.shape[0],):
+        raise ParameterError(
+            f"observable must map states of shape {states2d.shape} to shape "
+            f"({states2d.shape[0]},), got {vals.shape}"
+        )
+    return vals
 
 
 def stationary_estimate(p: SystemParams, cfg: SdeConfig, model: str, observable,
                         n_chains: int = 1, x0=None, cap: float = DEFAULT_CAP,
                         n_batches: int = 20):
-    """Long-run mean of an observable with a batch-means standard error.
+    """Long-run mean of one or several observables with batch-means errors.
 
     Runs n_chains independent chains from x0 (default: the zero state),
     discards burn_in, thins, and averages.  The standard error comes from
     the spread of per-chain batch means, so it accounts for autocorrelation
     on scales below the batch length.
+
+    An observable takes a batch: it is called once with an (M, N) array of
+    states and must return M values.  Given one callable the result is one
+    (mean, se) pair; given a sequence of callables, every one is evaluated
+    on the same simulated ensemble and the result is a list of (mean, se)
+    pairs, each bit-identical to a single-observable call with the same
+    arguments.
     """
+    single = callable(observable)
+    observables = [observable] if single else list(observable)
+    if not observables or not all(callable(f) for f in observables):
+        raise ParameterError("observable must be a callable or a non-empty "
+                             "sequence of callables")
     if n_chains < 1:
         raise ParameterError("n_chains must be >= 1")
     start = np.zeros(p.n_sites) if x0 is None else as_state(x0, p.n_sites)
@@ -195,15 +208,18 @@ def stationary_estimate(p: SystemParams, cfg: SdeConfig, model: str, observable,
                            record_at=emit)
     stacked = np.stack(snaps)                      # (M, R, N)
     m, r, n = stacked.shape
-    vals = _eval_observable(observable, stacked.reshape(m * r, n)).reshape(m, r)
-    mean = float(vals.mean())
+    flat = stacked.reshape(m * r, n)
     groups = np.array_split(np.arange(m), min(n_batches, m))
-    batch_means = np.concatenate([vals[g].mean(axis=0) for g in groups])
-    if batch_means.size > 1:
-        se = float(np.std(batch_means, ddof=1) / np.sqrt(batch_means.size))
-    else:
-        se = 0.0
-    return mean, se
+    out = []
+    for f in observables:
+        vals = _eval_observable(f, flat).reshape(m, r)
+        batch_means = np.concatenate([vals[g].mean(axis=0) for g in groups])
+        if batch_means.size > 1:
+            se = float(np.std(batch_means, ddof=1) / np.sqrt(batch_means.size))
+        else:
+            se = 0.0
+        out.append((float(vals.mean()), se))
+    return out[0] if single else out
 
 
 def ensemble_endpoint(x0, p: SystemParams, model: str, dt: float, t: float,

@@ -7,6 +7,7 @@ chosen once from short scans so the z-score margins are comfortable; the
 checks themselves do not depend on the seed beyond ordinary sampling
 noise.
 """
+import functools
 import math
 import time
 from fractions import Fraction
@@ -91,11 +92,14 @@ def test_acceptance_semigroup_duality():
     xi_two = np.array([0, 1, 1, 0])
     fine = {}
     for model in ("bep", "abep"):
-        for xi0 in (xi_one, xi_two):
+        # one diffusion ensemble per (model, dt) serves both xi0
+        checks = {dt: semigroup_duality_check(
+                      x0[model], [xi_one, xi_two], 0.5, p, model=model,
+                      dfun="classical", n_runs=100_000, seed=12, dt=dt)
+                  for dt in (1e-3, 5e-4)}
+        for k, xi0 in enumerate((xi_one, xi_two)):
             for dt in (1e-3, 5e-4):
-                res = semigroup_duality_check(
-                    x0[model], xi0, 0.5, p, model=model, dfun="classical",
-                    n_runs=100_000, seed=12, dt=dt)
+                res = checks[dt][k]
                 label = f"{model} particles={int(xi0.sum())} dt={dt}"
                 print(f"semigroup duality {label}: z = {res.z_score:.2f}")
                 if dt == 5e-4:
@@ -158,19 +162,21 @@ def test_acceptance_one_point_moments():
 
     for n in (1, 2):
         p = SystemParams(n, 0.1, 1.0, 0.2, 0.4)
-        for m in range(1, n + 1):
+        sites = range(1, n + 1)
+        obs = [lambda states, _m=m: np.exp(-0.1 * states[:, _m - 1:].sum(axis=1))
+               for m in sites]
+        # one ensemble per dt serves every site
+        estimates = {}
+        for dt in (2e-3, 1e-3):
+            cfg = SdeConfig(dt=dt, t_end=100.0, thinning=0.1,
+                            burn_in=20.0, seed=41)
+            estimates[dt] = stationary_estimate(p, cfg, model="abep",
+                                                observable=obs, n_chains=48)
+        for m in sites:
             closed = one_point_moment(m, p)
-
-            def obs(states, _m=m):
-                tail = np.asarray(states)[..., _m - 1:].sum(axis=-1)
-                return np.exp(-0.1 * tail)
-
             z_by_dt = {}
             for dt in (2e-3, 1e-3):
-                cfg = SdeConfig(dt=dt, t_end=100.0, thinning=0.1,
-                                burn_in=20.0, seed=41)
-                mean, se = stationary_estimate(p, cfg, model="abep",
-                                               observable=obs, n_chains=48)
+                mean, se = estimates[dt][m - 1]
                 z_by_dt[dt] = abs(mean - closed) / se
             print(f"one-point MC N={n} m={m}: z(coarse) = {z_by_dt[2e-3]:.2f}, "
                   f"z(fine) = {z_by_dt[1e-3]:.2f}")
@@ -184,17 +190,19 @@ def test_acceptance_two_point_moments():
     t0 = time.perf_counter()
     p = SystemParams(2, 0.05, 1.0, 0.5, 1.0)
     cfg = SdeConfig(dt=1e-3, t_end=300.0, thinning=0.1, burn_in=40.0, seed=17)
-    for (m, n) in ((1, 1), (1, 2), (2, 2)):
+    pairs = ((1, 1), (1, 2), (2, 2))
+
+    def obs(states, m, n):
+        em = states[:, m - 1:].sum(axis=1)
+        en = states[:, n - 1:].sum(axis=1)
+        return np.exp(-0.05 * (em + en))
+
+    # one ensemble serves all three pairs
+    estimates = stationary_estimate(
+        p, cfg, model="abep", n_chains=64,
+        observable=[functools.partial(obs, m=m, n=n) for m, n in pairs])
+    for (m, n), (mean, se) in zip(pairs, estimates):
         assembly = two_point_moment(m, n, p)
-
-        def obs(states, _m=m, _n=n):
-            arr = np.asarray(states)
-            em = arr[..., _m - 1:].sum(axis=-1)
-            en = arr[..., _n - 1:].sum(axis=-1)
-            return np.exp(-0.05 * (em + en))
-
-        mean, se = stationary_estimate(p, cfg, model="abep",
-                                       observable=obs, n_chains=64)
         z = abs(mean - assembly) / se
         print(f"two-point MC pair ({m},{n}): z = {z:.2f}")
         assert z < 3.0, (m, n)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from abep import SystemParams, one_point_moment, two_point_report
+from abep import (SdeConfig, SystemParams, one_point_moment,
+                  stationary_estimate, two_point_report)
 from abep.cli import run
 
 WALK_HEADER_SINGLE = "i,closed_left,closed_right,solve_left,solve_right,max_abs_diff"
@@ -95,7 +96,25 @@ def test_moments_check_fails_when_monte_carlo_blows_up(capsys):
     captured = capsys.readouterr()
     assert "exploded" in captured.err
     rows = [line.split(",") for line in captured.out.strip().splitlines()]
-    assert all(math.isnan(float(row[3])) for row in rows[1:])
+    # one ensemble serves every site, so a blow-up empties every MC column
+    assert [int(row[0]) for row in rows[1:]] == [1, 2]
+    assert all(math.isnan(float(row[3])) and math.isnan(float(row[4]))
+               for row in rows[1:])
+
+
+def test_moments_mc_columns_are_one_library_pass(capsys):
+    rc = run(["moments", "--n", "3", "--sigma", "0.02", "--alpha", "2",
+              "--tl", "0.5", "--tr", "1.5", "--mc-dt", "0.01", "--mc-t-end", "8",
+              "--mc-burn-in", "2", "--mc-thinning", "0.05", "--mc-chains", "4",
+              "--seed", "6", "--no-header"])
+    assert rc == 0
+    rows = _table(capsys)[1:]
+    p = SystemParams(3, 0.02, 2.0, 0.5, 1.5)
+    cfg = SdeConfig(dt=0.01, t_end=8.0, thinning=0.05, burn_in=2.0, seed=6)
+    obs = [lambda s, _m=m: np.exp(-0.02 * s[:, _m - 1:].sum(axis=1))
+           for m in (1, 2, 3)]
+    want = stationary_estimate(p, cfg, "abep", obs, n_chains=4)
+    assert [(float(r[3]), float(r[4])) for r in rows] == want
 
 
 def test_moments_two_point_table(capsys):

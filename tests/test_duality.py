@@ -136,3 +136,16 @@ def test_semigroup_check_short_horizon():
     assert chk.z_score < 4.0
     assert chk.lhs_se > 0.0
     assert chk.rhs_se > 0.0
+
+
+@pytest.mark.parametrize("t", [0.0, 0.2])
+def test_semigroup_check_sequence_matches_single_calls(t):
+    p = SystemParams(2, 0.05, 2.0, 0.5, 1.5)
+    x0 = np.array([0.5, 0.5])
+    xis = [np.array([0, 1, 0, 0]), np.array([0, 1, 1, 0]), [0, 0, 2, 1]]
+    kwargs = dict(model="abep", n_runs=300, seed=4, dt=5e-3)
+    together = semigroup_duality_check(x0, xis, t, p, **kwargs)
+    assert isinstance(together, list) and len(together) == 3
+    for xi, chk in zip(xis, together):
+        # bit for bit, not approximately
+        assert chk == semigroup_duality_check(x0, xi, t, p, **kwargs)

@@ -125,3 +125,52 @@ def test_stationary_estimate_needs_samples():
     cfg = SdeConfig(dt=0.01, t_end=1.0, thinning=0.9, burn_in=0.9, seed=0)
     with pytest.raises(ParameterError):
         stationary_estimate(p, cfg, "bep", lambda s: np.asarray(s)[..., 0])
+
+
+def _tail_observables(p):
+    return [lambda s, _m=m: np.exp(-0.05 * s[:, _m - 1:].sum(axis=1))
+            for m in range(1, p.n_sites + 1)]
+
+
+def test_stationary_estimate_list_matches_single_calls():
+    p = SystemParams(3, 0.05, 2.0, 0.5, 1.5)
+    cfg = SdeConfig(dt=0.01, t_end=6.0, thinning=0.05, burn_in=2.0, seed=8)
+    obs = _tail_observables(p)
+    together = stationary_estimate(p, cfg, "abep", obs, n_chains=6)
+    assert isinstance(together, list) and len(together) == 3
+    for f, pair in zip(obs, together):
+        alone = stationary_estimate(p, cfg, "abep", f, n_chains=6)
+        assert isinstance(alone, tuple)
+        # bit for bit, not approximately
+        assert pair == alone
+        assert pair[1] > 0.0
+
+
+def test_stationary_estimate_rejects_wrong_shape_observable():
+    p = SystemParams(2, 0.0, 1.0, 1.0, 1.0)
+    cfg = SdeConfig(dt=0.01, t_end=1.0, thinning=0.1, seed=0)
+    # indexes the first row instead of the first site: shape (N,), not (M,)
+    with pytest.raises(ParameterError, match="observable must map"):
+        stationary_estimate(p, cfg, "bep", lambda s: s[0], n_chains=4)
+    with pytest.raises(ParameterError, match="observable must map"):
+        stationary_estimate(p, cfg, "bep", [lambda s: s[:, 0], lambda s: s.sum()],
+                            n_chains=4)
+
+
+def test_stationary_estimate_observable_errors_propagate():
+    p = SystemParams(2, 0.0, 1.0, 1.0, 1.0)
+    cfg = SdeConfig(dt=0.01, t_end=1.0, thinning=0.1, seed=0)
+
+    def broken(states):
+        raise ZeroDivisionError("observable failed")
+
+    with pytest.raises(ZeroDivisionError, match="observable failed"):
+        stationary_estimate(p, cfg, "bep", broken, n_chains=4)
+
+
+@pytest.mark.parametrize("bad", [[], [1.0], "x"])
+def test_stationary_estimate_needs_callables(bad):
+    p = SystemParams(1, 0.0, 1.0, 1.0, 1.0)
+    cfg = SdeConfig(dt=0.01, t_end=1.0, thinning=0.1, seed=0)
+    with pytest.raises(ParameterError, match="callable"):
+        stationary_estimate(p, cfg, "bep", bad)
