@@ -9,15 +9,17 @@ rate bookkeepings are supported:
     edge="walk":  boundary jumps at rate alpha * (count), which makes a
                   lone particle a uniform nearest-neighbor walk.
 
-The closed-form expressions implemented below solve the "walk" system for
-every alpha; the two bookkeepings agree at alpha = 1 (and for N = 1, where
-every bond touches a boundary).  The linear solver is the authority, the
-closed forms are validators against it.
+A lone walker's exit probability has one closed form for both
+bookkeepings; the two-walker closed form solves the "walk" system for every
+alpha.  The two bookkeepings agree at alpha = 1 (and for N = 1, where every
+bond touches a boundary).  The linear solver is the authority, the closed
+forms are validators against it.
 
 The solver enumerates every placement of k walkers on sites 0..N+1, takes
 the jump rates from the simulator's own rate table (``sip._moves``),
 factors the sparse transient block once and solves it for every absorbed
-outcome (left count, right count).
+outcome (left count, right count).  The solves and the closed forms take
+single sites or arrays of sites.
 """
 from __future__ import annotations
 
@@ -30,14 +32,14 @@ from scipy.sparse.linalg import splu
 
 from .core import SystemParams
 from .errors import RouteMismatch, SingularSystem
-from .sip import _moves
+from .sip import _edge_rate, _moves
 
 _exit_cache: dict = {}
 
 
 @dataclass(frozen=True)
 class AbsorptionResult:
-    """Outcome probabilities for two dual particles."""
+    """Outcome probabilities for two dual particles (arrays for arrays of sites)."""
 
     p_both_left: float
     p_both_right: float
@@ -78,9 +80,9 @@ def _generator(n: int, k: int, alpha: float, edge: str):
 def _exit_table(n: int, k: int, alpha: float, edge: str):
     """Absorption law of k walkers from every state with a walker in 1..N.
 
-    Returns (index, outcomes, h): index maps a state to its row of h, and
-    h[row, c] is the probability of ending with outcomes[c] =
-    (left count, right count).
+    Returns (rows, outcomes, h): rows[s] is the row of h for the sorted
+    walker sites s, and h[row, c] is the probability of ending with
+    outcomes[c] = (left count, right count).
     """
     key = (n, k, float(alpha), edge)
     if key in _exit_cache:
@@ -100,35 +102,55 @@ def _exit_table(n: int, k: int, alpha: float, edge: str):
     # one refinement step: the bare sparse LU leaves errors near 1e-13 at
     # N = 80, the refined solve about 1e-15
     h += lu.solve(b - a @ h)
-    index = {s: r for r, s in enumerate(s for s, on in zip(states, live) if on)}
+    rows = np.full((n + 2,) * k, -1)
+    rows[tuple(np.array(states)[live].T)] = np.arange(np.count_nonzero(live))
     outcomes = [(s.count(0), k - s.count(0))
                 for s, on in zip(states, live) if not on]
-    _exit_cache[key] = (index, outcomes, h)
+    _exit_cache[key] = (rows, outcomes, h)
     return _exit_cache[key]
 
 
-def _exit_law(sites, n: int, alpha: float, edge: str) -> dict:
-    """{(left count, right count): probability} for walkers at bulk sites."""
-    index, outcomes, h = _exit_table(n, len(sites), alpha, edge)
-    row = h[index[tuple(sorted(sites))]]
-    return {o: float(v) for o, v in zip(outcomes, row)}
+def _sites(n: int, *sites):
+    """The sites as arrays; IndexError unless 1 <= sites[0] <= ... <= N."""
+    sites = tuple(np.asarray(s) for s in sites)
+    chain = (1, *sites, n)
+    if not all((a <= b).all() for a, b in zip(chain, chain[1:])):
+        raise IndexError(f"sites {[s.tolist() for s in sites]} are not "
+                         f"ordered within 1..{n}")
+    return sites
 
 
-def single_right_closed(i: int, n: int, alpha: float,
-                        edge: str = "walk") -> float:
-    """Closed-form right-exit probability of a lone dual walker."""
-    if edge == "walk":
-        return i / (n + 1.0)
-    if edge == "unit":
-        return (i + alpha - 1.0) / (n + 2.0 * alpha - 1.0)
-    raise ValueError(f"edge must be 'unit' or 'walk', got {edge!r}")
+def _value(x):
+    """A Python float for a single value, the array otherwise."""
+    x = np.asarray(x)
+    return float(x) if x.ndim == 0 else x
 
 
-def single_absorption_solve(i: int, p: SystemParams, edge: str = "walk"):
-    """(p_left, p_right) for one particle at site i, by linear solve."""
-    if not 1 <= i <= p.n_sites:
-        raise IndexError(f"site {i} outside 1..{p.n_sites}")
-    pr = _exit_law((i,), p.n_sites, p.alpha, edge)[(0, 1)]
+def _exit_probs(sites, p: SystemParams, edge: str, *outcomes):
+    """Probabilities of the given outcomes for walkers at sorted bulk sites."""
+    rows, cols, h = _exit_table(p.n_sites, len(sites), p.alpha, edge)
+    row = rows[sites]
+    return [_value(h[row, cols.index(o)]) for o in outcomes]
+
+
+def single_right_closed(i, n: int, alpha: float, edge: str = "walk"):
+    """Closed-form right-exit probability of a lone dual walker at site i.
+
+    h(i) = (c + i - 1) / (2c + N - 1) with c = alpha / (boundary rate):
+    c = 1 for edge="walk", where h(i) = i / (N+1), and c = alpha for
+    edge="unit".  h is affine in i, so i may be any real or an array.
+    """
+    c = alpha / _edge_rate(alpha, edge)
+    return (c + i - 1.0) / (2.0 * c + n - 1.0)
+
+
+def single_absorption_solve(i, p: SystemParams, edge: str = "walk"):
+    """(p_left, p_right) for one particle at site i, by linear solve.
+
+    i may be an array of sites; each probability then has its shape.
+    """
+    sites = _sites(p.n_sites, i)
+    (pr,) = _exit_probs(sites, p, edge, (0, 1))
     return (1.0 - pr, pr)
 
 
@@ -139,9 +161,8 @@ def single_absorption(i: int, p: SystemParams):
     uniform-walk linear solve.
     """
     n = p.n_sites
-    if not 1 <= i <= n:
-        raise IndexError(f"site {i} outside 1..{n}")
-    pr = i / (n + 1.0)
+    _sites(n, i)
+    pr = single_right_closed(i, n, p.alpha)
     solved = single_absorption_solve(i, p, edge="walk")[1]
     if not abs(pr - solved) <= 1e-12:
         raise RouteMismatch(
@@ -149,17 +170,17 @@ def single_absorption(i: int, p: SystemParams):
     return (1.0 - pr, pr)
 
 
-def two_particle_solve(i: int, j: int, p: SystemParams,
+def two_particle_solve(i, j, p: SystemParams,
                        edge: str = "walk") -> AbsorptionResult:
-    """Exact outcome probabilities for two particles started at (i, j)."""
-    n = p.n_sites
-    if not (1 <= i <= j <= n):
-        raise IndexError(f"need 1 <= i <= j <= N, got ({i}, {j}) with N = {n}")
-    law = _exit_law((i, j), n, p.alpha, edge)
-    return AbsorptionResult(law[(2, 0)], law[(0, 2)], law[(1, 1)])
+    """Exact outcome probabilities for two particles started at (i, j).
+
+    i and j may be arrays of sites that broadcast together.
+    """
+    sites = _sites(p.n_sites, i, j)
+    return AbsorptionResult(*_exit_probs(sites, p, edge, (2, 0), (0, 2), (1, 1)))
 
 
-def two_particle_closed_form(i: int, j: int, p: SystemParams) -> AbsorptionResult:
+def two_particle_closed_form(i, j, p: SystemParams) -> AbsorptionResult:
     """Closed-form outcome probabilities (uniform-walk boundary bookkeeping).
 
     With K = (N+1)(alpha (N+1) + 1):
@@ -172,16 +193,13 @@ def two_particle_closed_form(i: int, j: int, p: SystemParams) -> AbsorptionResul
     The three values sum to one identically.
     """
     n = p.n_sites
-    if not (1 <= i <= j <= n):
-        raise IndexError(f"need 1 <= i <= j <= N, got ({i}, {j}) with N = {n}")
+    i, j = _sites(n, i, j)
     al = p.alpha
     k = (n + 1.0) * (al * (n + 1.0) + 1.0)
     p_ll = (n + 1.0 - j) * (al * (n + 1.0 - i) + 1.0) / k
     p_rr = i * (1.0 + al * j) / k
     p_sp = ((al * (n + 1.0) - 1.0) * i + (1.0 + al * (n + 1.0)) * j
             - 2.0 * al * i * j) / k
-    if i == j:
-        p_ll -= 0.5 / k
-        p_rr -= 0.5 / k
-        p_sp += 1.0 / k
-    return AbsorptionResult(p_ll, p_rr, p_sp)
+    tie = np.where(i == j, 1.0 / k, 0.0)
+    return AbsorptionResult(*map(_value, (p_ll - 0.5 * tie, p_rr - 0.5 * tie,
+                                          p_sp + tie)))

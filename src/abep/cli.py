@@ -34,8 +34,6 @@ from .moments import (one_point_moment, one_point_routes, reversible_sampler,
 from .rng import stream
 from .sde import DEFAULT_CAP, SdeConfig, simulate_trajectory, stationary_estimate
 
-_BOOL_KEYS = {"check", "no-header", "no-mc", "two-point"}
-
 
 def _common_flags(sub, with_check=True):
     sub.add_argument("--out", default=None, metavar="PATH",
@@ -145,9 +143,11 @@ def build_parser():
     sp.add_argument("--z-max", type=float, default=3.0)
     _common_flags(sp)
 
+    # per subcommand: each flag, and whether it takes no value (store_true)
     known = {}
     for name, sub in subs.choices.items():
-        known[name] = {s for act in sub._actions for s in act.option_strings}
+        known[name] = {s: act.nargs == 0
+                       for act in sub._actions for s in act.option_strings}
     return ap, known
 
 
@@ -173,7 +173,7 @@ def _read_config(path, sub, valid):
         if f"--{key}" not in valid:
             raise ConfigError(
                 f"{path}:{lineno}: unknown key {key!r} for subcommand {sub!r}")
-        if key in _BOOL_KEYS:
+        if valid[f"--{key}"]:
             low = value.lower()
             if low in ("1", "true", "yes", "on"):
                 tokens.append(f"--{key}")
@@ -358,7 +358,8 @@ def _cmd_moments(args):
                 rep = two_point_report(m, n2, p)
                 rows.append((m, n2, rep.assembly, rep.closed_form,
                              rep.difference))
-        return header, rows, False
+        failed = not all(abs(r[4]) <= args.tol for r in rows)
+        return header, rows, failed
     header = ["m", "closed_form", "absorption_route", "mc_mean", "mc_se"]
     sites = range(1, args.n + 1)
     routes = [one_point_routes(m, p) for m in sites]

@@ -7,11 +7,8 @@ probabilities of one or two dual random walkers.  This module evaluates
 those moments along independent routes so they can be cross-checked:
 
     one point:  closed form  /  telescoping sum  /  absorption linear solve
-    two point:  assembly from exact two-walker absorption probabilities,
-                plus a direct closed-form evaluator kept separate because
-                the two do not agree (the difference is reported, never
-                hidden; the assembly route is the authority and is the one
-                validated against Monte Carlo).
+    two point:  one assembly over pair exit probabilities, fed by the
+                exact two-walker solve or by the two-walker closed form
 
 For equal reservoir temperatures the process is reversible and its
 stationary density is known explicitly; the density, an exact rejection
@@ -19,8 +16,9 @@ sampler for it, and a quadrature CDF (for distribution-level tests in one
 dimension) are provided at the bottom.
 
 Boundary-rate bookkeeping for the dual walkers follows the same
-"walk"/"unit" switch as :mod:`abep.absorption`; the closed forms belong to
-the "walk" convention and the two coincide at alpha = 1.
+"walk"/"unit" switch as :mod:`abep.absorption`.  The one-point closed form
+covers both; the two-point closed form belongs to the "walk" convention,
+and the two coincide at alpha = 1.
 """
 from __future__ import annotations
 
@@ -30,144 +28,116 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .absorption import (single_absorption_solve, single_right_closed,
-                         two_particle_solve)
+from .absorption import (_sites, single_absorption_solve, single_right_closed,
+                         two_particle_closed_form, two_particle_solve)
 from .core import DOMAIN_TOL, SystemParams, as_state, map_g_inv, partial_energies
 from .errors import ParameterError, RejectionStall, RouteMismatch
 from .rng import as_generator
 
 
-def _check_site(m: int, n_sites: int) -> None:
-    if not 1 <= m <= n_sites:
-        raise IndexError(f"site {m} outside 1..{n_sites}")
+def _one_point_closed(m: int, p: SystemParams, edge: str) -> float:
+    """The one-point moment in closed form.
+
+    The exit probability h(i) is affine in i, so its sum over i = m..N is
+    (N - m + 1) h((m + N) / 2).
+    """
+    n = p.n_sites
+    mid = single_right_closed((m + n) / 2.0, n, p.alpha, edge)
+    return 1.0 - p.sigma * p.alpha * (n - m + 1) * (
+        p.t_left + (p.t_right - p.t_left) * mid)
+
+
+def one_point_routes(m: int, p: SystemParams, edge: str = "walk") -> dict:
+    """The first moment along three independent routes.
+
+    Returns a dict with keys "closed_form", "telescoping" (the sum of the
+    closed-form exit probabilities) and "absorption" (the sum of the solved
+    ones); the three values agree to 1e-12 when everything is healthy.
+    """
+    n = p.n_sites
+    _sites(n, m)
+    s, a, tl, tr = p.sigma, p.alpha, p.t_left, p.t_right
+    sites = np.arange(m, n + 1)
+    tele = 1.0 - s * a * float(np.sum(
+        tl + (tr - tl) * single_right_closed(sites, n, a, edge)))
+    pl, pr = single_absorption_solve(sites, p, edge=edge)
+    absorbed = 1.0 - s * a * float(np.sum(tl * pl + tr * pr))
+    return {"closed_form": _one_point_closed(m, p, edge), "telescoping": tele,
+            "absorption": absorbed}
 
 
 def one_point_moment(m: int, p: SystemParams, edge: str = "walk") -> float:
     """Stationary expectation of exp(-sigma * E_m(x)).
 
-    Evaluated in closed form and re-derived through the telescoping sum of
-    single-walker exit probabilities; RouteMismatch is raised when the two
-    differ by more than 1e-12.
+    Evaluated in closed form and re-derived along the other two routes of
+    one_point_routes; RouteMismatch is raised when either differs from the
+    closed form by more than 1e-12.
     """
-    n = p.n_sites
-    _check_site(m, n)
-    s, a, tl, tr = p.sigma, p.alpha, p.t_left, p.t_right
-    tele = 1.0 - s * a * sum(
-        tl + (tr - tl) * single_right_closed(i, n, a, edge)
-        for i in range(m, n + 1)
-    )
-    if edge == "walk":
-        closed = (1.0 - s * a * tl * (n - m + 1)
-                  + s * a * (tr - tl) * (m + n) * (m - n - 1) / (2.0 * (n + 1.0)))
-    else:
-        closed = 1.0 - s * a * sum(
-            tl * (1.0 - pr) + tr * pr
-            for i in range(m, n + 1)
-            for pr in (single_absorption_solve(i, p, edge=edge)[1],)
-        )
-    if not abs(closed - tele) <= 1e-12:
-        raise RouteMismatch(
-            f"one-point moment at site {m}: closed form {closed!r}, "
-            f"telescoping sum {tele!r}")
+    routes = one_point_routes(m, p, edge)
+    closed = routes["closed_form"]
+    for name in ("telescoping", "absorption"):
+        if not abs(closed - routes[name]) <= 1e-12:
+            raise RouteMismatch(
+                f"one-point moment at site {m}: closed form {closed!r}, "
+                f"{name} {routes[name]!r}")
     return closed
 
 
-def one_point_routes(m: int, p: SystemParams) -> dict:
-    """The first moment along three independent routes (walk bookkeeping).
+def _two_point_assembly(m: int, n: int, p: SystemParams, one_point, pair) -> float:
+    """The two-point moment from one-point values and pair exit probabilities.
 
-    Returns a dict with keys "closed_form", "telescoping" and "absorption";
-    the three values agree to 1e-12 when everything is healthy.
+    one_point(k) gives the one-point moment at site k, and pair(lo, hi) the
+    AbsorptionResult of pairs started at arrays of sites lo <= hi.  A pair
+    started at (i, j) ends both-left, both-right or split, and those
+    outcomes carry weights T_left^2, T_right^2 and T_left*T_right.
+    Off-diagonal pairs enter with weight (sigma*alpha)^2, coinciding pairs
+    with sigma^2*alpha*(alpha+1).
     """
-    n = p.n_sites
-    _check_site(m, n)
+    nn = p.n_sites
+    _sites(nn, m, n)
     s, a, tl, tr = p.sigma, p.alpha, p.t_left, p.t_right
-    closed = (1.0 - s * a * tl * (n - m + 1)
-              + s * a * (tr - tl) * (m + n) * (m - n - 1) / (2.0 * (n + 1.0)))
-    tele = 1.0 - s * a * sum(
-        tl + (tr - tl) * i / (n + 1.0) for i in range(m, n + 1)
-    )
-    absorbed = 1.0 - s * a * sum(
-        tl * pl + tr * pr
-        for i in range(m, n + 1)
-        for pl, pr in (single_absorption_solve(i, p, edge="walk"),)
-    )
-    return {"closed_form": closed, "telescoping": tele, "absorption": absorbed}
+    i, j = np.arange(m, nn + 1)[:, None], np.arange(n, nn + 1)
+    res = pair(np.minimum(i, j), np.maximum(i, j))
+    w = np.where(i == j, s * s * a * (a + 1.0), (s * a) ** 2)
+    return one_point(m) + one_point(n) - 1.0 + float(np.sum(
+        w * (tl * tl * res.p_both_left + tr * tr * res.p_both_right
+             + tl * tr * res.p_split)))
 
 
 def two_point_moment(m: int, n: int, p: SystemParams, edge: str = "walk") -> float:
     """Stationary expectation of exp(-sigma * (E_m(x) + E_n(x))), m <= n.
 
-    Assembled from the one-point values plus a double sum of two-walker
-    absorption probabilities solved exactly: a pair started at (i, j) ends
-    both-left, both-right or split, and those outcomes carry weights
-    T_left^2, T_right^2 and T_left*T_right.  Off-diagonal pairs enter with
-    weight (sigma*alpha)^2, coinciding pairs with sigma^2*alpha*(alpha+1).
+    Assembled from the one-point moments and the exactly solved two-walker
+    absorption probabilities.
     """
-    nn = p.n_sites
-    if not (1 <= m <= n <= nn):
-        raise IndexError(f"need 1 <= m <= n <= N, got ({m}, {n}) with N = {nn}")
-    s, a, tl, tr = p.sigma, p.alpha, p.t_left, p.t_right
-    total = one_point_moment(m, p, edge) + one_point_moment(n, p, edge) - 1.0
-    w_off = (s * a) ** 2
-    w_diag = s * s * a * (a + 1.0)
-    for i in range(m, nn + 1):
-        for j in range(n, nn + 1):
-            lo, hi = (i, j) if i <= j else (j, i)
-            res = two_particle_solve(lo, hi, p, edge=edge)
-            w = w_diag if i == j else w_off
-            total += w * (tl * tl * res.p_both_left
-                          + tr * tr * res.p_both_right
-                          + tl * tr * res.p_split)
-    return total
+    return _two_point_assembly(
+        m, n, p, lambda k: one_point_moment(k, p, edge),
+        lambda lo, hi: two_particle_solve(lo, hi, p, edge=edge))
 
 
 def two_point_closed_form(m: int, n: int, p: SystemParams) -> float:
-    """Direct closed-form evaluator for the two-point moment, m <= n.
+    """The two-point moment in closed form (walk bookkeeping), m <= n.
 
-    Kept verbatim as displayed so it can be compared against the assembly
-    route; the two disagree (a diagonal prefactor in this form reads
-    (2 sigma)^2 alpha where the assembly derivation carries
-    sigma^2 alpha (alpha+1)), so this value is reported alongside the
-    assembly value, never asserted equal to it.
+    The assembly of two_point_moment fed by the one-point and two-walker
+    closed forms instead of linear solves.
     """
-    nn = p.n_sites
-    if not (1 <= m <= n <= nn):
-        raise IndexError(f"need 1 <= m <= n <= N, got ({m}, {n}) with N = {nn}")
-    s, a, tl, tr = p.sigma, p.alpha, p.t_left, p.t_right
-    big = float(nn)
-    t = (1.0 - s * a * tl * (2.0 * big - m - n + 2.0)
-         + a * s * (tr - tl)
-         * (m * m + n * n - 2.0 * big * big - 2.0 * big - m - n)
-         / (2.0 * (big + 1.0)))
-    pref1 = ((s * a) ** 2 * (1.0 - m + big) * (1.0 - n + big)
-             / (2.0 * (big + 1.0) * (1.0 + a * (big + 1.0))))
-    t += pref1 * (tl * tl * (big - m + 2.0) * (1.0 + (a / 2.0) * (big - n + 2.0))
-                  + tr * tr * (big + n) * (1.0 + (a / 2.0) * (big + m))
-                  + tl * tr * (m * (1.0 - a * (n - 1.0)) - n
-                               + a * (n + big * (big + 2.0))))
-    pref2 = ((2.0 * s) ** 2 * a * (1.0 - n + big)
-             / (2.0 * (big + 1.0) * (1.0 + a * (big + 1.0))))
-    q = (a / 3.0) * (2.0 * n * n + 2.0 * big * big + 2.0 * n * big - n + big)
-    t += pref2 * (tl * tl * (q - (n + big) * (2.0 * a * (big + 1.0) + 1.0)
-                             + 2.0 * big + 1.0 + 2.0 * a * (big + 1.0) ** 2)
-                  + tr * tr * (q + (n + big) - 1.0)
-                  + 2.0 * tl * tr * (-q + (n + big) * (a * (big + 1.0) - 1.0) + 1.0))
-    return t
+    return _two_point_assembly(
+        m, n, p, lambda k: _one_point_closed(k, p, "walk"),
+        lambda lo, hi: two_particle_closed_form(lo, hi, p))
 
 
 @dataclass(frozen=True)
 class TwoPointReport:
-    """Assembly-route value, closed-form-display value, and their gap."""
+    """Assembly-route value, closed-form value, and their gap."""
 
     assembly: float
     closed_form: float
     difference: float
 
 
-def two_point_report(m: int, n: int, p: SystemParams,
-                     edge: str = "walk") -> TwoPointReport:
-    """Evaluate both two-point routes and report the discrepancy."""
-    assembly = two_point_moment(m, n, p, edge=edge)
+def two_point_report(m: int, n: int, p: SystemParams) -> TwoPointReport:
+    """Evaluate both two-point routes (walk bookkeeping) and report the gap."""
+    assembly = two_point_moment(m, n, p)
     closed = two_point_closed_form(m, n, p)
     return TwoPointReport(assembly, closed, closed - assembly)
 

@@ -43,18 +43,24 @@ class _Draws:
         return v
 
 
+def _edge_rate(alpha: float, edge: str) -> float:
+    """Per-particle rate of a jump into a boundary site.
+
+    1 for edge="unit", the simulated system, and alpha for edge="walk".
+    """
+    if edge == "unit":
+        return 1.0
+    if edge == "walk":
+        return alpha
+    raise ValueError(f"edge must be 'unit' or 'walk', got {edge!r}")
+
+
 def _moves(occ, n: int, alpha: float, edge: str = "unit"):
     """Enumerate (source, target, rate) for the current occupations.
 
-    Boundary jumps go at rate (count) for edge="unit", the simulated
-    system, and at alpha * (count) for edge="walk".
+    Boundary jumps go at rate _edge_rate(alpha, edge) * (count).
     """
-    if edge == "unit":
-        at_edge = 1.0
-    elif edge == "walk":
-        at_edge = alpha
-    else:
-        raise ValueError(f"edge must be 'unit' or 'walk', got {edge!r}")
+    at_edge = _edge_rate(alpha, edge)
     mv = []
     for i in range(1, n + 1):
         k = occ[i]

@@ -190,3 +190,28 @@ def test_single_absorption_raises_on_route_mismatch(monkeypatch):
                         lambda i, p, edge="walk": (0.0, 1.0))
     with pytest.raises(RouteMismatch):
         single_absorption(1, params(3, 1.0))
+
+
+def test_single_right_closed_walk_is_the_uniform_line():
+    for n in range(1, 12):
+        for i in range(1, n + 1):
+            for alpha in (0.5, 1.0, 2.0):
+                assert single_right_closed(i, n, alpha, "walk") == i / (n + 1)
+
+
+@pytest.mark.parametrize("edge", ["walk", "unit"])
+def test_array_sites_equal_scalar_calls(edge):
+    n = 6
+    p = params(n, 1.7)
+    sites = np.arange(1, n + 1)
+    pl, pr = single_absorption_solve(sites, p, edge=edge)
+    assert list(zip(pl, pr)) == [single_absorption_solve(int(i), p, edge=edge)
+                                 for i in sites]
+    i, j = np.triu_indices(n)
+    i, j = i + 1, j + 1
+    routes = [lambda a, b: two_particle_solve(a, b, p, edge=edge)]
+    if edge == "walk":
+        routes.append(lambda a, b: two_particle_closed_form(a, b, p))
+    for route in routes:
+        assert list(zip(*route(i, j).as_tuple())) == \
+            [route(int(a), int(b)).as_tuple() for a, b in zip(i, j)]

@@ -1,11 +1,16 @@
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import abep.moments
 from abep import (SdeConfig, SystemParams, one_point_moment,
                   stationary_estimate, two_point_report)
 from abep.cli import run
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 WALK_HEADER_SINGLE = "i,closed_left,closed_right,solve_left,solve_right,max_abs_diff"
 
@@ -127,7 +132,37 @@ def test_moments_two_point_table(capsys):
     p = SystemParams(2, 0.05, 1.0, 1.0, 2.0)
     rep = two_point_report(1, 2, p)
     assert float(rows[2][2]) == pytest.approx(rep.assembly, abs=1e-15)
-    assert abs(float(rows[2][4])) > 1e-3
+    assert abs(float(rows[2][4])) < 1e-12
+
+
+@pytest.mark.parametrize("disagree", [False, True])
+def test_moments_two_point_check_fails_on_a_gap(monkeypatch, capsys, disagree):
+    if disagree:
+        monkeypatch.setattr(abep.moments, "two_point_closed_form",
+                            lambda m, n, p: 0.5)
+    rc = run(["moments", "--n", "3", "--sigma", "0.05", "--alpha", "2",
+              "--tl", "0.5", "--tr", "1.5", "--two-point", "--no-header",
+              "--check"])
+    assert rc == (1 if disagree else 0)
+    diffs = [abs(float(r[4])) for r in _table(capsys)[1:]]
+    assert (max(diffs) > 1e-3) if disagree else (max(diffs) < 1e-12)
+
+
+def _readme_commands():
+    """The abep command lines of the README's first command-line example."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("abep ")]
+
+
+def test_readme_quick_start_commands_succeed(capsys):
+    commands = _readme_commands()
+    assert len(commands) >= 7
+    for argv in commands:
+        assert run(argv) == 0, " ".join(argv)
+    capsys.readouterr()
 
 
 def test_simulate_deterministic_bytes(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -46,8 +47,8 @@ def test_one_point_out_of_range():
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
 def test_one_point_route_agreement(n, alpha):
     p = SystemParams(n, 0.1, alpha, 1.0, 2.0)
-    for m in range(1, n + 1):
-        routes = one_point_routes(m, p)
+    for m, edge in itertools.product(range(1, n + 1), ("walk", "unit")):
+        routes = one_point_routes(m, p, edge)
         assert abs(routes["closed_form"] - routes["telescoping"]) < 1e-12
         assert abs(routes["closed_form"] - routes["absorption"]) < 1e-12
 
@@ -119,7 +120,16 @@ def test_two_point_report_flags_display_mismatch():
     assert rep.assembly == pytest.approx(float(Fraction(629, 800)), abs=1e-13)
     assert rep.closed_form == pytest.approx(two_point_closed_form(1, 2, p))
     assert rep.difference == pytest.approx(rep.closed_form - rep.assembly)
-    assert abs(rep.difference) > 1e-3
+    assert abs(rep.difference) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 20, 40])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_two_point_closed_form_matches_assembly(n, alpha):
+    p = SystemParams(n, 0.02, alpha, 0.5, 1.5)
+    for m in range(1, n + 1):
+        for m2 in range(m, n + 1):
+            assert abs(two_point_report(m, m2, p).difference) < 1e-12
 
 
 def test_reversible_density_at_origin():
