@@ -23,9 +23,9 @@ from .duality import (DualityCheck, classical_D, classical_D_sigma,
                       generator_duality_residual, laguerre_d, orthogonal_D,
                       orthogonal_D_sigma, pochhammer,
                       semigroup_duality_check, sip_generator_apply)
-from .absorption import (AbsorptionResult, single_absorption,
-                         single_absorption_solve, single_right_closed,
-                         two_particle_closed_form, two_particle_solve)
+from .absorption import (AbsorptionResult, single_absorption_solve,
+                         single_right_closed, two_particle_closed_form,
+                         two_particle_solve)
 from .moments import (TwoPointReport, one_point_moment, one_point_routes,
                       reversible_cdf_1d, reversible_density_unnormalized,
                       reversible_log_density, reversible_sampler,
@@ -50,8 +50,8 @@ __all__ = [
     "pochhammer", "laguerre_d", "classical_D", "orthogonal_D",
     "classical_D_sigma", "orthogonal_D_sigma", "sip_generator_apply",
     "generator_duality_residual", "DualityCheck", "semigroup_duality_check",
-    "AbsorptionResult", "single_absorption", "single_absorption_solve",
-    "single_right_closed", "two_particle_solve", "two_particle_closed_form",
+    "AbsorptionResult", "single_absorption_solve", "single_right_closed",
+    "two_particle_solve", "two_particle_closed_form",
     "TwoPointReport", "one_point_moment", "one_point_routes",
     "two_point_moment", "two_point_closed_form", "two_point_report",
     "reversible_log_density", "reversible_density_unnormalized",

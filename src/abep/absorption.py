@@ -5,15 +5,18 @@ disappear into the boundary sites 0 and N+1.  For the boundary jumps two
 rate bookkeepings are supported:
 
     edge="unit":  boundary jumps at rate (count at the edge site), exactly
-                  the particle system simulated in :mod:`abep.sip`;
+                  the particle system simulated in :mod:`abep.sip` and the
+                  dual of the energy diffusions; the default;
     edge="walk":  boundary jumps at rate alpha * (count), which makes a
-                  lone particle a uniform nearest-neighbor walk.
+                  lone particle a uniform nearest-neighbor walk; opt-in.
 
 A lone walker's exit probability has one closed form for both
-bookkeepings; the two-walker closed form solves the "walk" system for every
-alpha.  The two bookkeepings agree at alpha = 1 (and for N = 1, where every
-bond touches a boundary).  The linear solver is the authority, the closed
-forms are validators against it.
+bookkeepings.  Only "walk" has a two-walker closed form
+(two_particle_closed_form); for "unit" pairs what is closed is the total
+and the mean number absorbed right, h(i) + h(j).  The two bookkeepings
+agree at alpha = 1 (and for N = 1, where every bond touches a boundary).
+The linear solver is the authority, the closed forms are validators
+against it.
 
 The solver enumerates every placement of k walkers on sites 0..N+1, takes
 the jump rates from the simulator's own rate table (``sip._moves``),
@@ -31,7 +34,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .core import SystemParams
-from .errors import RouteMismatch, SingularSystem
+from .errors import SingularSystem
 from .sip import _edge_rate, _moves
 
 _exit_cache: dict = {}
@@ -133,7 +136,7 @@ def _exit_probs(sites, p: SystemParams, edge: str, *outcomes):
     return [_value(h[row, cols.index(o)]) for o in outcomes]
 
 
-def single_right_closed(i, n: int, alpha: float, edge: str = "walk"):
+def single_right_closed(i, n: int, alpha: float, edge: str = "unit"):
     """Closed-form right-exit probability of a lone dual walker at site i.
 
     h(i) = (c + i - 1) / (2c + N - 1) with c = alpha / (boundary rate):
@@ -144,7 +147,7 @@ def single_right_closed(i, n: int, alpha: float, edge: str = "walk"):
     return (c + i - 1.0) / (2.0 * c + n - 1.0)
 
 
-def single_absorption_solve(i, p: SystemParams, edge: str = "walk"):
+def single_absorption_solve(i, p: SystemParams, edge: str = "unit"):
     """(p_left, p_right) for one particle at site i, by linear solve.
 
     i may be an array of sites; each probability then has its shape.
@@ -154,24 +157,8 @@ def single_absorption_solve(i, p: SystemParams, edge: str = "walk"):
     return (1.0 - pr, pr)
 
 
-def single_absorption(i: int, p: SystemParams):
-    """(p_left, p_right) for one particle at site i.
-
-    Closed form: p_right = i / (N+1), checked on every call against the
-    uniform-walk linear solve.
-    """
-    n = p.n_sites
-    _sites(n, i)
-    pr = single_right_closed(i, n, p.alpha)
-    solved = single_absorption_solve(i, p, edge="walk")[1]
-    if not abs(pr - solved) <= 1e-12:
-        raise RouteMismatch(
-            f"right exit from site {i}: closed form {pr!r}, solve {solved!r}")
-    return (1.0 - pr, pr)
-
-
 def two_particle_solve(i, j, p: SystemParams,
-                       edge: str = "walk") -> AbsorptionResult:
+                       edge: str = "unit") -> AbsorptionResult:
     """Exact outcome probabilities for two particles started at (i, j).
 
     i and j may be arrays of sites that broadcast together.

@@ -114,14 +114,18 @@ def build_parser():
     sp.add_argument("--alpha", type=float, default=1.0)
     sp.add_argument("--i", type=int, required=True)
     sp.add_argument("--j", type=int, default=None)
-    sp.add_argument("--edge", choices=("walk", "unit"), default="walk")
+    sp.add_argument("--edge", choices=("walk", "unit"), default="unit",
+                    help="boundary bookkeeping of the dual walkers: unit "
+                         "(the simulated model) or walk (the only one with a "
+                         "pair closed form)")
     sp.add_argument("--tol", type=float, default=1e-10)
     _common_flags(sp)
 
     sp = subs.add_parser("moments", help="stationary moment cross-validation")
     _system_flags(sp, sigma_default=0.1)
     sp.add_argument("--two-point", action="store_true",
-                    help="emit the two-point assembly/closed-form report")
+                    help="emit the two-point assembly/closed-form report "
+                         "(walk bookkeeping)")
     sp.add_argument("--no-mc", action="store_true",
                     help="skip the Monte Carlo columns")
     sp.add_argument("--mc-dt", type=float, default=1e-3)
@@ -333,19 +337,23 @@ def _cmd_absorption(args):
         rows = [(args.i, 1.0 - pr_c, pr_c, pl_s, pr_s, diff)]
     else:
         solve = two_particle_solve(args.i, args.j, p, edge=args.edge)
-        closed = two_particle_closed_form(args.i, args.j, p)
-        diff = max(abs(solve.p_both_left - closed.p_both_left),
-                   abs(solve.p_both_right - closed.p_both_right),
-                   abs(solve.p_split - closed.p_split))
-        header = ["i", "j",
-                  "solve_both_left", "solve_both_right", "solve_split",
-                  "closed_both_left", "closed_both_right", "closed_split",
-                  "max_abs_diff"]
-        rows = [(args.i, args.j,
-                 solve.p_both_left, solve.p_both_right, solve.p_split,
-                 closed.p_both_left, closed.p_both_right, closed.p_split,
-                 diff)]
-    return header, rows, diff > args.tol
+        header = ["i", "j", "solve_both_left", "solve_both_right", "solve_split"]
+        if args.edge == "walk":
+            header += ["closed_both_left", "closed_both_right", "closed_split"]
+            shown = two_particle_closed_form(args.i, args.j, p).as_tuple()
+            checked = zip(solve.as_tuple(), shown)
+        else:
+            # unit walkers have no pair closed form; what is closed is the
+            # total, 1, and the mean number absorbed right, h(i) + h(j)
+            header += ["solve_total", "solve_mean_right", "closed_mean_right"]
+            shown = (solve.total, 2.0 * solve.p_both_right + solve.p_split,
+                     single_right_closed(args.i, args.n, args.alpha, args.edge)
+                     + single_right_closed(args.j, args.n, args.alpha, args.edge))
+            checked = [(shown[0], 1.0), shown[1:]]
+        diff = max(abs(a - b) for a, b in checked)
+        header.append("max_abs_diff")
+        rows = [(args.i, args.j, *solve.as_tuple(), *shown, diff)]
+    return header, rows, not diff <= args.tol
 
 
 def _cmd_moments(args):

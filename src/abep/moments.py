@@ -16,9 +16,10 @@ sampler for it, and a quadrature CDF (for distribution-level tests in one
 dimension) are provided at the bottom.
 
 Boundary-rate bookkeeping for the dual walkers follows the same
-"walk"/"unit" switch as :mod:`abep.absorption`.  The one-point closed form
-covers both; the two-point closed form belongs to the "walk" convention,
-and the two coincide at alpha = 1.
+"unit"/"walk" switch as :mod:`abep.absorption`, with the same default:
+"unit", the bookkeeping dual to the simulated diffusion.  The one-point
+closed form covers both; the two-point closed form exists only for
+"walk", so two_point_closed_form and two_point_report are "walk" moments.
 """
 from __future__ import annotations
 
@@ -47,7 +48,7 @@ def _one_point_closed(m: int, p: SystemParams, edge: str) -> float:
         p.t_left + (p.t_right - p.t_left) * mid)
 
 
-def one_point_routes(m: int, p: SystemParams, edge: str = "walk") -> dict:
+def one_point_routes(m: int, p: SystemParams, edge: str = "unit") -> dict:
     """The first moment along three independent routes.
 
     Returns a dict with keys "closed_form", "telescoping" (the sum of the
@@ -66,7 +67,7 @@ def one_point_routes(m: int, p: SystemParams, edge: str = "walk") -> dict:
             "absorption": absorbed}
 
 
-def one_point_moment(m: int, p: SystemParams, edge: str = "walk") -> float:
+def one_point_moment(m: int, p: SystemParams, edge: str = "unit") -> float:
     """Stationary expectation of exp(-sigma * E_m(x)).
 
     Evaluated in closed form and re-derived along the other two routes of
@@ -104,7 +105,7 @@ def _two_point_assembly(m: int, n: int, p: SystemParams, one_point, pair) -> flo
              + tl * tr * res.p_split)))
 
 
-def two_point_moment(m: int, n: int, p: SystemParams, edge: str = "walk") -> float:
+def two_point_moment(m: int, n: int, p: SystemParams, edge: str = "unit") -> float:
     """Stationary expectation of exp(-sigma * (E_m(x) + E_n(x))), m <= n.
 
     Assembled from the one-point moments and the exactly solved two-walker
@@ -137,7 +138,7 @@ class TwoPointReport:
 
 def two_point_report(m: int, n: int, p: SystemParams) -> TwoPointReport:
     """Evaluate both two-point routes (walk bookkeeping) and report the gap."""
-    assembly = two_point_moment(m, n, p)
+    assembly = two_point_moment(m, n, p, edge="walk")
     closed = two_point_closed_form(m, n, p)
     return TwoPointReport(assembly, closed, closed - assembly)
 

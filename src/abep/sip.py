@@ -19,7 +19,7 @@ from collections import Counter
 import numpy as np
 
 from .core import SystemParams, as_particles
-from .errors import SimulationCap
+from .errors import ParameterError, SimulationCap
 from .rng import as_generator, stream
 
 DEFAULT_MAX_EVENTS = 1_000_000
@@ -52,7 +52,7 @@ def _edge_rate(alpha: float, edge: str) -> float:
         return 1.0
     if edge == "walk":
         return alpha
-    raise ValueError(f"edge must be 'unit' or 'walk', got {edge!r}")
+    raise ParameterError(f"edge must be 'unit' or 'walk', got {edge!r}")
 
 
 def _moves(occ, n: int, alpha: float, edge: str = "unit"):

@@ -3,12 +3,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import abep.absorption
-from abep import (SystemParams, mc_absorption, single_absorption,
-                  single_absorption_solve, single_right_closed, sip_rates,
-                  two_particle_closed_form, two_particle_solve)
+from abep import (SystemParams, mc_absorption, single_absorption_solve,
+                  single_right_closed, sip_rates, two_particle_closed_form,
+                  two_particle_solve)
 from abep.absorption import _exit_table, _generator
-from abep.errors import RouteMismatch, SingularSystem
+from abep.errors import ParameterError, SingularSystem
 
 
 def params(n, alpha):
@@ -16,24 +15,26 @@ def params(n, alpha):
 
 
 def test_single_symmetry_center():
-    assert single_absorption(2, params(3, 1.0)) == (0.5, 0.5)
-    assert single_absorption(1, params(1, 1.0)) == (0.5, 0.5)
+    assert single_right_closed(2, 3, 1.0) == 0.5
+    assert single_right_closed(1, 1, 1.0) == 0.5
+    assert single_absorption_solve(2, params(3, 1.0)) == pytest.approx((0.5, 0.5))
+    assert single_absorption_solve(1, params(1, 1.0)) == pytest.approx((0.5, 0.5))
 
 
 def test_single_linear_profile():
-    pl, pr = single_absorption(1, params(4, 1.0))
+    pl, pr = single_absorption_solve(1, params(4, 1.0))
     assert pl == pytest.approx(0.8)
     assert pr == pytest.approx(0.2)
     for i in range(1, 5):
-        _, pr = single_absorption(i, params(4, 2.5))
+        _, pr = single_absorption_solve(i, params(4, 2.5), edge="walk")
         assert pr == pytest.approx(i / 5.0)
 
 
 def test_single_out_of_range():
     with pytest.raises(IndexError):
-        single_absorption(0, params(3, 1.0))
+        single_absorption_solve(0, params(3, 1.0))
     with pytest.raises(IndexError):
-        single_absorption(4, params(3, 1.0))
+        single_absorption_solve(4, params(3, 1.0))
 
 
 @pytest.mark.parametrize("alpha,expected", [
@@ -73,7 +74,7 @@ def test_closed_form_matches_solver(n, alpha):
     p = params(n, alpha)
     for i in range(1, n + 1):
         for j in range(i, n + 1):
-            a = two_particle_solve(i, j, p)
+            a = two_particle_solve(i, j, p, edge="walk")
             b = two_particle_closed_form(i, j, p)
             assert max(abs(x - y) for x, y in zip(a.as_tuple(), b.as_tuple())) < 1e-10
             assert a.total == pytest.approx(1.0, abs=1e-12)
@@ -185,11 +186,20 @@ def test_engine_rates_are_the_simulated_rates(k):
         assert got == pytest.approx(want, abs=1e-15)
 
 
-def test_single_absorption_raises_on_route_mismatch(monkeypatch):
-    monkeypatch.setattr(abep.absorption, "single_absorption_solve",
-                        lambda i, p, edge="walk": (0.0, 1.0))
-    with pytest.raises(RouteMismatch):
-        single_absorption(1, params(3, 1.0))
+def test_defaults_are_the_simulated_unit_walkers():
+    p = params(4, 2.0)
+    assert single_right_closed(1, 4, 2.0) == single_right_closed(1, 4, 2.0, "unit")
+    assert single_right_closed(1, 4, 2.0) != single_right_closed(1, 4, 2.0, "walk")
+    assert single_absorption_solve(1, p) == single_absorption_solve(1, p, edge="unit")
+    assert two_particle_solve(1, 3, p) == two_particle_solve(1, 3, p, edge="unit")
+    assert two_particle_solve(1, 3, p) != two_particle_solve(1, 3, p, edge="walk")
+
+
+def test_unknown_edge_is_a_parameter_error():
+    with pytest.raises(ParameterError):
+        single_right_closed(1, 3, 1.0, edge="wall")
+    with pytest.raises(ParameterError):
+        two_particle_solve(1, 2, params(3, 1.0), edge="wall")
 
 
 def test_single_right_closed_walk_is_the_uniform_line():

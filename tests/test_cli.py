@@ -5,9 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import abep.cli
 import abep.moments
-from abep import (SdeConfig, SystemParams, one_point_moment,
-                  stationary_estimate, two_point_report)
+from abep import (AbsorptionResult, SdeConfig, SystemParams, one_point_moment,
+                  stationary_estimate, two_particle_solve, two_point_report)
 from abep.cli import run
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -57,21 +58,41 @@ def test_absorption_seventeen_digit_roundtrip(capsys):
 
 def test_absorption_pair_check_passes(capsys):
     rc = run(["absorption", "--n", "2", "--i", "1", "--j", "2",
-              "--no-header", "--check"])
+              "--edge", "walk", "--no-header", "--check"])
     assert rc == 0
     rows = _table(capsys)
-    assert rows[0][:5] == ["i", "j", "solve_both_left", "solve_both_right",
-                          "solve_split"]
+    assert rows[0] == ["i", "j", "solve_both_left", "solve_both_right",
+                       "solve_split", "closed_both_left", "closed_both_right",
+                       "closed_split", "max_abs_diff"]
     assert float(rows[1][-1]) < 1e-12
 
 
-def test_absorption_unit_edge_disagrees_with_walk_closed_form(capsys):
-    # the closed form targets the walk bookkeeping, so checking it against
-    # the unit-edge solve at alpha != 1 must fail
-    rc = run(["absorption", "--n", "2", "--i", "1", "--j", "2",
-              "--alpha", "2.0", "--edge", "unit", "--no-header", "--check"])
-    assert rc == 1
-    assert float(_table(capsys)[1][-1]) > 1e-3
+UNIT_PAIR = ["absorption", "--n", "2", "--i", "1", "--j", "2", "--alpha", "2.0",
+             "--edge", "unit", "--no-header", "--check"]
+
+
+def test_absorption_unit_pair_check_passes(capsys):
+    # unit walkers have no pair closed form: the row checks the total and
+    # the mean rule 2 p_both_right + p_split = h(i) + h(j)
+    assert run(UNIT_PAIR) == 0
+    header, row = _table(capsys)
+    assert header == ["i", "j", "solve_both_left", "solve_both_right",
+                      "solve_split", "solve_total", "solve_mean_right",
+                      "closed_mean_right", "max_abs_diff"]
+    assert float(row[7]) == pytest.approx(1.0, abs=1e-15)   # h(1) + h(2)
+    assert float(row[-1]) < 1e-12
+
+
+def test_absorption_unit_pair_check_fails_on_broken_mean_rule(monkeypatch, capsys):
+    def shifted(i, j, p, edge="unit"):
+        # same total, but 0.01 more walkers absorbed right on average
+        r = two_particle_solve(i, j, p, edge=edge)
+        return AbsorptionResult(r.p_both_left, r.p_both_right + 0.01,
+                                r.p_split - 0.01)
+
+    monkeypatch.setattr(abep.cli, "two_particle_solve", shifted)
+    assert run(UNIT_PAIR) == 1
+    assert float(_table(capsys)[1][-1]) == pytest.approx(0.01)
 
 
 def test_absorption_out_of_range_is_a_usage_error(capsys):

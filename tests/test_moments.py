@@ -7,11 +7,12 @@ import pytest
 from scipy import integrate
 
 import abep.moments
-from abep import (SystemParams, map_g, one_point_moment, one_point_routes,
-                  partial_energies, reversible_cdf_1d,
+from abep import (SystemParams, map_g, model_parts, one_point_moment,
+                  one_point_routes, partial_energies, reversible_cdf_1d,
                   reversible_density_unnormalized, reversible_log_density,
                   reversible_sampler, two_point_closed_form, two_point_moment,
                   two_point_report)
+from abep.cli import run
 from abep.errors import ParameterError, RejectionStall, RouteMismatch
 
 RNG = np.random.default_rng(52)
@@ -76,7 +77,8 @@ def test_two_point_walk_frozen_values():
         (2, 2): Fraction(4067, 4800),
     }
     for (m, n), frac in cases.items():
-        assert two_point_moment(m, n, p) == pytest.approx(float(frac), abs=1e-13)
+        assert two_point_moment(m, n, p, edge="walk") == pytest.approx(
+            float(frac), abs=1e-13)
 
 
 def test_two_point_unit_edge_frozen_values():
@@ -89,6 +91,38 @@ def test_two_point_unit_edge_frozen_values():
     for (m, n), frac in cases.items():
         val = two_point_moment(m, n, p, edge="unit")
         assert val == pytest.approx(float(frac), abs=1e-13)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("alpha", [0.5, 2.0])
+def test_one_point_default_is_the_simulated_stationary_mean(n, alpha, capsys):
+    # the bep drift is affine in z, so its zero is the exact stationary
+    # mean, and E[exp(-sigma E_m(x))] = 1 - sigma * sum_{i >= m} E[z_i]
+    p = SystemParams(n, 0.05, alpha, 0.5, 1.5)
+    b0 = model_parts(np.zeros(n), p, "bep")[0]
+    a = np.stack([model_parts(e, p, "bep")[0] - b0 for e in np.eye(n)], axis=1)
+    z_hat = np.linalg.solve(a, -b0)
+    assert run(["moments", "--n", str(n), "--sigma", "0.05", "--alpha",
+                repr(alpha), "--tl", "0.5", "--tr", "1.5", "--no-mc",
+                "--no-header"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == n
+    for m, row in zip(range(1, n + 1), rows):
+        want = 1.0 - 0.05 * z_hat[m - 1:].sum()
+        assert abs(one_point_moment(m, p) - want) < 1e-14
+        assert abs(float(row[1]) - want) < 1e-14
+
+
+def test_moment_defaults_are_unit():
+    p = SystemParams(3, 0.05, 2.0, 0.5, 1.5)
+    # at m = 1 every walker counts and both edges give the same moment
+    assert one_point_routes(2, p) == one_point_routes(2, p, "unit")
+    assert one_point_moment(2, p) == one_point_moment(2, p, edge="unit")
+    assert one_point_moment(2, p) != one_point_moment(2, p, edge="walk")
+    assert two_point_moment(2, 3, p) == two_point_moment(2, 3, p, edge="unit")
+    assert two_point_moment(2, 3, p) != two_point_moment(2, 3, p, edge="walk")
+    # the pair closed form and the report are walk moments
+    assert two_point_report(2, 3, p).assembly == two_point_moment(2, 3, p, edge="walk")
 
 
 def test_two_point_zero_temperatures():
