@@ -44,7 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SystemParams, as_state, map_g, partial_energies
+from .core import SystemParams, as_state, map_g
+from .errors import ParameterError
 
 
 @dataclass
@@ -55,58 +56,63 @@ class DriftDiffusion:
     noise_dirs: list  # list of (amplitude, direction vector) pairs
 
 
-def _bep_parts(z: np.ndarray, p: SystemParams):
-    """Batched symmetric-model coefficients.
+def model_parts(x: np.ndarray, p: SystemParams, model: str):
+    """Coefficient parts of 'bep' or 'abep' on site-major states.
 
-    Returns (drift (R,N), bond amplitudes (R,N-1), left amplitude (R,),
-    right amplitude (R,), right direction None for the static e_N).
+    x holds one site per row: (N,) for one configuration or (N, R) for R
+    chains, ideally C-contiguous so every row is a contiguous vector.
+    Returns (drift like x, bond amplitudes (N-1, ...), left amplitude (...),
+    right amplitude (...), right direction v like x, or None for the static
+    e_N of the symmetric model).  With sigma = 0 'abep' is 'bep'.
     """
+    if model not in ("bep", "abep"):
+        raise ParameterError(f"unknown model {model!r}")
+    if x.shape[0] != p.n_sites:
+        raise ParameterError(
+            f"expected {p.n_sites} site rows, got states of shape {x.shape}")
     a = p.alpha
-    drift = np.zeros_like(z)
-    c = a * (z[..., :-1] - z[..., 1:])     # bond coefficient on e_{i+1} - e_i
-    drift[..., :-1] -= c
-    drift[..., 1:] += c
-    drift[..., 0] += p.t_left * a - z[..., 0]
-    drift[..., -1] += p.t_right * a - z[..., -1]
-    bond_amp = z[..., :-1] * z[..., 1:]
-    left_amp = p.t_left * z[..., 0]
-    right_amp = p.t_right * z[..., -1]
-    return drift, bond_amp, left_amp, right_amp, None
+    drift = np.zeros_like(x)
+    if model == "bep" or p.sigma == 0:
+        c = a * (x[:-1] - x[1:])           # bond coefficient on e_{i+1} - e_i
+        drift[:-1] -= c
+        drift[1:] += c
+        drift[0] += p.t_left * a - x[0]
+        drift[-1] += p.t_right * a - x[-1]
+        return drift, x[:-1] * x[1:], p.t_left * x[0], p.t_right * x[-1], None
 
-
-def _abep_parts(x: np.ndarray, p: SystemParams):
-    """Batched asymmetric-model coefficients; see the module docstring."""
     s = p.sigma
-    a = p.alpha
-    e = partial_energies(x)                 # (..., N+1), e[..., l-1] = E_l
+    # partial energies E_l = x_l + ... + x_N, summed from site N down, then
+    # ee[l-1] = e^{s E_l}
+    ee = np.empty_like(x)
+    ee[-1] = x[-1]
+    for i in range(x.shape[0] - 2, -1, -1):
+        ee[i] = ee[i + 1] + x[i]
+    np.exp(s * ee, out=ee)
     em = -np.expm1(-s * x)                  # 1 - e^{-s x_i}
     ep = np.expm1(s * x)                    # e^{s x_i} - 1
-    drift = np.zeros_like(x)
 
     # bulk bonds
-    prod = em[..., :-1] * ep[..., 1:]
+    prod = em[:-1] * ep[1:]
     bond_amp = prod / (s * s)
-    c = (prod + a * (em[..., :-1] - ep[..., 1:])) / s
-    drift[..., :-1] -= c
-    drift[..., 1:] += c
+    c = (prod + a * (em[:-1] - ep[1:])) / s
+    drift[:-1] -= c
+    drift[1:] += c
 
     # left reservoir (site 1 only)
-    e1 = np.exp(s * e[..., 0])
-    left_amp = p.t_left * e1 * ep[..., 0] / s
-    drift[..., 0] += p.t_left * e1 * (a + ep[..., 0]) - ep[..., 0] / s
+    left_amp = p.t_left * ee[0] * ep[0] / s
+    drift[0] += p.t_left * ee[0] * (a + ep[0]) - ep[0] / s
 
     # right reservoir: rank-one direction across the whole chain
-    ee = np.exp(s * e[..., :-1])            # e^{s E_l}, l = 1..N
     v = ee * em
-    v[..., -1] = ee[..., -1]
+    v[-1] = ee[-1]
     e2 = ee * ee
     u = np.empty_like(v)
-    u[..., :-1] = s * (e2[..., :-1] - e2[..., 1:])
-    u[..., -1] = s * e2[..., -1]
-    g_n = em[..., -1] / s                   # g_N(x) = (1 - e^{-s x_N}) / s
+    u[:-1] = s * (e2[:-1] - e2[1:])
+    u[-1] = s * e2[-1]
+    g_n = em[-1] / s                        # g_N(x) = (1 - e^{-s x_N}) / s
     right_amp = p.t_right * g_n
-    drift += (a * p.t_right - g_n)[..., None] * v
-    drift += (p.t_right * g_n)[..., None] * u
+    drift += (a * p.t_right - g_n) * v
+    drift += (p.t_right * g_n) * u
     return drift, bond_amp, left_amp, right_amp, v
 
 
@@ -132,8 +138,7 @@ def _assemble(n: int, parts) -> DriftDiffusion:
 
 def bep_coefficients(z, p: SystemParams) -> DriftDiffusion:
     """Symmetric-model coefficients at one configuration z."""
-    arr = as_state(z, p.n_sites)
-    return _assemble(p.n_sites, _bep_parts(arr, p))
+    return _assemble(p.n_sites, model_parts(as_state(z, p.n_sites), p, "bep"))
 
 
 def abep_coefficients(x, p: SystemParams) -> DriftDiffusion:
@@ -141,19 +146,7 @@ def abep_coefficients(x, p: SystemParams) -> DriftDiffusion:
 
     With sigma = 0 this is exactly the symmetric model.
     """
-    arr = as_state(x, p.n_sites)
-    if p.sigma == 0:
-        return bep_coefficients(arr, p)
-    return _assemble(p.n_sites, _abep_parts(arr, p))
-
-
-def model_parts(x: np.ndarray, p: SystemParams, model: str):
-    """Batched coefficient parts for 'bep' or 'abep' (sde backend)."""
-    if model == "bep" or p.sigma == 0:
-        return _bep_parts(x, p)
-    if model == "abep":
-        return _abep_parts(x, p)
-    raise ValueError(f"unknown model {model!r}")
+    return _assemble(p.n_sites, model_parts(as_state(x, p.n_sites), p, "abep"))
 
 
 def apply_generator(coeffs: DriftDiffusion, f, x, fd_step: float) -> float:

@@ -10,9 +10,11 @@ standard Gaussians (one per noise direction, ordered bonds, left, right).
 Amplitudes are clamped at zero before the square root since round-off can
 push them slightly negative at the boundary of the state space.
 
-Chains are propagated in vectorized batches; a batch of R chains steps an
-(R, N) array at once.  All randomness flows through a single generator per
-call, so results are reproducible bit for bit given (seed, chain count).
+Chains are propagated in vectorized batches held site-major: R chains step
+as one (N, R) C-contiguous array, one site per row, so every coefficient is
+a whole-row operation.  States enter and leave the kernel chain-major,
+(R, N).  All randomness flows through a single generator per call, so
+results are reproducible bit for bit given (seed, chain count).
 """
 from __future__ import annotations
 
@@ -56,21 +58,22 @@ class SdeConfig:
 
 def _step_batch(x: np.ndarray, p: SystemParams, dt: float, gauss: np.ndarray,
                 model: str) -> np.ndarray:
-    """One EM step for a batch of chains; x is (R, N), gauss is (R, N+1)."""
+    """One EM step of site-major chains: x is (N, R), gauss is (N+1, R); a
+    single chain may also be passed as x (N,), gauss (N+1,)."""
     n = p.n_sites
     drift, bond_amp, left_amp, right_amp, v = model_parts(x, p, model)
     sq = np.sqrt(2.0 * dt)
     out = x + drift * dt
     if n > 1:
-        c = sq * np.sqrt(np.clip(bond_amp, 0.0, None)) * gauss[:, : n - 1]
-        out[:, 1:] += c
-        out[:, :-1] -= c
-    out[:, 0] += sq * np.sqrt(np.clip(left_amp, 0.0, None)) * gauss[:, n - 1]
-    cr = sq * np.sqrt(np.clip(right_amp, 0.0, None)) * gauss[:, n]
+        c = sq * np.sqrt(np.maximum(bond_amp, 0.0)) * gauss[: n - 1]
+        out[1:] += c
+        out[:-1] -= c
+    out[0] += sq * np.sqrt(np.maximum(left_amp, 0.0)) * gauss[n - 1]
+    cr = sq * np.sqrt(np.maximum(right_amp, 0.0)) * gauss[n]
     if v is None:
-        out[:, -1] += cr
+        out[-1] += cr
     else:
-        out += cr[:, None] * v
+        out += cr * v
     np.maximum(out, 0.0, out=out)
     return out
 
@@ -87,20 +90,20 @@ def em_step(x, p: SystemParams, dt: float, noise, model: str = "bep") -> np.ndar
         raise ParameterError(
             f"noise must have shape ({p.n_sites + 1},), got {eta.shape}"
         )
-    return _step_batch(arr[None, :], p, dt, eta[None, :], model)[0]
+    return _step_batch(arr, p, dt, eta, model)
 
 
 def _run_chains(x0: np.ndarray, p: SystemParams, model: str, dt: float,
                 n_steps: int, rng: np.random.Generator, cap: float,
                 record_at=()):
-    """Propagate a batch, snapshotting at the given step indices.
+    """Propagate a chain-major (R, N) batch, snapshotting at the given step
+    indices; the batch is stepped site-major.
 
-    Returns (final states, list of snapshots).  Raises NumericalBlowup when
-    any component passes the cap.
+    Returns (final states, list of snapshots), both chain-major (R, N).
+    Raises NumericalBlowup when any component passes the cap.
     """
-    x = np.array(x0, dtype=float)
-    r = x.shape[0]
-    k = p.n_sites + 1
+    x = np.array(x0.T, dtype=float, order="C")
+    k, r = x.shape[0] + 1, x.shape[1]
     targets = sorted(int(t) for t in record_at)
     ti = 0
     snaps = []
@@ -113,7 +116,9 @@ def _run_chains(x0: np.ndarray, p: SystemParams, model: str, dt: float,
     with np.errstate(over="ignore", invalid="ignore"):
         while step < n_steps:
             c = min(chunk, n_steps - step)
-            gauss = rng.standard_normal((c, r, k))
+            # drawn (c, R, N+1) whatever the layout, stepped as (N+1, R) rows
+            gauss = np.ascontiguousarray(
+                rng.standard_normal((c, r, k)).transpose(0, 2, 1))
             for j in range(c):
                 x = _step_batch(x, p, dt, gauss[j], model)
                 step += 1
@@ -126,9 +131,9 @@ def _run_chains(x0: np.ndarray, p: SystemParams, model: str, dt: float,
                         f"at t = {step * dt:.6g}"
                     )
                 while ti < len(targets) and targets[ti] == step:
-                    snaps.append(x.copy())
+                    snaps.append(x.T.copy())
                     ti += 1
-    return x, snaps
+    return x.T.copy(), snaps
 
 
 def _emit_steps(cfg: SdeConfig):

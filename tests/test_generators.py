@@ -3,6 +3,7 @@ import pytest
 
 from abep import (SystemParams, abep_coefficients, apply_generator,
                   bep_coefficients, intertwining_residual, map_g, model_parts)
+from abep.errors import ParameterError
 
 RNG = np.random.default_rng(915)
 
@@ -116,17 +117,22 @@ def test_intertwining_nontrivial_without_transform():
 
 
 def test_model_parts_dispatch():
-    p = SystemParams(2, 0.3, 1.0, 1.0, 1.0)
-    x = np.array([[0.5, 0.7], [1.0, 0.2]])
+    # site-major: one row per site, one column per chain (N = 3, R = 5)
+    p = SystemParams(3, 0.3, 1.0, 1.0, 1.0)
+    x = np.linspace(0.1, 1.5, 15).reshape(3, 5)
     drift, bond, left, right, v = model_parts(x, p, "abep")
-    assert drift.shape == (2, 2)
-    assert bond.shape == (2, 1)
-    assert left.shape == right.shape == (2,)
-    assert v.shape == (2, 2)
+    assert drift.shape == v.shape == (3, 5)
+    assert bond.shape == (2, 5)
+    assert left.shape == right.shape == (5,)
     drift_b, bond_b, left_b, right_b, v_b = model_parts(x, p, "bep")
+    assert drift_b.shape == (3, 5) and bond_b.shape == (2, 5)
+    assert left_b.shape == right_b.shape == (5,)
     assert v_b is None
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError, match="unknown model"):
         model_parts(x, p, "nope")
+    # a chain-major (R, N) batch is refused, not misread
+    with pytest.raises(ParameterError, match="site rows"):
+        model_parts(x.T, p, "abep")
 
 
 def test_amplitudes_are_nonnegative_on_domain():

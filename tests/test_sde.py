@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from abep import (SdeConfig, SystemParams, em_step, ensemble_endpoint,
                   one_point_moment, simulate_trajectory, stationary_estimate)
 from abep.errors import NumericalBlowup, ParameterError
+from abep.sde import _step_batch
 
 RNG = np.random.default_rng(777)
 
@@ -174,3 +177,79 @@ def test_stationary_estimate_needs_callables(bad):
     cfg = SdeConfig(dt=0.01, t_end=1.0, thinning=0.1, seed=0)
     with pytest.raises(ParameterError, match="callable"):
         stationary_estimate(p, cfg, "bep", bad)
+
+
+@pytest.mark.parametrize("model", ["bep", "abep"])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_step_batch_equals_single_steps(model, n):
+    # a site-major (N, R) step is R independent chain steps, bit for bit;
+    # N = 1 has no bonds and a one-row right direction
+    p = SystemParams(n, 0.1, 2.0, 0.5, 1.5)
+    rng = np.random.default_rng(40 + n)
+    r = 37
+    x = rng.uniform(0.0, 2.0, (n, r))
+    x[:, 0] = 0.0
+    gauss = rng.standard_normal((n + 1, r))
+    batch = _step_batch(x, p, 1e-2, gauss, model)
+    assert batch.shape == (n, r)
+    for i in range(r):
+        single = em_step(x[:, i], p, 1e-2, gauss[:, i], model=model)
+        assert batch[:, i].tobytes() == single.tobytes()
+
+
+def _sha256(a) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
+
+
+# The digests below pin the integrator's output bytes, so a kernel change
+# cannot move them silently.  Beyond the kernel, the abep ones depend on how
+# numpy rounds exp and expm1, which varies across builds and CPUs; they were
+# taken where this probe of both functions has the digest _ELEMENTARY
+# (x86_64 with AVX-512, numpy 2.4.6).  The bep run uses only +, *, sqrt.
+_ELEMENTARY = "3a6be39b0874f043ffb43514c7e3d674aea57208ba069c8acfd591d66441116e"
+
+
+def _needs_pinned_exp():
+    x = np.linspace(-30.0, 30.0, 2001)
+    if _sha256(np.concatenate([np.exp(x), np.expm1(x)])) != _ELEMENTARY:
+        pytest.skip("exp/expm1 round differently from the build the digests "
+                    "were taken with")
+
+
+def test_pinned_bytes_abep_trajectory():
+    _needs_pinned_exp()
+    p = SystemParams(3, 0.1, 2.0, 0.5, 1.5)
+    cfg = SdeConfig(dt=1e-3, t_end=2.0, thinning=0.05, burn_in=0.0, seed=7)
+    traj = simulate_trajectory(np.zeros(3), p, cfg, model="abep")
+    assert len(traj) == 40
+    assert _sha256([[t, *x] for t, x in traj]) == \
+        "bb4a5fa5751bd1a389b631ce278d2b885857142c7d3f7905404ee71fa315bd14"
+
+
+def test_pinned_bytes_abep_endpoint():
+    _needs_pinned_exp()
+    p = SystemParams(2, 0.1, 2.0, 0.5, 1.0)
+    final = ensemble_endpoint(np.full(2, 0.5), p, "abep", 1e-2, 0.5, 10_000, seed=11)
+    assert final.shape == (10_000, 2) and final.flags.c_contiguous
+    assert _sha256(final) == \
+        "a2c1fd0da20708170c15a837541426835b081f597820f6f307edb25e9816da06"
+
+
+def test_pinned_bytes_bep_endpoint():
+    p = SystemParams(2, 0.0, 2.0, 0.5, 1.0)
+    final = ensemble_endpoint(np.full(2, 0.5), p, "bep", 1e-2, 0.5, 10_000, seed=11)
+    assert final.shape == (10_000, 2) and final.flags.c_contiguous
+    assert _sha256(final) == \
+        "85468a1d67b1bb17e33476b8333d9bdae7ab85ba4c813697bf635cc0b1ba83be"
+
+
+def test_pinned_bytes_abep_moments_estimate():
+    # the three tail observables of `abep moments` on one ensemble
+    _needs_pinned_exp()
+    p = SystemParams(3, 0.05, 2.0, 0.5, 1.5)
+    cfg = SdeConfig(dt=1e-2, t_end=6.0, thinning=0.05, burn_in=2.0, seed=0)
+    obs = [lambda s, _m=m: np.exp(-0.05 * s[:, _m - 1:].sum(axis=1))
+           for m in (1, 2, 3)]
+    est = stationary_estimate(p, cfg, "abep", obs, n_chains=8)
+    assert _sha256(est) == \
+        "698266646f6c281494960bf1d944e9d8901c4e6a6f67115ef19b9dd7ab3d1437"
