@@ -19,7 +19,7 @@ The linear solver is the authority, the closed forms are validators
 against it.
 
 The solver enumerates every placement of k walkers on sites 0..N+1, takes
-the jump rates from the simulator's own rate table (``sip._moves``),
+the jump rates from the simulator's own rate table (``sip._rate_table``),
 factors the sparse transient block once and solves it for every absorbed
 outcome (left count, right count).  The solves and the closed forms take
 single sites or arrays of sites.
@@ -35,9 +35,12 @@ from scipy.sparse.linalg import splu
 
 from .core import SystemParams
 from .errors import SingularSystem
-from .sip import _edge_rate, _moves
+from .sip import _edge_rate, _jump, _occupied, _rate_table
 
 _exit_cache: dict = {}
+# states per block of _generator: bounds the memory of its (states, 2N)
+# rate table, which would otherwise grow as N**3 for pairs
+_BLOCK_STATES = 256
 
 
 @dataclass(frozen=True)
@@ -65,18 +68,22 @@ def _generator(n: int, k: int, alpha: float, edge: str):
     states = list(itertools.combinations_with_replacement(range(n + 2), k))
     index = {s: r for r, s in enumerate(states)}
     rows, cols, rates = [], [], []
-    for r, s in enumerate(states):
-        occ = [0] * (n + 2)
-        for site in s:
-            occ[site] += 1
-        for src, dst, rate in _moves(occ, n, alpha, edge):
-            t = list(s)
-            t[t.index(src)] = dst
-            t.sort()
-            rows.append(r)
-            cols.append(index[tuple(t)])
-            rates.append(rate)
-    q = sparse.csr_matrix((rates, (rows, cols)), shape=(len(states), len(states)))
+    for first in range(0, len(states), _BLOCK_STATES):
+        block = np.array(states[first:first + _BLOCK_STATES])
+        occ = np.zeros((len(block), n + 2), dtype=np.int64)
+        for site in block.T:
+            occ[np.arange(len(block)), site] += 1
+        r, c = np.nonzero(_occupied(occ))
+        rows.append(first + r)
+        rates.append(_rate_table(occ, alpha, edge)[r, c])
+        targets = occ[r]
+        _jump(targets, np.arange(len(r)), c)
+        # every target holds k walkers, so its sites in order fill one row
+        hit = np.nonzero(targets)
+        sites = np.repeat(hit[1], targets[hit]).reshape(-1, k)
+        cols += [index[t] for t in map(tuple, sites.tolist())]
+    q = sparse.csr_matrix((np.concatenate(rates), (np.concatenate(rows), cols)),
+                          shape=(len(states), len(states)))
     return states, q
 
 

@@ -1,8 +1,8 @@
 """Deterministic random-stream management for Monte Carlo tasks.
 
-Every stochastic routine derives its generator from (global seed, task
-label, batch index), so a result depends only on those three values and not
-on how the batches are grouped or ordered.
+Every stochastic routine derives one generator from (global seed, task
+label) and draws all of its randomness from it, so a result depends only
+on the seed and the routine's own arguments.
 """
 from __future__ import annotations
 
@@ -13,9 +13,11 @@ import numpy as np
 _SEED_MASK = (1 << 63) - 1
 
 
-def stream(seed: int, task: str, index: int = 0) -> np.random.Generator:
-    """Return the generator for one (seed, task, index) cell."""
-    key = (int(seed) & _SEED_MASK, zlib.crc32(task.encode("utf8")), int(index))
+def stream(seed: int, task: str) -> np.random.Generator:
+    """Return the generator for one (seed, task) pair."""
+    # the third entry is fixed at 0: changing or dropping it would change
+    # every stream, and with it every seeded result
+    key = (int(seed) & _SEED_MASK, zlib.crc32(task.encode("utf8")), 0)
     return np.random.default_rng(np.random.SeedSequence(key))
 
 
@@ -24,4 +26,3 @@ def as_generator(seed, task: str) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return stream(int(seed), task)
-

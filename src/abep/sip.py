@@ -8,8 +8,11 @@ site N), and absorbed particles never move again.  That is the "unit"
 boundary bookkeeping; the rate table also serves the "walk" one (boundary
 jumps at alpha * count) for the exact solves in :mod:`abep.absorption`.
 
-The direct (Gillespie) method with full rate recomputation per event is
-plenty here: state spaces are a handful of particles on short chains.
+All runs of one call advance together by Gillespie's direct method
+(Gillespie, J. Phys. Chem. 81, 1977), applied to a batch: each round takes
+one event in every run that is still active, with its waiting time and its
+move drawn from the run's row of one array rate table.  Runs are occupation
+vectors, so any configuration is simulated without enumerating states.
 """
 from __future__ import annotations
 
@@ -25,24 +28,6 @@ from .rng import as_generator, stream
 DEFAULT_MAX_EVENTS = 1_000_000
 
 
-class _Draws:
-    """Buffered uniform variates: block draws from numpy, scalar pops."""
-
-    def __init__(self, rng: np.random.Generator, block: int = 8192):
-        self.rng = rng
-        self.block = block
-        self.buf = []
-        self.pos = 0
-
-    def uniform(self) -> float:
-        if self.pos == len(self.buf):
-            self.buf = self.rng.random(self.block).tolist()
-            self.pos = 0
-        v = self.buf[self.pos]
-        self.pos += 1
-        return v
-
-
 def _edge_rate(alpha: float, edge: str) -> float:
     """Per-particle rate of a jump into a boundary site.
 
@@ -55,78 +40,82 @@ def _edge_rate(alpha: float, edge: str) -> float:
     raise ParameterError(f"edge must be 'unit' or 'walk', got {edge!r}")
 
 
-def _moves(occ, n: int, alpha: float, edge: str = "unit"):
-    """Enumerate (source, target, rate) for the current occupations.
+def _rate_table(occ, alpha: float, edge: str = "unit") -> np.ndarray:
+    """Jump rates of every configuration: (R, 2N) from (R, N+2) occupations.
 
-    Boundary jumps go at rate _edge_rate(alpha, edge) * (count).
+    Column 2(i-1) is the jump i -> i-1 and column 2i-1 the jump i -> i+1
+    from bulk site i.  A jump from an empty site has rate 0.
     """
+    k = occ[:, 1:-1]
+    rates = np.empty(k.shape + (2,))
+    rates[:, :, 0] = k * (alpha + occ[:, :-2])
+    rates[:, :, 1] = k * (alpha + occ[:, 2:])
     at_edge = _edge_rate(alpha, edge)
-    mv = []
-    for i in range(1, n + 1):
-        k = occ[i]
-        if not k:
-            continue
-        if i == 1:
-            mv.append((1, 0, at_edge * k))
-        else:
-            mv.append((i, i - 1, k * (alpha + occ[i - 1])))
-        if i == n:
-            mv.append((n, n + 1, at_edge * k))
-        else:
-            mv.append((i, i + 1, k * (alpha + occ[i + 1])))
-    return mv
+    rates[:, 0, 0] = at_edge * k[:, 0]
+    rates[:, -1, 1] = at_edge * k[:, -1]
+    return rates.reshape(len(occ), -1)
+
+
+def _occupied(occ) -> np.ndarray:
+    """Mask of the rate table's columns whose source site is occupied."""
+    return np.repeat(occ[:, 1:-1] > 0, 2, axis=1)
+
+
+def _jump(occ, rows, col) -> None:
+    """Move one particle in each given row, by rate-table column, in place."""
+    src = col // 2 + 1
+    occ[rows, src] -= 1
+    occ[rows, src + 2 * (col % 2) - 1] += 1
 
 
 def sip_rates(xi, p: SystemParams):
     """All possible single jumps from xi as (target configuration, rate)."""
-    occ = as_particles(xi, p.n_sites)
-    out = []
-    for src, dst, rate in _moves(occ.tolist(), p.n_sites, p.alpha):
-        tgt = occ.copy()
-        tgt[src] -= 1
-        tgt[dst] += 1
-        out.append((tgt, float(rate)))
-    return out
+    occ = as_particles(xi, p.n_sites)[None]
+    cols = np.flatnonzero(_occupied(occ)[0])
+    targets = np.repeat(occ, len(cols), axis=0)
+    _jump(targets, np.arange(len(cols)), cols)
+    return list(zip(targets, _rate_table(occ, p.alpha)[0, cols].tolist()))
 
 
-def _run(occ, n: int, alpha: float, draws: _Draws, t_max, max_events: int):
-    """Core event loop on a plain list of ints.
+def _simulate(occ0, p: SystemParams, n_runs: int, rng: np.random.Generator,
+              t_max=None, max_events: int = DEFAULT_MAX_EVENTS):
+    """Run n_runs copies of the occupations occ0 together.
 
-    Returns (occupations, elapsed time, absorbed flag).  The loop stops when
-    the bulk empties or, if t_max is given, at that horizon.
+    Returns the (n_runs, N+2) final occupations and the (n_runs,) times at
+    which the runs stopped: when their bulk empties or, if t_max is given,
+    at that horizon.  Each round draws a (2, active) block of uniforms, the
+    first row for the waiting times and the second for the moves.
     """
-    bulk = sum(occ[1:n + 1])
-    t = 0.0
+    n = p.n_sites
+    occ = np.tile(occ0, (n_runs, 1))
+    t = np.zeros(n_runs)
+    active = np.flatnonzero(occ[:, 1:n + 1].any(axis=1))
+    # every active run takes one event per round, so the round number is
+    # the event count of each run still active
     events = 0
-    while bulk > 0:
-        mv = _moves(occ, n, alpha)
-        total = 0.0
-        for _, _, r in mv:
-            total += r
-        wait = -math.log(1.0 - draws.uniform()) / total
-        if t_max is not None and t + wait > t_max:
-            return occ, t_max, False
-        t += wait
+    while active.size:
+        u = rng.random((2, active.size))
+        cum = np.cumsum(_rate_table(occ[active], p.alpha), axis=1)
+        total = cum[:, -1]
+        wait = -np.log(1.0 - u[0]) / total
+        if t_max is not None:
+            stop = t[active] + wait > t_max
+            t[active[stop]] = t_max
+            go = ~stop
+            active, u, cum, total, wait = (active[go], u[:, go], cum[go],
+                                           total[go], wait[go])
         events += 1
-        if events > max_events:
+        if events > max_events and active.size:
             raise SimulationCap(
-                f"run exceeded {max_events} events without absorbing"
-            )
-        pick = draws.uniform() * total
-        acc = 0.0
-        src = dst = None
-        for s, d, r in mv:
-            acc += r
-            if pick < acc:
-                src, dst = s, d
-                break
-        if src is None:            # guard against pick == total round-off
-            src, dst = mv[-1][0], mv[-1][1]
-        occ[src] -= 1
-        occ[dst] += 1
-        if dst == 0 or dst == n + 1:
-            bulk -= 1
-    return occ, t, True
+                f"run exceeded {max_events} events without absorbing")
+        t[active] += wait
+        col = (cum <= (u[1] * total)[:, None]).sum(axis=1)
+        # guard against pick == total round-off: take the last possible move
+        over = col == 2 * n
+        col[over] = (cum[over] < total[over, None]).sum(axis=1)
+        _jump(occ, active, col)
+        active = active[occ[active, 1:n + 1].any(axis=1)]
+    return occ, t
 
 
 def gillespie_run(xi0, p: SystemParams, seed=0,
@@ -136,43 +125,26 @@ def gillespie_run(xi0, p: SystemParams, seed=0,
     Returns (final configuration, absorption time).  seed may be an integer
     or a numpy Generator.
     """
-    occ = as_particles(xi0, p.n_sites).tolist()
-    draws = _Draws(as_generator(seed, "gillespie"))
-    occ, t, _ = _run(occ, p.n_sites, p.alpha, draws, None, max_events)
-    return np.array(occ, dtype=np.int64), t
+    occ, t = _simulate(as_particles(xi0, p.n_sites), p, 1,
+                       as_generator(seed, "gillespie"), None, max_events)
+    return occ[0], float(t[0])
 
 
 def run_to_time(xi0, p: SystemParams, t_horizon: float, seed=0,
                 max_events: int = DEFAULT_MAX_EVENTS):
     """State of one realization at a fixed time (absorbed states persist)."""
-    occ = as_particles(xi0, p.n_sites).tolist()
-    draws = _Draws(as_generator(seed, "gillespie-horizon"))
-    occ, t, _ = _run(occ, p.n_sites, p.alpha, draws, float(t_horizon), max_events)
-    return np.array(occ, dtype=np.int64), t
+    occ, t = _simulate(as_particles(xi0, p.n_sites), p, 1,
+                       as_generator(seed, "gillespie-horizon"),
+                       float(t_horizon), max_events)
+    return occ[0], float(t[0])
 
 
-def _batch_sizes(n_runs: int, n_batches: int):
-    base, rem = divmod(n_runs, n_batches)
-    return [base + (1 if b < rem else 0) for b in range(n_batches)]
-
-
-def _run_batches(xi0, p: SystemParams, n_runs: int, seed: int, task: str,
-                 t_max, max_events: int, key_fn) -> Counter:
-    """Run a fixed grid of batches, each on its own stream, and count outcomes.
-
-    Every batch draws from stream (seed, task, batch index), so results
-    depend only on (seed, n_runs).
-    """
-    occ0 = as_particles(xi0, p.n_sites).tolist()
-    n = p.n_sites
-    n_batches = min(64, n_runs) or 1
-    counts = Counter()
-    for index, size in enumerate(_batch_sizes(n_runs, n_batches)):
-        draws = _Draws(stream(seed, task, index))
-        for _ in range(size):
-            occ, _, _ = _run(list(occ0), n, p.alpha, draws, t_max, max_events)
-            counts[key_fn(occ)] += 1
-    return counts
+def _count_rows(rows) -> Counter:
+    """Counter of the distinct rows of an integer array, keyed by tuples."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    first = np.flatnonzero(np.diff(rows, axis=0, prepend=-1).any(axis=1))
+    counts = np.diff(first, append=len(rows))
+    return Counter(dict(zip(map(tuple, rows[first].tolist()), counts.tolist())))
 
 
 def mc_absorption(xi0, p: SystemParams, n_runs: int, seed: int = 0,
@@ -180,13 +152,12 @@ def mc_absorption(xi0, p: SystemParams, n_runs: int, seed: int = 0,
     """Empirical distribution of (left count, right count) at absorption.
 
     Returns a dict mapping each outcome to (frequency, binomial standard
-    error).
+    error).  All runs draw from the one stream (seed, "absorption-mc").
     """
-    n = p.n_sites
-    counts = _run_batches(xi0, p, n_runs, seed, "absorption-mc", None,
-                          max_events, key_fn=lambda occ: (occ[0], occ[n + 1]))
+    occ, _ = _simulate(as_particles(xi0, p.n_sites), p, n_runs,
+                       stream(seed, "absorption-mc"), None, max_events)
     out = {}
-    for outcome, c in sorted(counts.items()):
+    for outcome, c in sorted(_count_rows(occ[:, [0, -1]]).items()):
         f = c / n_runs
         out[outcome] = (f, math.sqrt(f * (1.0 - f) / n_runs))
     return out
@@ -195,6 +166,10 @@ def mc_absorption(xi0, p: SystemParams, n_runs: int, seed: int = 0,
 def final_state_counts(xi0, p: SystemParams, n_runs: int, t_horizon: float,
                        seed: int = 0,
                        max_events: int = DEFAULT_MAX_EVENTS) -> Counter:
-    """Counter of full configurations (as tuples) at a fixed horizon."""
-    return _run_batches(xi0, p, n_runs, seed, "horizon-mc", float(t_horizon),
-                        max_events, key_fn=lambda occ: tuple(occ))
+    """Counter of full configurations (as tuples) at a fixed horizon.
+
+    All runs draw from the one stream (seed, "horizon-mc").
+    """
+    occ, _ = _simulate(as_particles(xi0, p.n_sites), p, n_runs,
+                       stream(seed, "horizon-mc"), float(t_horizon), max_events)
+    return _count_rows(occ)
