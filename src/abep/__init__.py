@@ -13,8 +13,7 @@ from .core import (DOMAIN_TOL, SystemParams, as_particles, as_state,
 from .errors import (ConfigError, DomainError, NumericalBlowup,
                      ParameterError, RejectionStall, RouteMismatch,
                      SimulationCap, SingularSystem, ToolkitError)
-from .generators import (DriftDiffusion, abep_coefficients, apply_generator,
-                         bep_coefficients, intertwining_residual, model_parts)
+from .generators import apply_generator, intertwining_residual, model_parts
 from .sde import (DEFAULT_CAP, SdeConfig, em_step, ensemble_endpoint,
                   simulate_trajectory, stationary_estimate)
 from .sip import (final_state_counts, gillespie_run, mc_absorption,
@@ -28,7 +27,8 @@ from .absorption import (AbsorptionResult, single_absorption_solve,
                          two_particle_solve)
 from .moments import (TwoPointReport, one_point_moment, one_point_routes,
                       reversible_cdf_1d, reversible_density_unnormalized,
-                      reversible_log_density, reversible_sampler,
+                      reversible_log_density, reversible_mass,
+                      reversible_moment, reversible_sampler,
                       two_point_closed_form, two_point_moment,
                       two_point_report)
 
@@ -41,7 +41,6 @@ __all__ = [
     "ToolkitError", "ParameterError", "DomainError", "NumericalBlowup",
     "SimulationCap", "RejectionStall", "SingularSystem", "ConfigError",
     "RouteMismatch",
-    "DriftDiffusion", "bep_coefficients", "abep_coefficients",
     "model_parts", "apply_generator", "intertwining_residual",
     "SdeConfig", "em_step", "simulate_trajectory", "stationary_estimate",
     "ensemble_endpoint",
@@ -55,5 +54,6 @@ __all__ = [
     "TwoPointReport", "one_point_moment", "one_point_routes",
     "two_point_moment", "two_point_closed_form", "two_point_report",
     "reversible_log_density", "reversible_density_unnormalized",
-    "reversible_sampler", "reversible_cdf_1d",
+    "reversible_mass", "reversible_moment", "reversible_sampler",
+    "reversible_cdf_1d",
 ]

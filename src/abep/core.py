@@ -169,3 +169,25 @@ def jacobian_g_inv(z, p: SystemParams) -> np.ndarray:
     off = diag * (-np.expm1(-s * x))      # exp(s E_l) (1 - exp(-s x_l))
     mat = np.triu(np.broadcast_to(off[:, None], (n, n)), k=1) + np.diag(diag)
     return mat
+
+
+def _observables(observable):
+    """(single, list of callables) from one callable or a non-empty sequence."""
+    single = callable(observable)
+    observables = [observable] if single else list(observable)
+    if not observables or not all(callable(f) for f in observables):
+        raise ParameterError("observable must be a callable or a non-empty "
+                             "sequence of callables")
+    return single, observables
+
+
+def _eval_observable(observable, states2d: np.ndarray) -> np.ndarray:
+    """Evaluate an observable once on (M, N) stacked states; it must return
+    one value per row."""
+    vals = np.asarray(observable(states2d), dtype=float)
+    if vals.shape != (states2d.shape[0],):
+        raise ParameterError(
+            f"observable must map states of shape {states2d.shape} to shape "
+            f"({states2d.shape[0]},), got {vals.shape}"
+        )
+    return vals

@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import SystemParams, as_particles, as_state, map_g
 from .errors import ParameterError
-from .generators import abep_coefficients, apply_generator, bep_coefficients
+from .generators import apply_generator
 from .sde import ensemble_endpoint
 from .sip import final_state_counts, sip_rates
 from .rng import stream
@@ -132,8 +132,7 @@ def generator_duality_residual(x, xi, p: SystemParams, model: str = "bep",
     """
     arr = as_state(x, p.n_sites)
     dual = _select_dfun(model, dfun, p, t_orth)
-    coeffs = bep_coefficients(arr, p) if model == "bep" else abep_coefficients(arr, p)
-    cont = apply_generator(coeffs, lambda y: dual(y, xi), arr, fd_step)
+    cont = apply_generator(arr, p, model, lambda y: dual(y, xi), fd_step)
     disc = sip_generator_apply(lambda c: dual(arr, c), xi, p)
     return abs(cont - disc)
 

@@ -37,23 +37,17 @@ Asymmetric model on coordinates x, with E_l the partial energies:
 These coefficients make the conjugation by the energy transform exact: the
 asymmetric generator applied to f o g equals the symmetric generator of f
 evaluated at g(x), which is what intertwining_residual measures.
+
+apply_generator and intertwining_residual apply L by central differences
+on one stencil per state: a test function f must accept a (K, N) batch of
+stencil points and return K values.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import SystemParams, as_state, map_g
+from .core import SystemParams, _eval_observable, _observables, as_state, map_g
 from .errors import ParameterError
-
-
-@dataclass
-class DriftDiffusion:
-    """Drift vector plus rank-one diffusion factors at one configuration."""
-
-    drift: np.ndarray
-    noise_dirs: list  # list of (amplitude, direction vector) pairs
 
 
 def model_parts(x: np.ndarray, p: SystemParams, model: str):
@@ -116,68 +110,72 @@ def model_parts(x: np.ndarray, p: SystemParams, model: str):
     return drift, bond_amp, left_amp, right_amp, v
 
 
-def _assemble(n: int, parts) -> DriftDiffusion:
-    drift, bond_amp, left_amp, right_amp, v = parts
-    dirs = []
-    for i in range(n - 1):
-        d = np.zeros(n)
-        d[i] = -1.0
-        d[i + 1] = 1.0
-        dirs.append((float(bond_amp[i]), d))
-    left = np.zeros(n)
-    left[0] = 1.0
-    dirs.append((float(left_amp), left))
-    if v is None:
-        right = np.zeros(n)
-        right[-1] = 1.0
-    else:
-        right = np.array(v, dtype=float)
-    dirs.append((float(right_amp), right))
-    return DriftDiffusion(drift=np.array(drift, dtype=float), noise_dirs=dirs)
+def _stencil(x: np.ndarray, p: SystemParams, model: str, h: float):
+    """Central-difference stencil of L at one state x of shape (N,).
 
-
-def bep_coefficients(z, p: SystemParams) -> DriftDiffusion:
-    """Symmetric-model coefficients at one configuration z."""
-    return _assemble(p.n_sites, model_parts(as_state(z, p.n_sites), p, "bep"))
-
-
-def abep_coefficients(x, p: SystemParams) -> DriftDiffusion:
-    """Asymmetric-model coefficients at one configuration x.
-
-    With sigma = 0 this is exactly the symmetric model.
+    Returns (points, weights, n_drift): points stacks x, then x + h d_k for
+    every direction d_k with a nonzero weight, then x - h d_k in the same
+    order.  The directions are e_i weighted by the drift b_i (n_drift of
+    them come first), then the noise directions weighted by a_k.
     """
-    return _assemble(p.n_sites, model_parts(as_state(x, p.n_sites), p, "abep"))
+    n = p.n_sites
+    if x.shape != (n,):
+        raise ParameterError(f"expected one state of shape ({n},), got {x.shape}")
+    drift, bond_amp, left_amp, right_amp, v = model_parts(x, p, model)
+    dirs = np.zeros((2 * n + 1, n))
+    dirs[:n] = np.eye(n)
+    dirs[n:2 * n - 1] = np.eye(n - 1, n, 1) - np.eye(n - 1, n)
+    dirs[2 * n - 1, 0] = dirs[2 * n, -1] = 1.0    # left e_1, right e_N
+    if v is not None:
+        dirs[2 * n] = v                             # the abep right direction
+    weights = np.concatenate([drift, bond_amp, [left_amp, right_amp]])
+    keep = weights != 0.0
+    step = h * dirs[keep]
+    return (np.concatenate([x[None], x + step, x - step]), weights[keep],
+            int(np.count_nonzero(keep[:n])))
 
 
-def apply_generator(coeffs: DriftDiffusion, f, x, fd_step: float) -> float:
-    """Apply L = b . grad + sum_k a_k (v_k . grad)^2 to f at x numerically.
+def _combine(vals: np.ndarray, weights: np.ndarray, d: int, h: float) -> float:
+    """L f at the stencil centre from f on the stencil points (d drift terms)."""
+    m = weights.size
+    f0, fp, fm = vals[0], vals[1:m + 1], vals[m + 1:]
+    terms = np.concatenate([weights[:d] * (fp[:d] - fm[:d]) / (2.0 * h),
+                            weights[d:] * (fp[d:] - 2.0 * f0 + fm[d:]) / (h * h)])
+    out = 0.0
+    for t in terms.tolist():    # left to right: np.sum pairs terms up
+        out += t
+    return out
+
+
+def apply_generator(x, p: SystemParams, model: str, f, fd_step: float) -> float:
+    """Apply L = b . grad + sum_k a_k (v_k . grad)^2 of 'bep' or 'abep' to f
+    at one state x, numerically.
 
     Central finite differences of order fd_step**2; directional second
-    derivatives use f(x + h v) - 2 f(x) + f(x - h v).
+    derivatives use f(x + h v) - 2 f(x) + f(x - h v).  f is called once,
+    on a (K, N) batch holding every stencil point, and must return K values.
     """
-    x = np.asarray(x, dtype=float)
-    h = float(fd_step)
-    out = 0.0
-    for i, b in enumerate(coeffs.drift):
-        if b == 0.0:
-            continue
-        step = np.zeros_like(x)
-        step[i] = h
-        out += b * (f(x + step) - f(x - step)) / (2.0 * h)
-    f0 = None
-    for amp, v in coeffs.noise_dirs:
-        if amp == 0.0:
-            continue
-        if f0 is None:
-            f0 = f(x)
-        out += amp * (f(x + h * v) - 2.0 * f0 + f(x - h * v)) / (h * h)
-    return float(out)
-
-
-def intertwining_residual(x, p: SystemParams, f, fd_step: float) -> float:
-    """|L_asym (f o g)(x) - (L_sym f)(g(x))| by finite differences."""
     x = as_state(x, p.n_sites)
-    z = map_g(x, p)
-    lhs = apply_generator(abep_coefficients(x, p), lambda y: f(map_g(y, p)), x, fd_step)
-    rhs = apply_generator(bep_coefficients(z, p), f, z, fd_step)
-    return abs(lhs - rhs)
+    h = float(fd_step)
+    pts, weights, n_drift = _stencil(x, p, model, h)
+    return _combine(_eval_observable(f, pts), weights, n_drift, h)
+
+
+def intertwining_residual(x, p: SystemParams, f, fd_step: float):
+    """|L_asym (f o g)(x) - (L_sym f)(g(x))| by finite differences.
+
+    f is one callable or a sequence of them, each called on (K, N) batches
+    as in apply_generator.  The stencils and their images under g are built
+    once per state; a sequence gives a list with one residual per callable,
+    each bit-identical to a call with that callable alone.
+    """
+    single, fs = _observables(f)
+    x = as_state(x, p.n_sites)
+    h = float(fd_step)
+    pts_x, w_x, d_x = _stencil(x, p, "abep", h)
+    g_pts = map_g(pts_x, p)
+    pts_z, w_z, d_z = _stencil(map_g(x, p), p, "bep", h)
+    out = [abs(_combine(_eval_observable(fi, g_pts), w_x, d_x, h)
+               - _combine(_eval_observable(fi, pts_z), w_z, d_z, h))
+           for fi in fs]
+    return out[0] if single else out

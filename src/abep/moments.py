@@ -11,9 +11,9 @@ those moments along independent routes so they can be cross-checked:
                 exact two-walker solve or by the two-walker closed form
 
 For equal reservoir temperatures the process is reversible and its
-stationary density is known explicitly; the density, an exact rejection
-sampler for it, and a quadrature CDF (for distribution-level tests in one
-dimension) are provided at the bottom.
+stationary density is known explicitly; the density, its mass and exact
+moments, an exact rejection sampler for it, and a quadrature CDF (for
+distribution-level tests in one dimension) are provided at the bottom.
 
 Boundary-rate bookkeeping for the dual walkers follows the same
 "unit"/"walk" switch as :mod:`abep.absorption`, with the same default:
@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
+from scipy.special import gammainc
 
 from .absorption import (_sites, single_absorption_solve, single_right_closed,
                          two_particle_closed_form, two_particle_solve)
@@ -184,10 +185,42 @@ def reversible_log_density(x, p: SystemParams):
 def reversible_density_unnormalized(x, p: SystemParams):
     """Unnormalized reversible density at equal temperatures.
 
-    The total mass is below one (for N = 1, alpha = 1 it integrates to
-    1 - exp(-1/(sigma T))), so consumers must normalize or use ratios.
+    The total mass, reversible_mass(p), is below one, so consumers must
+    normalize or use ratios.
     """
     return np.exp(reversible_log_density(x, p))
+
+
+def _domain_cut(p: SystemParams) -> float:
+    """c = 1/(sigma T): the image of g is {sigma * total of z < 1} = {total/T < c}."""
+    t = _require_equal_temps(p)
+    return math.inf if p.sigma == 0.0 else 1.0 / (p.sigma * t)
+
+
+def reversible_mass(p: SystemParams) -> float:
+    """Total mass of reversible_density_unnormalized, P(N alpha, 1/(sigma T)).
+
+    P is the regularized lower incomplete gamma function: the chance that
+    N independent Gamma(alpha, scale T) proposals of reversible_sampler have
+    sigma * total below one, which is the sampler's acceptance rate.
+    """
+    return float(gammainc(p.n_sites * p.alpha, _domain_cut(p)))
+
+
+def reversible_moment(m: int, p: SystemParams) -> float:
+    """Expectation of exp(-sigma * E_m(x)) under the reversible law.
+
+    That law, mapped by g, is product Gamma(alpha, scale T) conditioned on
+    sigma * total < 1: the total is Gamma(N alpha, T) truncated at 1/sigma,
+    the shares are Dirichlet(alpha) and independent of it.  So with
+    c = 1/(sigma T) the moment is
+    1 - sigma alpha T (N - m + 1) P(N alpha + 1, c) / P(N alpha, c),
+    which tends to one_point_moment at equal temperatures as c grows.
+    """
+    _sites(p.n_sites, m)
+    a, c = p.n_sites * p.alpha, _domain_cut(p)
+    return 1.0 - p.sigma * p.alpha * p.t_left * (p.n_sites - m + 1) * float(
+        gammainc(a + 1.0, c) / gammainc(a, c))
 
 
 def reversible_sampler(p: SystemParams, n_samples: int, seed=0,

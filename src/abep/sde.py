@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SystemParams, as_state
+from .core import SystemParams, _eval_observable, _observables, as_state
 from .errors import NumericalBlowup, ParameterError
 from .generators import model_parts
 from .rng import as_generator, stream
@@ -167,18 +167,6 @@ def simulate_trajectory(x0, p: SystemParams, cfg: SdeConfig, model: str = "bep",
     return [(idx * cfg.dt, snap[0]) for idx, snap in zip(emit, snaps)]
 
 
-def _eval_observable(observable, states2d: np.ndarray) -> np.ndarray:
-    """Evaluate an observable once on (M, N) stacked states; it must return
-    one value per row."""
-    vals = np.asarray(observable(states2d), dtype=float)
-    if vals.shape != (states2d.shape[0],):
-        raise ParameterError(
-            f"observable must map states of shape {states2d.shape} to shape "
-            f"({states2d.shape[0]},), got {vals.shape}"
-        )
-    return vals
-
-
 def stationary_estimate(p: SystemParams, cfg: SdeConfig, model: str, observable,
                         n_chains: int = 1, x0=None, cap: float = DEFAULT_CAP,
                         n_batches: int = 20):
@@ -196,11 +184,7 @@ def stationary_estimate(p: SystemParams, cfg: SdeConfig, model: str, observable,
     pairs, each bit-identical to a single-observable call with the same
     arguments.
     """
-    single = callable(observable)
-    observables = [observable] if single else list(observable)
-    if not observables or not all(callable(f) for f in observables):
-        raise ParameterError("observable must be a callable or a non-empty "
-                             "sequence of callables")
+    single, observables = _observables(observable)
     if n_chains < 1:
         raise ParameterError("n_chains must be >= 1")
     start = np.zeros(p.n_sites) if x0 is None else as_state(x0, p.n_sites)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import shlex
 from pathlib import Path
@@ -8,7 +9,8 @@ import pytest
 import abep.cli
 import abep.moments
 from abep import (AbsorptionResult, SdeConfig, SystemParams, one_point_moment,
-                  stationary_estimate, two_particle_solve, two_point_report)
+                  reversible_mass, stationary_estimate, two_particle_solve,
+                  two_point_report)
 from abep.cli import run
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -301,21 +303,41 @@ def test_reversible_check_run(capsys):
     assert rows[0] == ["name", "expected", "observed", "se", "z_score"]
     assert rows[1][0] == "moment_m1"
     assert rows[-1][0] == "acceptance_rate"
-    # two sites: no closed-form acceptance prediction is made
-    assert math.isnan(float(rows[-1][1]))
+    # every (N, alpha) has an acceptance prediction, P(N alpha, 1/(sigma T))
+    p = SystemParams(2, 0.05, 1.0, 0.5, 0.5)
+    assert float(rows[-1][1]) == reversible_mass(p)
+    assert float(rows[-1][4]) < 3.0
+    # sigma = 0: nothing is truncated, every sampled moment is exactly 1 and
+    # every proposal is accepted, which is a pass with z = 0
+    assert run(["reversible-check", "--n", "1", "--sigma", "0", "--samples",
+                "500", "--check", "--no-header"]) == 0
+    assert [float(r[4]) for r in _table(capsys)[1:]] == [0.0, 0.0]
 
 
-def test_reversible_check_truncation_regime_reports_failure(capsys):
+def test_reversible_check_truncation_regime_matches_truncated_law(capsys):
     # at sigma*T = 0.2 the conditioning on the reachable domain shifts the
-    # sampled moment by about five standard errors relative to the closed
-    # form, and --check is expected to say so
+    # sampled moment by about five standard errors from the untruncated
+    # one_point_moment; the check compares with the truncated law and passes
     rc = run(["reversible-check", "--n", "1", "--sigma", "0.2", "--alpha", "1",
               "--t", "1.0", "--samples", "20000", "--check", "--no-header",
               "--seed", "1"])
-    assert rc == 1
+    assert rc == 0
     row = _table(capsys)[1]
-    observed, z = float(row[2]), float(row[4])
-    assert z > 3.0
-    # the shift matches the exact truncated-law expectation
+    expected, observed, z = float(row[1]), float(row[2]), float(row[4])
+    assert z < 3.0
     exact = 1.0 - 0.2 * (1.0 - 5.0 * math.exp(-5.0) / -math.expm1(-5.0))
+    assert expected == pytest.approx(exact, abs=1e-14)
     assert observed == pytest.approx(exact, abs=5 * float(row[3]))
+    untruncated = one_point_moment(1, SystemParams(1, 0.2, 1.0, 1.0, 1.0))
+    assert abs(observed - untruncated) > 3.0 * float(row[3])
+
+
+@pytest.mark.usefixtures("pinned_exp")
+def test_verify_intertwining_pinned_bytes(capsys):
+    rc = run(["verify-intertwining", "--n", "3", "--sigma", "0.1", "--alpha",
+              "2.0", "--tl", "0.5", "--tr", "1.5", "--states", "40", "--funcs",
+              "5", "--tol", "1e-4", "--seed", "0", "--check", "--no-header"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "fcd370a1121c9d708e1f39fa855ab0827e41bd617362d0b2b9db9f07ce578346"

@@ -1,34 +1,150 @@
 import numpy as np
 import pytest
 
-from abep import (SystemParams, abep_coefficients, apply_generator,
-                  bep_coefficients, intertwining_residual, map_g, model_parts)
+from abep import (SystemParams, apply_generator, generator_duality_residual,
+                  intertwining_residual, map_g, model_parts, sip_generator_apply)
+from abep.cli import random_polynomials
+from abep.core import as_state
+from abep.duality import _select_dfun
 from abep.errors import ParameterError
+from abep.generators import _stencil
 
 RNG = np.random.default_rng(915)
 
 
 def _coordinate(k):
-    def f(v):
-        arr = np.atleast_2d(np.asarray(v, dtype=float))
-        out = arr[:, k]
-        return float(out[0]) if np.asarray(v).ndim == 1 else out
-    return f
+    return lambda v: v[:, k]
+
+
+# ---- the per-point loop the batched stencil replaced, kept as its reference
+
+def _per_point_coefficients(x, p, model):
+    """Drift and (amplitude, direction) pairs at one state, from model_parts."""
+    n = p.n_sites
+    drift, bond_amp, left_amp, right_amp, v = model_parts(as_state(x, n), p, model)
+    dirs = []
+    for i in range(n - 1):
+        d = np.zeros(n)
+        d[i] = -1.0
+        d[i + 1] = 1.0
+        dirs.append((float(bond_amp[i]), d))
+    left = np.zeros(n)
+    left[0] = 1.0
+    dirs.append((float(left_amp), left))
+    if v is None:
+        right = np.zeros(n)
+        right[-1] = 1.0
+    else:
+        right = np.array(v, dtype=float)
+    dirs.append((float(right_amp), right))
+    return np.array(drift, dtype=float), dirs
+
+
+def _apply_per_point(x, p, model, f, fd_step):
+    """L f at x with one call of f per stencil point; f takes one state."""
+    drift, noise_dirs = _per_point_coefficients(x, p, model)
+    x = np.asarray(x, dtype=float)
+    h = float(fd_step)
+    out = 0.0
+    for i, b in enumerate(drift):
+        if b == 0.0:
+            continue
+        step = np.zeros_like(x)
+        step[i] = h
+        out += b * (f(x + step) - f(x - step)) / (2.0 * h)
+    f0 = None
+    for amp, v in noise_dirs:
+        if amp == 0.0:
+            continue
+        if f0 is None:
+            f0 = f(x)
+        out += amp * (f(x + h * v) - 2.0 * f0 + f(x - h * v)) / (h * h)
+    return float(out)
+
+
+def _intertwining_per_point(x, p, f, fd_step):
+    x = as_state(x, p.n_sites)
+    z = map_g(x, p)
+    lhs = _apply_per_point(x, p, "abep", lambda y: f(map_g(y, p)), fd_step)
+    rhs = _apply_per_point(z, p, "bep", f, fd_step)
+    return abs(lhs - rhs)
+
+
+def _one_point(f):
+    """A batch function as the per-point loop called it, on one state."""
+    return lambda y: float(f(y[None, :])[0])
+
+
+def _reference_cases():
+    for n in (1, 2, 5):
+        yield SystemParams(n, 0.3, 1.4, 0.6, 1.7), RNG.uniform(0.0, 2.0, n)
+    # zero coefficients: t_left = 0, a zero site, sigma = 0
+    yield SystemParams(3, 0.2, 2.0, 0.0, 1.5), RNG.uniform(0.1, 2.0, 3)
+    yield SystemParams(3, 0.2, 2.0, 0.5, 1.5), np.array([0.7, 0.0, 1.2])
+    yield SystemParams(3, 0.2, 2.0, 0.5, 1.5), np.array([0.0, 0.4, 1.2])
+    yield SystemParams(4, 0.0, 0.8, 0.5, 1.5), RNG.uniform(0.0, 2.0, 4)
+
+
+@pytest.mark.parametrize("model", ["bep", "abep"])
+def test_batched_stencil_matches_per_point_loop(model):
+    for p, x in _reference_cases():
+        polys = random_polynomials(RNG, p.n_sites, 4, 3)
+        for f in polys + [_coordinate(0), _coordinate(p.n_sites - 1)]:
+            # bit for bit, not approximately
+            assert apply_generator(x, p, model, f, 1e-4) == \
+                _apply_per_point(x, p, model, _one_point(f), 1e-4)
+
+
+def test_batched_intertwining_matches_per_point_loop():
+    for p, x in _reference_cases():
+        polys = random_polynomials(RNG, p.n_sites, 4, 3)
+        want = [_intertwining_per_point(x, p, _one_point(f), 1e-4) for f in polys]
+        assert intertwining_residual(x, p, polys, 1e-4) == want
+        assert [intertwining_residual(x, p, f, 1e-4) for f in polys] == want
+
+
+@pytest.mark.parametrize("model", ["bep", "abep"])
+@pytest.mark.parametrize("dfun", ["classical", "orthogonal"])
+def test_batched_duality_residual_matches_per_point_loop(model, dfun):
+    p = SystemParams(2, 0.4, 1.7, 1.0, 2.0)
+    dual = _select_dfun(model, dfun, p, None)
+    for xi in [(0, 1, 0, 0), (0, 1, 1, 0), (0, 2, 0, 0), (1, 1, 3, 1)]:
+        xi = np.array(xi)
+        x = RNG.uniform(0.1, 1.5, 2)
+        cont = _apply_per_point(x, p, model, lambda y: dual(y, xi), 1e-4)
+        disc = sip_generator_apply(lambda c: dual(x, c), xi, p)
+        assert generator_duality_residual(x, xi, p, model=model, dfun=dfun) == \
+            abs(cont - disc)
+
+
+def test_wrong_shapes_are_typed_errors():
+    p = SystemParams(2, 0.2, 1.0, 1.0, 2.0)
+    x = np.array([0.5, 0.8])
+    for bad in (lambda v: 1.0, lambda v: v, lambda v: v[:-1, 0]):
+        with pytest.raises(ParameterError, match="observable must map"):
+            apply_generator(x, p, "abep", bad, 1e-4)
+        with pytest.raises(ParameterError, match="observable must map"):
+            intertwining_residual(x, p, [_coordinate(0), bad], 1e-4)
+    with pytest.raises(ParameterError, match="callable"):
+        intertwining_residual(x, p, [], 1e-4)
+    # a batch of states is refused, not read as one state's site rows
+    with pytest.raises(ParameterError, match="one state"):
+        apply_generator(np.ones((2, 2)), p, "bep", _coordinate(0), 1e-4)
 
 
 def test_symmetric_drift_on_interior_coordinate():
     """The generator acts on an interior coordinate as the discrete laplacian."""
     p = SystemParams(3, 0.0, 1.3, 1.0, 2.0)
     z = np.array([0.7, 0.4, 1.1])
-    val = apply_generator(bep_coefficients(z, p), _coordinate(1), z, 1e-5)
+    val = apply_generator(z, p, "bep", _coordinate(1), 1e-5)
     assert val == pytest.approx(1.3 * (z[0] - 2 * z[1] + z[2]), abs=1e-8)
 
 
 def test_symmetric_drift_on_boundary_coordinates():
     p = SystemParams(2, 0.0, 1.5, 0.8, 2.0)
     z = np.array([0.9, 0.3])
-    left = apply_generator(bep_coefficients(z, p), _coordinate(0), z, 1e-5)
-    right = apply_generator(bep_coefficients(z, p), _coordinate(1), z, 1e-5)
+    left = apply_generator(z, p, "bep", _coordinate(0), 1e-5)
+    right = apply_generator(z, p, "bep", _coordinate(1), 1e-5)
     # reservoir injection alpha*T minus unit leak, plus the bulk exchange
     assert left == pytest.approx(1.5 * 0.8 - z[0] + 1.5 * (z[1] - z[0]), abs=1e-8)
     assert right == pytest.approx(1.5 * 2.0 - z[1] + 1.5 * (z[0] - z[1]), abs=1e-8)
@@ -40,11 +156,9 @@ def test_symmetric_carre_du_champ_on_squares():
     z = np.array([0.6, 0.2])
 
     def f(v):
-        arr = np.atleast_2d(np.asarray(v, dtype=float))
-        out = arr[:, 0] ** 2
-        return float(out[0]) if np.asarray(v).ndim == 1 else out
+        return v[:, 0] ** 2
 
-    val = apply_generator(bep_coefficients(z, p), f, z, 1e-4)
+    val = apply_generator(z, p, "bep", f, 1e-4)
     drift = (1.0 * 1.0 - z[0] + (z[1] - z[0])) * 2 * z[0]
     diff = 2.0 * (z[0] * z[1] + 1.0 * z[0])
     assert val == pytest.approx(drift + diff, rel=1e-6)
@@ -53,34 +167,37 @@ def test_symmetric_carre_du_champ_on_squares():
 def test_noise_direction_count_and_layout():
     p = SystemParams(4, 0.0, 1.0, 1.0, 1.0)
     z = RNG.uniform(0.1, 1.0, 4)
-    coeffs = bep_coefficients(z, p)
-    assert len(coeffs.noise_dirs) == 5
-    amp, v = coeffs.noise_dirs[0]
-    assert np.count_nonzero(v) == 2
-    amp_l, v_l = coeffs.noise_dirs[3]
-    assert np.argmax(np.abs(v_l)) == 0
-    amp_r, v_r = coeffs.noise_dirs[4]
-    assert v_r[-1] != 0.0
+    _, bond, left, right, v = model_parts(z, p, "bep")
+    assert bond.size + 2 == 5
+    # every coefficient is nonzero here: rows are z, then z + h d for the
+    # 4 drift and 5 noise directions, then z - h d
+    pts, weights, n_drift = _stencil(z, p, "bep", 1e-3)
+    assert pts.shape == (19, 4) and weights.size == 9 and n_drift == 4
+    steps = pts[1:10] - z
+    assert np.count_nonzero(steps[n_drift]) == 2        # first bond
+    assert np.argmax(np.abs(steps[7])) == 0              # left reservoir
+    assert steps[8][-1] != 0.0                           # right reservoir
+    assert v is None
 
 
 def test_asymmetric_reduces_to_symmetric_at_sigma_zero():
     p = SystemParams(3, 0.0, 1.2, 1.0, 2.0)
     x = RNG.uniform(0.1, 1.5, 3)
-    ca = abep_coefficients(x, p)
-    cb = bep_coefficients(x, p)
-    assert np.allclose(ca.drift, cb.drift)
-    for (a1, v1), (a2, v2) in zip(ca.noise_dirs, cb.noise_dirs):
+    ca = model_parts(x, p, "abep")
+    cb = model_parts(x, p, "bep")
+    assert np.allclose(ca[0], cb[0])
+    for a1, a2 in zip(ca[1:4], cb[1:4]):
         assert a1 == pytest.approx(a2)
-        assert np.allclose(v1, v2)
+    assert ca[4] is None and cb[4] is None
 
 
 def test_asymmetric_drift_small_sigma_limit():
     x = RNG.uniform(0.2, 1.0, 3)
     p0 = SystemParams(3, 1e-7, 1.1, 0.7, 1.4)
     p1 = SystemParams(3, 0.0, 1.1, 0.7, 1.4)
-    ca = abep_coefficients(x, p0)
-    cb = bep_coefficients(x, p1)
-    assert np.max(np.abs(ca.drift - cb.drift)) < 1e-5
+    drift_a = model_parts(x, p0, "abep")[0]
+    drift_b = model_parts(x, p1, "bep")[0]
+    assert np.max(np.abs(drift_a - drift_b)) < 1e-5
 
 
 @pytest.mark.parametrize("sigma", [0.1, 0.5])
@@ -89,9 +206,7 @@ def test_intertwining_on_polynomials(sigma):
     p = SystemParams(3, sigma, 1.0, 1.0, 2.0)
 
     def f(v):
-        arr = np.atleast_2d(np.asarray(v, dtype=float))
-        out = arr[:, 0] ** 2 + 0.5 * arr[:, 1] * arr[:, 2] - arr[:, 2]
-        return float(out[0]) if np.asarray(v).ndim == 1 else out
+        return v[:, 0] ** 2 + 0.5 * v[:, 1] * v[:, 2] - v[:, 2]
 
     for _ in range(10):
         x = RNG.uniform(0.0, 2.0, 3)
@@ -104,15 +219,11 @@ def test_intertwining_nontrivial_without_transform():
     p = SystemParams(2, 0.6, 1.0, 1.0, 2.0)
 
     def f(v):
-        arr = np.atleast_2d(np.asarray(v, dtype=float))
-        out = arr[:, 0] ** 2
-        return float(out[0]) if np.asarray(v).ndim == 1 else out
+        return v[:, 0] ** 2
 
     x = np.array([1.3, 0.9])
-    lhs = apply_generator(abep_coefficients(x, p),
-                          lambda v: f(map_g(np.asarray(v, dtype=float), p)),
-                          x, 1e-4)
-    wrong = apply_generator(bep_coefficients(x, p), f, x, 1e-4)
+    lhs = apply_generator(x, p, "abep", lambda v: f(map_g(v, p)), 1e-4)
+    wrong = apply_generator(x, p, "bep", f, 1e-4)
     assert abs(lhs - wrong) > 1e-3
 
 
@@ -139,6 +250,6 @@ def test_amplitudes_are_nonnegative_on_domain():
     p = SystemParams(3, 0.4, 1.0, 1.0, 2.0)
     for _ in range(50):
         x = RNG.uniform(0.0, 2.0, 3)
-        coeffs = abep_coefficients(x, p)
-        for amp, _ in coeffs.noise_dirs:
+        _, bond, left, right, _ = model_parts(x, p, "abep")
+        for amp in (*bond, left, right):
             assert amp >= 0.0

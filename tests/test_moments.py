@@ -10,7 +10,8 @@ import abep.moments
 from abep import (SystemParams, map_g, model_parts, one_point_moment,
                   one_point_routes, partial_energies, reversible_cdf_1d,
                   reversible_density_unnormalized, reversible_log_density,
-                  reversible_sampler, two_point_closed_form, two_point_moment,
+                  reversible_mass, reversible_moment, reversible_sampler,
+                  two_point_closed_form, two_point_moment,
                   two_point_report)
 from abep.cli import run
 from abep.errors import ParameterError, RejectionStall, RouteMismatch
@@ -210,6 +211,48 @@ def test_reversible_density_integrates_to_truncated_mass():
     dens = reversible_density_unnormalized(grid[:, None], p)
     mass = integrate.trapezoid(dens, grid)
     assert mass == pytest.approx(-math.expm1(-1.0 / 0.3), rel=1e-6)
+
+
+def test_reversible_moment_and_mass_closed_forms():
+    # N = 1, alpha = 1: the truncated total is Exp(T) below c = 1/(sigma T)
+    p = SystemParams(1, 0.2, 1.0, 1.0, 1.0)
+    assert reversible_mass(p) == pytest.approx(-math.expm1(-5.0), rel=1e-14)
+    exact = 1.0 - 0.2 * (1.0 - 5.0 * math.exp(-5.0) / -math.expm1(-5.0))
+    assert reversible_moment(1, p) == pytest.approx(exact, abs=1e-14)
+    # the total of N alpha shape by quadrature of its truncated Gamma law
+    p = SystemParams(3, 0.5, 2.0, 0.5, 0.5)
+    c = 1.0 / (0.5 * 0.5)
+    dens = lambda s: s ** 5 * math.exp(-s) / math.gamma(6.0)
+    mass = integrate.quad(dens, 0.0, c)[0]
+    mean = integrate.quad(lambda s: s * dens(s), 0.0, c)[0] / mass
+    assert reversible_mass(p) == pytest.approx(mass, rel=1e-12)
+    for m in (1, 2, 3):
+        want = 1.0 - 0.5 * 0.5 * mean * (3 - m + 1) / 3
+        assert reversible_moment(m, p) == pytest.approx(want, abs=1e-12)
+    # without truncation it is the one-point moment at equal temperatures
+    p = SystemParams(3, 0.05, 1.0, 0.5, 0.5)
+    for m in (1, 2, 3):
+        assert reversible_moment(m, p) == pytest.approx(one_point_moment(m, p),
+                                                        abs=1e-14)
+    p = SystemParams(2, 0.0, 1.5, 0.5, 0.5)
+    assert reversible_mass(p) == 1.0 and reversible_moment(1, p) == 1.0
+    with pytest.raises(IndexError):
+        reversible_moment(3, p)
+
+
+@pytest.mark.parametrize("n,sigma,alpha,t,seed", [
+    (3, 0.5, 2.0, 0.5, 0), (2, 0.3, 0.5, 1.0, 1), (1, 0.2, 1.5, 1.0, 2),
+    (4, 0.1, 1.0, 1.0, 3)])
+def test_sampler_matches_truncated_moments(n, sigma, alpha, t, seed):
+    p = SystemParams(n, sigma, alpha, t, t)
+    xs, stats = reversible_sampler(p, 100_000, seed=seed, with_stats=True)
+    for m in range(1, n + 1):
+        obs = np.exp(-sigma * xs[:, m - 1:].sum(axis=1))
+        se = obs.std(ddof=1) / math.sqrt(len(obs))
+        assert abs(obs.mean() - reversible_moment(m, p)) < 3 * se
+    rate = reversible_mass(p)
+    se = math.sqrt(rate * (1 - rate) / stats["proposed"])
+    assert abs(stats["acceptance_rate"] - rate) < 3 * se
 
 
 def test_sampler_moments_match_closed_form():

@@ -202,22 +202,13 @@ def _sha256(a) -> str:
 
 
 # The digests below pin the integrator's output bytes, so a kernel change
-# cannot move them silently.  Beyond the kernel, the abep ones depend on how
-# numpy rounds exp and expm1, which varies across builds and CPUs; they were
-# taken where this probe of both functions has the digest _ELEMENTARY
-# (x86_64 with AVX-512, numpy 2.4.6).  The bep run uses only +, *, sqrt.
-_ELEMENTARY = "3a6be39b0874f043ffb43514c7e3d674aea57208ba069c8acfd591d66441116e"
+# cannot move them silently.  Beyond the kernel, the abep ones depend on the
+# rounding of exp and expm1 (the pinned_exp probe); the bep run uses only
+# +, *, sqrt.
 
 
-def _needs_pinned_exp():
-    x = np.linspace(-30.0, 30.0, 2001)
-    if _sha256(np.concatenate([np.exp(x), np.expm1(x)])) != _ELEMENTARY:
-        pytest.skip("exp/expm1 round differently from the build the digests "
-                    "were taken with")
-
-
+@pytest.mark.usefixtures("pinned_exp")
 def test_pinned_bytes_abep_trajectory():
-    _needs_pinned_exp()
     p = SystemParams(3, 0.1, 2.0, 0.5, 1.5)
     cfg = SdeConfig(dt=1e-3, t_end=2.0, thinning=0.05, burn_in=0.0, seed=7)
     traj = simulate_trajectory(np.zeros(3), p, cfg, model="abep")
@@ -226,8 +217,8 @@ def test_pinned_bytes_abep_trajectory():
         "bb4a5fa5751bd1a389b631ce278d2b885857142c7d3f7905404ee71fa315bd14"
 
 
+@pytest.mark.usefixtures("pinned_exp")
 def test_pinned_bytes_abep_endpoint():
-    _needs_pinned_exp()
     p = SystemParams(2, 0.1, 2.0, 0.5, 1.0)
     final = ensemble_endpoint(np.full(2, 0.5), p, "abep", 1e-2, 0.5, 10_000, seed=11)
     assert final.shape == (10_000, 2) and final.flags.c_contiguous
@@ -243,9 +234,9 @@ def test_pinned_bytes_bep_endpoint():
         "85468a1d67b1bb17e33476b8333d9bdae7ab85ba4c813697bf635cc0b1ba83be"
 
 
+@pytest.mark.usefixtures("pinned_exp")
 def test_pinned_bytes_abep_moments_estimate():
     # the three tail observables of `abep moments` on one ensemble
-    _needs_pinned_exp()
     p = SystemParams(3, 0.05, 2.0, 0.5, 1.5)
     cfg = SdeConfig(dt=1e-2, t_end=6.0, thinning=0.05, burn_in=2.0, seed=0)
     obs = [lambda s, _m=m: np.exp(-0.05 * s[:, _m - 1:].sum(axis=1))
