@@ -309,6 +309,8 @@ def _cmd_verify_duality(args):
 
 
 def _cmd_verify_intertwining(args):
+    if args.states < 1:
+        raise ConfigError("--states must be at least 1")
     p = SystemParams(args.n, args.sigma, args.alpha, args.tl, args.tr)
     rng = stream(args.seed, "verify-intertwining")
     states = rng.uniform(0.0, 2.0, size=(args.states, args.n))

@@ -22,7 +22,7 @@ class SimulationCap(ToolkitError):
 
 
 class RejectionStall(ToolkitError):
-    """Rejection sampler made essentially no progress over a probe batch."""
+    """Rejection sampler has a predicted acceptance below 1e-6."""
 
 
 class SingularSystem(ToolkitError):

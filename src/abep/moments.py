@@ -12,7 +12,7 @@ those moments along independent routes so they can be cross-checked:
 
 For equal reservoir temperatures the process is reversible and its
 stationary density is known explicitly; the density, its mass and exact
-moments, an exact rejection sampler for it, and a quadrature CDF (for
+moments, an exact rejection sampler for it, and the exact N = 1 CDF (for
 distribution-level tests in one dimension) are provided at the bottom.
 
 Boundary-rate bookkeeping for the dual walkers follows the same
@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.special import gammainc
 
 from .absorption import (_sites, single_absorption_solve, single_right_closed,
@@ -229,8 +228,9 @@ def reversible_sampler(p: SystemParams, n_samples: int, seed=0,
 
     Proposes N independent Gamma(alpha, scale T) coordinates, keeps the
     draw when sigma times its total is below one, and maps it back through
-    the inverse energy transform.  Raises RejectionStall when fewer than
-    one in 10^6 proposals survives (sigma * T too large for this chain).
+    the inverse energy transform.  Raises RejectionStall, before any draw,
+    when the predicted acceptance rate reversible_mass(p) is below 1e-6
+    (sigma * T too large for this chain).
 
     Returns an (n_samples, N) array, plus a stats dict (proposed,
     accepted, acceptance_rate) when with_stats is set.
@@ -238,6 +238,10 @@ def reversible_sampler(p: SystemParams, n_samples: int, seed=0,
     t = _require_equal_temps(p)
     if n_samples < 1:
         raise ParameterError("n_samples must be at least 1")
+    rate = reversible_mass(p)
+    if rate < 1e-6:
+        raise RejectionStall(f"predicted acceptance rate {rate:.3e}; "
+                             "sigma*T is too large")
     rng = as_generator(seed, "reversible-sampler")
     n = p.n_sites
     s = p.sigma
@@ -256,10 +260,6 @@ def reversible_sampler(p: SystemParams, n_samples: int, seed=0,
         if take:
             kept[got:got + take] = z[:take]
             got += take
-        if proposed >= 1_000_000 and accepted < 1e-6 * proposed:
-            raise RejectionStall(
-                f"acceptance rate {accepted / proposed:.3e} after "
-                f"{proposed} proposals; sigma*T is too large")
     x = map_g_inv(kept, p) if s > 0.0 else kept
     if with_stats:
         stats = {"proposed": proposed, "accepted": accepted,
@@ -268,34 +268,23 @@ def reversible_sampler(p: SystemParams, n_samples: int, seed=0,
     return x
 
 
-def reversible_cdf_1d(p: SystemParams, x_max: float | None = None,
-                      n_grid: int = 100_001):
-    """Quadrature CDF of the single-site reversible law.
+def reversible_cdf_1d(p: SystemParams):
+    """Exact CDF of the single-site reversible law.
 
-    Returns a vectorized callable F with F(0) = 0 and F(x_max) = 1, built
-    by trapezoid integration of the normalized density on a uniform grid.
-    Needs N = 1 and alpha >= 1 (below 1 the density diverges at zero and
-    the uniform grid would miss mass).
+    With u = 1 - exp(-sigma x), g(x)/T = u c for c = 1/(sigma T), so the
+    truncated Gamma(alpha, T) law of g(x) gives
+    F(x) = P(alpha, u c) / P(alpha, c), with P the regularized lower
+    incomplete gamma function.  Returns F as a vectorized callable: 0 for
+    x <= 0 and exactly 1 at +inf.  Needs N = 1 and sigma > 0.
     """
-    t = _require_equal_temps(p)
     if p.n_sites != 1:
-        raise ParameterError("quadrature CDF is implemented for N = 1 only")
-    if p.alpha < 1.0:
-        raise ParameterError("quadrature CDF needs alpha >= 1")
+        raise ParameterError("the exact CDF is implemented for N = 1 only")
     if p.sigma <= 0.0:
-        raise ParameterError("quadrature CDF is defined for sigma > 0")
-    del t
-    if x_max is None:
-        x_max = 30.0 / p.sigma
-    grid = np.linspace(0.0, float(x_max), int(n_grid))
-    dens = np.zeros_like(grid)
-    dens[1:] = np.exp(reversible_log_density(grid[1:, None], p))
-    if p.alpha == 1.0:
-        dens[0] = np.exp(reversible_log_density(np.zeros((1, 1)), p))[0]
-    cum = cumulative_trapezoid(dens, grid, initial=0.0)
-    cum /= cum[-1]
+        raise ParameterError("the exact CDF is defined for sigma > 0")
+    c, mass = _domain_cut(p), reversible_mass(p)
 
     def cdf(values):
-        return np.interp(values, grid, cum)
+        u = -np.expm1(-p.sigma * np.maximum(values, 0.0))
+        return gammainc(p.alpha, u * c) / mass
 
     return cdf

@@ -231,7 +231,7 @@ def test_acceptance_reversible_measure():
         print(f"reversible moment m={m}: z = {z:.2f}")
         assert z < 3.0, m
 
-    # one-site histogram against the quadrature-normalized density
+    # one-site histogram against the exact CDF
     pk = SystemParams(1, 0.2, 1.5, 1.0, 1.0)
     cdf = reversible_cdf_1d(pk)
     sample = reversible_sampler(pk, 100_000, seed=5)[:, 0]

@@ -1,6 +1,9 @@
 import hashlib
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -282,6 +285,25 @@ def test_verify_intertwining_small_run(capsys):
     assert rows[0] == ["state", "max_residual"]
     assert len(rows) == 6
     assert all(float(r[1]) < 1e-4 for r in rows[1:])
+
+
+def test_verify_intertwining_needs_a_state(capsys):
+    # an empty table checks nothing, so --check must not pass on it
+    for states in ("0", "-1"):
+        assert run(["verify-intertwining", "--n", "2", "--states", states,
+                    "--check", "--no-header"]) == 2
+    assert "--states" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_out_integrate_and_optimize():
+    # scipy.integrate pulls in scipy.optimize: about 16 MB and 0.3 s per launch
+    code = ("import sys, abep.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') "
+            "if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(Path(abep.cli.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_verify_duality_quick_run(capsys):

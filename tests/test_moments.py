@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -282,9 +283,24 @@ def test_sampler_stats_and_stall():
     se = math.sqrt(predicted * (1 - predicted) / stats["proposed"])
     assert abs(stats["acceptance_rate"] - predicted) < 3 * se
 
+    # predicted acceptance P(1, 1/(sigma T)) = 5e-7, below the 1e-6 floor:
+    # the stall is decided before any draw
     stuck = SystemParams(1, 1000.0, 1.0, 2000.0, 2000.0)
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
     with pytest.raises(RejectionStall):
-        reversible_sampler(stuck, 50, seed=0)
+        reversible_sampler(stuck, 50, seed=rng)
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.usefixtures("pinned_exp")
+def test_sampler_pinned_bytes():
+    # the samples and stats of the benchmark's reversible sampler op
+    p = SystemParams(1, 0.5, 1.0, 1.0, 1.0)
+    x, stats = reversible_sampler(p, 200_000, seed=0, with_stats=True)
+    digest = hashlib.sha256(repr(stats).encode() + x.tobytes()).hexdigest()
+    assert digest == \
+        "133b91e3e4dee249d931d0f58fc17d197bf742e6aa9fafc10b385df63ec5d019"
 
 
 def test_sampler_respects_domain():
@@ -302,12 +318,35 @@ def test_cdf_matches_exact_exponential_case():
     xv = np.array([0.3, 1.0, 2.5, 8.0, 20.0])
     g = -np.expm1(-0.2 * xv) / 0.2
     exact = -np.expm1(-g) / -math.expm1(-1.0 / 0.2)
-    assert cdf(xv) == pytest.approx(exact, abs=1e-6)
+    assert cdf(xv) == pytest.approx(exact, abs=1e-15)
     assert cdf(0.0) == 0.0
+
+
+@pytest.mark.parametrize("sigma,alpha,t", [(0.2, 0.5, 1.0), (0.2, 1.5, 1.0),
+                                             (0.3, 3.0, 0.7)])
+def test_cdf_matches_density_quadrature(sigma, alpha, t):
+    p = SystemParams(1, sigma, alpha, t, t)
+    cdf = reversible_cdf_1d(p)
+    mass = reversible_mass(p)
+
+    # x = y^2 keeps the integrand bounded at the origin when alpha < 1
+    def integrand(y):
+        return 2.0 * y * reversible_density_unnormalized(np.array([y * y]), p)
+
+    for x in (0.05, 0.5, 2.0, 6.0, 25.0):
+        want = integrate.quad(integrand, 0.0, math.sqrt(x),
+                              epsabs=1e-14, epsrel=1e-13)[0] / mass
+        assert abs(cdf(x) - want) < 1e-10, x
+    assert cdf(0.0) == 0.0 and cdf(-1.0) == 0.0 and cdf(math.inf) == 1.0
+    xs = np.concatenate([np.geomspace(1e-9, 1.0, 500),
+                         np.linspace(1.0, 20.0 / sigma, 2000)])
+    assert np.all(np.diff(cdf(xs)) >= 0.0)
+    wide = cdf(np.linspace(-5.0, 500.0, 20_001))
+    assert np.all((wide >= 0.0) & (wide <= 1.0))
 
 
 def test_cdf_guards():
     with pytest.raises(ParameterError):
         reversible_cdf_1d(SystemParams(2, 0.2, 1.0, 1.0, 1.0))
     with pytest.raises(ParameterError):
-        reversible_cdf_1d(SystemParams(1, 0.2, 0.5, 1.0, 1.0))
+        reversible_cdf_1d(SystemParams(1, 0.0, 1.0, 1.0, 1.0))
