@@ -22,7 +22,9 @@ The solver enumerates every placement of k walkers on sites 0..N+1, takes
 the jump rates from the simulator's own rate table (``sip._rate_table``),
 factors the sparse transient block once and solves it for every absorbed
 outcome (left count, right count).  The solves and the closed forms take
-single sites or arrays of sites.
+single sites or arrays of sites.  scipy.sparse is imported at the first
+solve, so importing this module (or any route that never solves) does not
+load it.
 """
 from __future__ import annotations
 
@@ -30,8 +32,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from .core import SystemParams
 from .errors import SingularSystem
@@ -65,6 +65,8 @@ def _generator(n: int, k: int, alpha: float, edge: str):
     A state is the sorted tuple of walker sites.  Returns (states, Q) with
     Q[a, b] the jump rate from states[a] to states[b]; Q has no diagonal.
     """
+    from scipy import sparse
+
     states = list(itertools.combinations_with_replacement(range(n + 2), k))
     index = {s: r for r, s in enumerate(states)}
     rows, cols, rates = [], [], []
@@ -97,6 +99,9 @@ def _exit_table(n: int, k: int, alpha: float, edge: str):
     key = (n, k, float(alpha), edge)
     if key in _exit_cache:
         return _exit_cache[key]
+    from scipy import sparse
+    from scipy.sparse.linalg import splu
+
     states, q = _generator(n, k, alpha, edge)
     live = np.array([any(1 <= site <= n for site in s) for s in states])
     q_live = q[live]

@@ -20,6 +20,9 @@ Boundary-rate bookkeeping for the dual walkers follows the same
 "unit", the bookkeeping dual to the simulated diffusion.  The one-point
 closed form covers both; the two-point closed form exists only for
 "walk", so two_point_closed_form and two_point_report are "walk" moments.
+
+scipy.special is imported inside the reversible-law functions that call
+gammainc, so importing this module does not load it.
 """
 from __future__ import annotations
 
@@ -27,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc
 
 from .absorption import (_sites, single_absorption_solve, single_right_closed,
                          two_particle_closed_form, two_particle_solve)
@@ -203,7 +205,24 @@ def reversible_mass(p: SystemParams) -> float:
     N independent Gamma(alpha, scale T) proposals of reversible_sampler have
     sigma * total below one, which is the sampler's acceptance rate.
     """
+    from scipy.special import gammainc
+
     return float(gammainc(p.n_sites * p.alpha, _domain_cut(p)))
+
+
+def _divisor_mass(p: SystemParams) -> float:
+    """reversible_mass(p) for a caller that divides by it.
+
+    ParameterError when the mass underflows below the smallest normal
+    double, where the quotient would be nan or lose its digits.
+    """
+    mass = reversible_mass(p)
+    if not mass >= np.finfo(float).tiny:
+        raise ParameterError(
+            f"the reversible mass P(N alpha, c) = P({p.n_sites * p.alpha!r}, "
+            f"{_domain_cut(p)!r}) underflows to {mass!r}; alpha is too large "
+            "against c = 1/(sigma T)")
+    return mass
 
 
 def reversible_moment(m: int, p: SystemParams) -> float:
@@ -215,11 +234,14 @@ def reversible_moment(m: int, p: SystemParams) -> float:
     c = 1/(sigma T) the moment is
     1 - sigma alpha T (N - m + 1) P(N alpha + 1, c) / P(N alpha, c),
     which tends to one_point_moment at equal temperatures as c grows.
+    ParameterError when P(N alpha, c) underflows.
     """
+    from scipy.special import gammainc
+
     _sites(p.n_sites, m)
     a, c = p.n_sites * p.alpha, _domain_cut(p)
     return 1.0 - p.sigma * p.alpha * p.t_left * (p.n_sites - m + 1) * float(
-        gammainc(a + 1.0, c) / gammainc(a, c))
+        gammainc(a + 1.0, c) / _divisor_mass(p))
 
 
 def reversible_sampler(p: SystemParams, n_samples: int, seed=0,
@@ -275,13 +297,16 @@ def reversible_cdf_1d(p: SystemParams):
     truncated Gamma(alpha, T) law of g(x) gives
     F(x) = P(alpha, u c) / P(alpha, c), with P the regularized lower
     incomplete gamma function.  Returns F as a vectorized callable: 0 for
-    x <= 0 and exactly 1 at +inf.  Needs N = 1 and sigma > 0.
+    x <= 0 and exactly 1 at +inf.  Needs N = 1 and sigma > 0, and raises
+    ParameterError when P(alpha, c) underflows.
     """
+    from scipy.special import gammainc
+
     if p.n_sites != 1:
         raise ParameterError("the exact CDF is implemented for N = 1 only")
     if p.sigma <= 0.0:
         raise ParameterError("the exact CDF is defined for sigma > 0")
-    c, mass = _domain_cut(p), reversible_mass(p)
+    c, mass = _domain_cut(p), _divisor_mass(p)
 
     def cdf(values):
         u = -np.expm1(-p.sigma * np.maximum(values, 0.0))

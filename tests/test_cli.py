@@ -295,15 +295,49 @@ def test_verify_intertwining_needs_a_state(capsys):
     assert "--states" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_out_integrate_and_optimize():
-    # scipy.integrate pulls in scipy.optimize: about 16 MB and 0.3 s per launch
-    code = ("import sys, abep.cli; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') "
-            "if m in sys.modules))")
+def _fresh_python(*args):
+    """Run the interpreter in a new process on this source tree; its stdout."""
     env = {**os.environ, "PYTHONPATH": str(Path(abep.cli.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    return subprocess.run([sys.executable, *args], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+_SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def test_cli_import_leaves_out_integrate_and_optimize():
+    # scipy loads at the first sparse solve or gamma-function call, not with
+    # the package: scipy.sparse and scipy.special cost about 0.5 s per launch
+    out = _fresh_python("-c", f"import sys, abep, abep.cli; print({_SCIPY_LOADED})")
     assert out.strip() == "[]"
+
+
+def test_routes_without_solves_never_load_scipy():
+    code = (
+        "import contextlib, io, sys\n"
+        "from abep.cli import run\n"
+        "calls = [\n"
+        "    ['simulate', '--n', '2', '--model', 'abep', '--sigma', '0.1',\n"
+        "     '--t-end', '0.5', '--dt', '0.001', '--seed', '0'],\n"
+        "    ['verify-duality', '--n', '1', '--t', '0.2', '--runs', '400',\n"
+        "     '--dt', '0.005', '--check', '--z-max', '5', '--seed', '2'],\n"
+        "    ['verify-intertwining', '--n', '2', '--states', '5', '--funcs',\n"
+        "     '2', '--check', '--seed', '0'],\n"
+        "]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [run(argv) for argv in calls]\n"
+        f"print(codes, {_SCIPY_LOADED})\n")
+    assert _fresh_python("-c", code).strip() == "[0, 0, 0] []"
+
+
+def test_solving_routes_import_scipy_from_a_cold_process():
+    # check=True: each command must exit 0 in a process that has not yet
+    # imported scipy.sparse or scipy.special
+    _fresh_python("-m", "abep", "absorption", "--n", "5", "--alpha", "2",
+                  "--i", "2", "--j", "4", "--check", "--no-header")
+    _fresh_python("-m", "abep", "reversible-check", "--n", "1", "--sigma",
+                  "0.05", "--t", "0.5", "--samples", "20000", "--check",
+                  "--no-header")
 
 
 def test_verify_duality_quick_run(capsys):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -239,6 +240,19 @@ def test_reversible_moment_and_mass_closed_forms():
     assert reversible_mass(p) == 1.0 and reversible_moment(1, p) == 1.0
     with pytest.raises(IndexError):
         reversible_moment(3, p)
+
+
+def test_underflowed_mass_is_a_parameter_error():
+    # P(120, 1/(10 * 100)) is far below the smallest double: the moment and
+    # the CDF divide by it, and must raise instead of returning nan
+    p = SystemParams(1, 10.0, 120.0, 100.0, 100.0)
+    assert reversible_mass(p) == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: reversible_moment(1, p),
+                     lambda: reversible_cdf_1d(p)):
+            with pytest.raises(ParameterError, match=r"P\(N alpha, c\)"):
+                call()
 
 
 @pytest.mark.parametrize("n,sigma,alpha,t,seed", [
