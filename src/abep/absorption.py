@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SystemParams
-from .errors import SingularSystem
+from .errors import SingularSystem, SiteError
 from .sip import _edge_rate, _jump, _occupied, _rate_table
 
 _exit_cache: dict = {}
@@ -126,12 +126,12 @@ def _exit_table(n: int, k: int, alpha: float, edge: str):
 
 
 def _sites(n: int, *sites):
-    """The sites as arrays; IndexError unless 1 <= sites[0] <= ... <= N."""
+    """The sites as arrays; SiteError unless 1 <= sites[0] <= ... <= N."""
     sites = tuple(np.asarray(s) for s in sites)
     chain = (1, *sites, n)
     if not all((a <= b).all() for a, b in zip(chain, chain[1:])):
-        raise IndexError(f"sites {[s.tolist() for s in sites]} are not "
-                         f"ordered within 1..{n}")
+        raise SiteError(f"sites {[s.tolist() for s in sites]} are not "
+                        f"ordered within 1..{n}")
     return sites
 
 

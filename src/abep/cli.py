@@ -311,6 +311,8 @@ def _cmd_verify_duality(args):
 def _cmd_verify_intertwining(args):
     if args.states < 1:
         raise ConfigError("--states must be at least 1")
+    if args.degree < 0:
+        raise ConfigError("--degree must be at least 0")
     p = SystemParams(args.n, args.sigma, args.alpha, args.tl, args.tr)
     rng = stream(args.seed, "verify-intertwining")
     states = rng.uniform(0.0, 2.0, size=(args.states, args.n))
@@ -370,9 +372,8 @@ def _cmd_moments(args):
     header = ["m", "closed_form", "absorption_route", "mc_mean", "mc_se"]
     sites = range(1, args.n + 1)
     routes = [one_point_routes(m, p) for m in sites]
-    failed = not all(
-        abs(r["closed_form"] - r["absorption"]) <= args.tol
-        and abs(r["closed_form"] - r["telescoping"]) <= args.tol for r in routes)
+    failed = not all(abs(r["closed_form"] - r["absorption"]) <= args.tol
+                     for r in routes)
     mc = [(math.nan, math.nan)] * args.n
     if not args.no_mc:
         # one ensemble serves every site: E_m = x_m + ... + x_N per chain
@@ -443,7 +444,7 @@ def run(argv=None) -> int:
         except SystemExit as exc:
             return int(exc.code or 0)
         header, rows, failed = _HANDLERS[args.command](args)
-    except (ToolkitError, IndexError) as exc:
+    except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit(header, rows, args)

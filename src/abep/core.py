@@ -83,8 +83,8 @@ def as_particles(xi, n_sites: int | None = None) -> np.ndarray:
     arr = np.asarray(xi)
     if not np.issubdtype(arr.dtype, np.integer):
         rounded = np.rint(np.asarray(arr, dtype=float))
-        if not np.allclose(arr, rounded):
-            raise ParameterError("particle counts must be integers")
+        if not (np.isfinite(rounded).all() and np.array_equal(arr, rounded)):
+            raise ParameterError("particle counts must be finite integers")
         arr = rounded.astype(np.int64)
     else:
         arr = arr.astype(np.int64)
@@ -109,11 +109,6 @@ def partial_energies(x) -> np.ndarray:
     e = np.zeros(arr.shape[:-1] + (arr.shape[-1] + 1,), dtype=float)
     e[..., :-1] = np.flip(np.cumsum(np.flip(arr, -1), -1), -1)
     return e
-
-
-def total_energy(x) -> np.ndarray | float:
-    arr = np.asarray(x, dtype=float)
-    return arr.sum(axis=-1)
 
 
 def map_g(x, p: SystemParams) -> np.ndarray:
@@ -146,29 +141,6 @@ def map_g_inv(z, p: SystemParams) -> np.ndarray:
     # x_i = -(1/s) * log(1 - s z_i / (1 - s E_{i+1}));  the suffix identity
     # 1 - s E_i = (1 - s E_{i+1}) - s z_i keeps every denominator positive.
     return -np.log1p(-s * arr / (1.0 - s * e[..., 1:])) / s
-
-
-def jacobian_g_inv(z, p: SystemParams) -> np.ndarray:
-    """Jacobian matrix of the inverse transform at z (single state only).
-
-    Triangular: entry (l, k) vanishes for k < l, equals exp(sigma E_l(x)) on
-    the diagonal and exp(sigma E_l(x)) (1 - exp(-sigma x_l)) for k > l,
-    where x is the preimage of z.  The determinant is the product of the
-    diagonal.
-    """
-    arr = as_state(z, p.n_sites)
-    if arr.ndim != 1:
-        raise ParameterError("jacobian_g_inv expects a single configuration")
-    s = p.sigma
-    n = p.n_sites
-    if s == 0:
-        return np.eye(n)
-    x = map_g_inv(arr, p)
-    e = partial_energies(x)[:-1]          # E_l(x) for l = 1..N
-    diag = np.exp(s * e)
-    off = diag * (-np.expm1(-s * x))      # exp(s E_l) (1 - exp(-s x_l))
-    mat = np.triu(np.broadcast_to(off[:, None], (n, n)), k=1) + np.diag(diag)
-    return mat
 
 
 def _observables(observable):

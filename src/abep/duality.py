@@ -164,7 +164,12 @@ def semigroup_duality_check(x0, xi0, t_horizon: float, p: SystemParams,
     ensemble is then simulated once and evaluated for each of them, and the
     result is a list with one DualityCheck per configuration, each
     bit-identical to a single-configuration call with the same arguments.
+    ParameterError unless n_runs >= 1, dt > 0 and t_horizon >= 0.
     """
+    if n_runs < 1 or not dt > 0 or not t_horizon >= 0:
+        raise ParameterError(
+            f"need n_runs >= 1, dt > 0 and t_horizon >= 0, got n_runs={n_runs}, "
+            f"dt={dt}, t_horizon={t_horizon}")
     arr = as_state(x0, p.n_sites)
     single = len(xi0) == 0 or np.ndim(xi0[0]) == 0
     occs = [as_particles(xi, p.n_sites) for xi in ([xi0] if single else xi0)]

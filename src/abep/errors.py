@@ -35,3 +35,7 @@ class ConfigError(ToolkitError):
 
 class RouteMismatch(ToolkitError):
     """Two independent routes to the same quantity disagree."""
+
+
+class SiteError(ToolkitError, IndexError):
+    """Site indices outside 1..N or out of order."""

@@ -135,6 +135,15 @@ def _stencil(x: np.ndarray, p: SystemParams, model: str, h: float):
             int(np.count_nonzero(keep[:n])))
 
 
+def _step_size(fd_step) -> float:
+    """fd_step as a float; ParameterError unless it is positive and finite."""
+    h = float(fd_step)
+    if not (0.0 < h < np.inf):
+        raise ParameterError(
+            f"fd_step must be a positive finite number, got {fd_step!r}")
+    return h
+
+
 def _combine(vals: np.ndarray, weights: np.ndarray, d: int, h: float) -> float:
     """L f at the stencil centre from f on the stencil points (d drift terms)."""
     m = weights.size
@@ -156,7 +165,7 @@ def apply_generator(x, p: SystemParams, model: str, f, fd_step: float) -> float:
     on a (K, N) batch holding every stencil point, and must return K values.
     """
     x = as_state(x, p.n_sites)
-    h = float(fd_step)
+    h = _step_size(fd_step)
     pts, weights, n_drift = _stencil(x, p, model, h)
     return _combine(_eval_observable(f, pts), weights, n_drift, h)
 
@@ -171,7 +180,7 @@ def intertwining_residual(x, p: SystemParams, f, fd_step: float):
     """
     single, fs = _observables(f)
     x = as_state(x, p.n_sites)
-    h = float(fd_step)
+    h = _step_size(fd_step)
     pts_x, w_x, d_x = _stencil(x, p, "abep", h)
     g_pts = map_g(pts_x, p)
     pts_z, w_z, d_z = _stencil(map_g(x, p), p, "bep", h)

@@ -6,7 +6,7 @@ a polynomial in the reservoir temperatures whose coefficients are exit
 probabilities of one or two dual random walkers.  This module evaluates
 those moments along independent routes so they can be cross-checked:
 
-    one point:  closed form  /  telescoping sum  /  absorption linear solve
+    one point:  closed form  /  absorption linear solve
     two point:  one assembly over pair exit probabilities, fed by the
                 exact two-walker solve or by the two-walker closed form
 
@@ -51,38 +51,33 @@ def _one_point_closed(m: int, p: SystemParams, edge: str) -> float:
 
 
 def one_point_routes(m: int, p: SystemParams, edge: str = "unit") -> dict:
-    """The first moment along three independent routes.
+    """The first moment along two independent routes.
 
-    Returns a dict with keys "closed_form", "telescoping" (the sum of the
-    closed-form exit probabilities) and "absorption" (the sum of the solved
-    ones); the three values agree to 1e-12 when everything is healthy.
+    Returns a dict with keys "closed_form" and "absorption" (the sum of the
+    solved exit probabilities); the two values agree to 1e-12 when
+    everything is healthy.
     """
     n = p.n_sites
     _sites(n, m)
-    s, a, tl, tr = p.sigma, p.alpha, p.t_left, p.t_right
-    sites = np.arange(m, n + 1)
-    tele = 1.0 - s * a * float(np.sum(
-        tl + (tr - tl) * single_right_closed(sites, n, a, edge)))
-    pl, pr = single_absorption_solve(sites, p, edge=edge)
-    absorbed = 1.0 - s * a * float(np.sum(tl * pl + tr * pr))
-    return {"closed_form": _one_point_closed(m, p, edge), "telescoping": tele,
-            "absorption": absorbed}
+    pl, pr = single_absorption_solve(np.arange(m, n + 1), p, edge=edge)
+    absorbed = 1.0 - p.sigma * p.alpha * float(np.sum(p.t_left * pl
+                                                      + p.t_right * pr))
+    return {"closed_form": _one_point_closed(m, p, edge), "absorption": absorbed}
 
 
 def one_point_moment(m: int, p: SystemParams, edge: str = "unit") -> float:
     """Stationary expectation of exp(-sigma * E_m(x)).
 
-    Evaluated in closed form and re-derived along the other two routes of
-    one_point_routes; RouteMismatch is raised when either differs from the
-    closed form by more than 1e-12.
+    Evaluated in closed form and re-derived by the absorption solve of
+    one_point_routes; RouteMismatch is raised when the two differ by more
+    than 1e-12.
     """
     routes = one_point_routes(m, p, edge)
-    closed = routes["closed_form"]
-    for name in ("telescoping", "absorption"):
-        if not abs(closed - routes[name]) <= 1e-12:
-            raise RouteMismatch(
-                f"one-point moment at site {m}: closed form {closed!r}, "
-                f"{name} {routes[name]!r}")
+    closed, absorbed = routes["closed_form"], routes["absorption"]
+    if not abs(closed - absorbed) <= 1e-12:
+        raise RouteMismatch(
+            f"one-point moment at site {m}: closed form {closed!r}, "
+            f"absorption {absorbed!r}")
     return closed
 
 
@@ -183,15 +178,6 @@ def reversible_log_density(x, p: SystemParams):
     return float(out) if out.ndim == 0 else out
 
 
-def reversible_density_unnormalized(x, p: SystemParams):
-    """Unnormalized reversible density at equal temperatures.
-
-    The total mass, reversible_mass(p), is below one, so consumers must
-    normalize or use ratios.
-    """
-    return np.exp(reversible_log_density(x, p))
-
-
 def _domain_cut(p: SystemParams) -> float:
     """c = 1/(sigma T): the image of g is {sigma * total of z < 1} = {total/T < c}."""
     t = _require_equal_temps(p)
@@ -199,7 +185,7 @@ def _domain_cut(p: SystemParams) -> float:
 
 
 def reversible_mass(p: SystemParams) -> float:
-    """Total mass of reversible_density_unnormalized, P(N alpha, 1/(sigma T)).
+    """Total mass of exp(reversible_log_density), P(N alpha, 1/(sigma T)).
 
     P is the regularized lower incomplete gamma function: the chance that
     N independent Gamma(alpha, scale T) proposals of reversible_sampler have

@@ -78,21 +78,6 @@ def _step_batch(x: np.ndarray, p: SystemParams, dt: float, gauss: np.ndarray,
     return out
 
 
-def em_step(x, p: SystemParams, dt: float, noise, model: str = "bep") -> np.ndarray:
-    """Single explicit step from one configuration.
-
-    noise must hold one standard Gaussian per noise direction (N+1 values,
-    bonds first, then left and right reservoirs).
-    """
-    arr = as_state(x, p.n_sites)
-    eta = np.asarray(noise, dtype=float)
-    if eta.shape != (p.n_sites + 1,):
-        raise ParameterError(
-            f"noise must have shape ({p.n_sites + 1},), got {eta.shape}"
-        )
-    return _step_batch(arr, p, dt, eta, model)
-
-
 def _run_chains(x0: np.ndarray, p: SystemParams, model: str, dt: float,
                 n_steps: int, rng: np.random.Generator, cap: float,
                 record_at=()):

@@ -23,7 +23,9 @@ import numpy as np
 
 from .core import SystemParams, as_particles
 from .errors import ParameterError, SimulationCap
-from .rng import as_generator, stream
+# as_generator is unused here but stays importable: bench/tracing.py wraps
+# abep.sip.as_generator
+from .rng import as_generator, stream  # noqa: F401
 
 DEFAULT_MAX_EVENTS = 1_000_000
 
@@ -116,27 +118,6 @@ def _simulate(occ0, p: SystemParams, n_runs: int, rng: np.random.Generator,
         _jump(occ, active, col)
         active = active[occ[active, 1:n + 1].any(axis=1)]
     return occ, t
-
-
-def gillespie_run(xi0, p: SystemParams, seed=0,
-                  max_events: int = DEFAULT_MAX_EVENTS):
-    """Run one realization until every particle is absorbed.
-
-    Returns (final configuration, absorption time).  seed may be an integer
-    or a numpy Generator.
-    """
-    occ, t = _simulate(as_particles(xi0, p.n_sites), p, 1,
-                       as_generator(seed, "gillespie"), None, max_events)
-    return occ[0], float(t[0])
-
-
-def run_to_time(xi0, p: SystemParams, t_horizon: float, seed=0,
-                max_events: int = DEFAULT_MAX_EVENTS):
-    """State of one realization at a fixed time (absorbed states persist)."""
-    occ, t = _simulate(as_particles(xi0, p.n_sites), p, 1,
-                       as_generator(seed, "gillespie-horizon"),
-                       float(t_horizon), max_events)
-    return occ[0], float(t[0])
 
 
 def _count_rows(rows) -> Counter:

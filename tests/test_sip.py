@@ -7,8 +7,7 @@ import pytest
 from scipy import sparse
 from scipy.linalg import expm
 
-from abep import (SystemParams, final_state_counts, gillespie_run,
-                  mc_absorption, run_to_time, sip_rates)
+from abep import SystemParams, final_state_counts, mc_absorption, sip_rates
 from abep.absorption import _exit_table, _generator
 from abep.errors import ParameterError, SimulationCap
 from abep.rng import stream
@@ -54,32 +53,17 @@ def test_rates_empty_configuration():
 def test_gillespie_conserves_particles():
     p = SystemParams(4, 0.0, 1.0, 1.0, 1.0)
     xi0 = np.array([0, 2, 0, 1, 3, 0])
-    final, t = gillespie_run(xi0, p, seed=3)
-    assert final.sum() == xi0.sum()
-    assert final[1:-1].sum() == 0
-    assert t > 0.0
-
-
-def test_gillespie_rejects_bad_config():
-    p = SystemParams(2, 0.0, 1.0, 1.0, 1.0)
-    with pytest.raises(ParameterError):
-        gillespie_run(np.array([0, 1, 1]), p, seed=0)
-    with pytest.raises(ParameterError):
-        gillespie_run(np.array([0, -1, 2, 0]), p, seed=0)
+    final, t = _simulate(xi0, p, 50, stream(3, "gillespie"))
+    assert np.all(final.sum(axis=1) == xi0.sum())
+    assert not final[:, 1:-1].any()
+    assert np.all(t > 0.0)
 
 
 def test_gillespie_event_cap():
     p = SystemParams(3, 0.0, 1.0, 1.0, 1.0)
     with pytest.raises(SimulationCap):
-        gillespie_run(np.array([0, 5, 5, 5, 0]), p, seed=0, max_events=10)
-
-
-def test_run_to_time_stops_early():
-    p = SystemParams(3, 0.0, 1.0, 1.0, 1.0)
-    xi0 = np.array([0, 1, 1, 1, 0])
-    final, t = run_to_time(xi0, p, t_horizon=0.05, seed=9)
-    assert t <= 0.05
-    assert final.sum() == 3
+        _simulate(np.array([0, 5, 5, 5, 0]), p, 1, stream(0, "gillespie"),
+                  max_events=10)
 
 
 def test_single_particle_absorption_frequencies():
@@ -252,21 +236,6 @@ def test_same_seed_same_counts():
     assert mc_absorption(xi0, p, 3000, seed=21) == mc_absorption(xi0, p, 3000, seed=21)
 
 
-def test_single_runs_are_the_kernel_at_one_run():
-    p = SystemParams(3, 0.0, 1.5, 1.0, 1.0)
-    xi0 = np.array([0, 2, 0, 1, 0])
-    for seed in range(5):
-        final, t = gillespie_run(xi0, p, seed=seed)
-        occ, times = _simulate(xi0, p, 1, stream(seed, "gillespie"))
-        assert final.tolist() == occ[0].tolist() and t == times[0]
-        final, t = run_to_time(xi0, p, 0.3, seed=seed)
-        occ, times = _simulate(xi0, p, 1, stream(seed, "gillespie-horizon"), 0.3)
-        assert final.tolist() == occ[0].tolist() and t == times[0]
-    final, t = gillespie_run(xi0, p, seed=np.random.default_rng(8))
-    occ, times = _simulate(xi0, p, 1, np.random.default_rng(8))
-    assert final.tolist() == occ[0].tolist() and t == times[0]
-
-
 def test_event_cap_counts_events_per_run():
     # two walkers on one site: every run absorbs in exactly two events
     p = SystemParams(1, 0.0, 1.0, 1.0, 1.0)
@@ -282,16 +251,16 @@ def test_event_cap_counts_events_per_run():
         final_state_counts([0, 1, 0, 0], p, 64, 100.0, max_events=1)
 
 
+# counts a tolerance would round to integers must still be rejected
 @pytest.mark.parametrize("xi0", [[0, 1, 1], [0, -1, 2, 0], [0, 0.5, 1, 0],
-                                 [[0, 1, 1, 0]]])
+                                 [[0, 1, 1, 0]], [0, 1.000001, 0, 0],
+                                 [0, 100000.4, 0, 0], [0, np.inf, 0, 0]])
 def test_batched_calls_reject_bad_config(xi0):
     p = SystemParams(2, 0.0, 1.0, 1.0, 1.0)
     with pytest.raises(ParameterError):
         mc_absorption(xi0, p, 10)
     with pytest.raises(ParameterError):
         final_state_counts(xi0, p, 10, 0.5)
-    with pytest.raises(ParameterError):
-        run_to_time(xi0, p, 0.5)
 
 
 def _digest(items) -> str:
