@@ -164,12 +164,21 @@ def semigroup_duality_check(x0, xi0, t_horizon: float, p: SystemParams,
     ensemble is then simulated once and evaluated for each of them, and the
     result is a list with one DualityCheck per configuration, each
     bit-identical to a single-configuration call with the same arguments.
-    ParameterError unless n_runs >= 1, dt > 0 and t_horizon >= 0.
+    ParameterError unless n_runs >= 2 (a standard error needs two runs),
+    dt > 0, and t_horizon is 0 or a whole number of steps dt (within 1e-9
+    relative), since the diffusion side takes round(t_horizon / dt) steps.
     """
-    if n_runs < 1 or not dt > 0 or not t_horizon >= 0:
+    if n_runs < 2 or not dt > 0 or not t_horizon >= 0:
         raise ParameterError(
-            f"need n_runs >= 1, dt > 0 and t_horizon >= 0, got n_runs={n_runs}, "
+            f"need n_runs >= 2, dt > 0 and t_horizon >= 0, got n_runs={n_runs}, "
             f"dt={dt}, t_horizon={t_horizon}")
+    steps = t_horizon / dt
+    # a positive horizon below half a step fails too: it rounds to 0 steps
+    if t_horizon > 0 and not (steps < math.inf
+                              and abs(steps - round(steps)) <= 1e-9 * steps):
+        raise ParameterError(
+            f"t_horizon must be a whole number of steps dt, got "
+            f"t_horizon / dt = {steps:.12g}")
     arr = as_state(x0, p.n_sites)
     single = len(xi0) == 0 or np.ndim(xi0[0]) == 0
     occs = [as_particles(xi, p.n_sites) for xi in ([xi0] if single else xi0)]
@@ -190,7 +199,7 @@ def _two_sided(dual, arr, finals, occ0, p, n_runs, t_horizon, seed) -> DualityCh
     """Diffusion-side mean over finals against a particle run from occ0."""
     lhs_vals = np.asarray(dual(finals, occ0), dtype=float)
     lhs = float(lhs_vals.mean())
-    lhs_se = float(lhs_vals.std(ddof=1) / math.sqrt(n_runs)) if n_runs > 1 else 0.0
+    lhs_se = float(lhs_vals.std(ddof=1) / math.sqrt(n_runs))
 
     counts = final_state_counts(occ0, p, n_runs, t_horizon, seed=seed)
     mean = 0.0
@@ -201,7 +210,7 @@ def _two_sided(dual, arr, finals, occ0, p, n_runs, t_horizon, seed) -> DualityCh
         mean += w * v
         second += w * v * v
     var = max(second - mean * mean, 0.0)
-    rhs_se = math.sqrt(var / n_runs) if n_runs > 1 else 0.0
+    rhs_se = math.sqrt(var / n_runs)
 
     denom = math.hypot(lhs_se, rhs_se)
     if denom == 0.0:

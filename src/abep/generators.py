@@ -50,64 +50,114 @@ from .core import SystemParams, _eval_observable, _observables, as_state, map_g
 from .errors import ParameterError
 
 
-def model_parts(x: np.ndarray, p: SystemParams, model: str):
+class Workspace:
+    """Buffers for model_parts on site-major states of one shape.
+
+    A model_parts call given a workspace writes every part into it and
+    allocates nothing; the parts it returns are views of these buffers, so
+    the next call with the same workspace overwrites them.
+    """
+
+    def __init__(self, shape):
+        n, rest = shape[0], tuple(shape[1:])
+        block = np.empty((6, n, *rest))
+        self.drift, self.ee, self.em, self.ep, self.v, self.u = block
+        self.em_ep = block[2:4]                  # em and ep as one block
+        self.amps = np.empty((n + 1, *rest))     # rows: bonds, left, right
+        self.r1, self.r2 = np.empty((2, 1, *rest))   # one-row scratch
+
+
+def model_parts(x: np.ndarray, p: SystemParams, model: str,
+                ws: Workspace | None = None):
     """Coefficient parts of 'bep' or 'abep' on site-major states.
 
     x holds one site per row: (N,) for one configuration or (N, R) for R
     chains, ideally C-contiguous so every row is a contiguous vector.
-    Returns (drift like x, bond amplitudes (N-1, ...), left amplitude (...),
-    right amplitude (...), right direction v like x, or None for the static
-    e_N of the symmetric model).  With sigma = 0 'abep' is 'bep'.
+    Returns (drift like x, amplitudes (N+1, ...) with one row per noise
+    direction, right direction v like x, or None for the static e_N of the
+    symmetric model).  With sigma = 0 'abep' is 'bep'.  The parts are
+    written into ws, a Workspace for x.shape, when one is given; otherwise
+    each call returns arrays of its own.
     """
     if model not in ("bep", "abep"):
         raise ParameterError(f"unknown model {model!r}")
     if x.shape[0] != p.n_sites:
         raise ParameterError(
             f"expected {p.n_sites} site rows, got states of shape {x.shape}")
+    if ws is None:
+        ws = Workspace(x.shape)
     a = p.alpha
-    drift = np.zeros_like(x)
+    drift, amps, r1, r2 = ws.drift, ws.amps, ws.r1, ws.r2
+    # the drift rows that bond and reservoir terms update; a ufunc with out=
+    # on a named view skips the write-back of `drift[:-1] -= c`
+    head, tail, first, last = drift[:-1], drift[1:], drift[:1], drift[-1:]
+    drift.fill(0.0)
     if model == "bep" or p.sigma == 0:
-        c = a * (x[:-1] - x[1:])           # bond coefficient on e_{i+1} - e_i
-        drift[:-1] -= c
-        drift[1:] += c
-        drift[0] += p.t_left * a - x[0]
-        drift[-1] += p.t_right * a - x[-1]
-        return drift, x[:-1] * x[1:], p.t_left * x[0], p.t_right * x[-1], None
+        c = ws.u[:-1]                      # bond coefficient on e_{i+1} - e_i
+        np.subtract(x[:-1], x[1:], out=c)
+        np.multiply(c, a, out=c)
+        np.subtract(head, c, out=head)
+        np.add(tail, c, out=tail)
+        np.subtract(p.t_left * a, x[:1], out=r1)
+        np.add(first, r1, out=first)
+        np.subtract(p.t_right * a, x[-1:], out=r1)
+        np.add(last, r1, out=last)
+        np.multiply(x[:-1], x[1:], out=amps[:-2])
+        np.multiply(x[:1], p.t_left, out=amps[-2:-1])
+        np.multiply(x[-1:], p.t_right, out=amps[-1:])
+        return drift, amps, None
 
     s = p.sigma
+    ee, em, ep, v, u = ws.ee, ws.em, ws.ep, ws.v, ws.u
     # partial energies E_l = x_l + ... + x_N, summed from site N down, then
     # ee[l-1] = e^{s E_l}
-    ee = np.empty_like(x)
     ee[-1] = x[-1]
     for i in range(x.shape[0] - 2, -1, -1):
-        ee[i] = ee[i + 1] + x[i]
-    np.exp(s * ee, out=ee)
-    em = -np.expm1(-s * x)                  # 1 - e^{-s x_i}
-    ep = np.expm1(s * x)                    # e^{s x_i} - 1
+        np.add(ee[i + 1:i + 2], x[i:i + 1], out=ee[i:i + 1])
+    np.multiply(ee, s, out=ee)
+    np.exp(ee, out=ee)
+    # ep = e^{s x_i} - 1 and em = 1 - e^{-s x_i}, one expm1 for both
+    np.multiply(x, s, out=ep)
+    np.negative(ep, out=em)
+    np.expm1(ws.em_ep, out=ws.em_ep)
+    np.negative(em, out=em)
 
-    # bulk bonds
-    prod = em[:-1] * ep[1:]
-    bond_amp = prod / (s * s)
-    c = (prod + a * (em[:-1] - ep[1:])) / s
-    drift[:-1] -= c
-    drift[1:] += c
+    # bulk bonds; u and v are scratch until the right reservoir
+    prod, c = u[:-1], v[:-1]
+    np.multiply(em[:-1], ep[1:], out=prod)
+    np.divide(prod, s * s, out=amps[:-2])
+    np.subtract(em[:-1], ep[1:], out=c)
+    np.multiply(c, a, out=c)
+    np.add(prod, c, out=c)
+    np.divide(c, s, out=c)
+    np.subtract(head, c, out=head)
+    np.add(tail, c, out=tail)
 
-    # left reservoir (site 1 only)
-    left_amp = p.t_left * ee[0] * ep[0] / s
-    drift[0] += p.t_left * ee[0] * (a + ep[0]) - ep[0] / s
+    # left reservoir (site 1 only), with r1 = T_l e^{s E_1}
+    np.multiply(ee[:1], p.t_left, out=r1)
+    np.multiply(r1, ep[:1], out=amps[-2:-1])
+    np.divide(amps[-2:-1], s, out=amps[-2:-1])
+    np.add(ep[:1], a, out=r2)
+    r1 *= r2
+    np.divide(ep[:1], s, out=r2)
+    r1 -= r2
+    np.add(first, r1, out=first)
 
     # right reservoir: rank-one direction across the whole chain
-    v = ee * em
+    np.multiply(ee, em, out=v)
     v[-1] = ee[-1]
-    e2 = ee * ee
-    u = np.empty_like(v)
-    u[:-1] = s * (e2[:-1] - e2[1:])
-    u[-1] = s * e2[-1]
-    g_n = em[-1] / s                        # g_N(x) = (1 - e^{-s x_N}) / s
-    right_amp = p.t_right * g_n
-    drift += (a * p.t_right - g_n) * v
-    drift += (p.t_right * g_n) * u
-    return drift, bond_amp, left_amp, right_amp, v
+    np.divide(em[-1:], s, out=r2)           # g_N(x) = (1 - e^{-s x_N}) / s
+    np.multiply(r2, p.t_right, out=amps[-1:])
+    np.subtract(a * p.t_right, r2, out=r1)
+    np.multiply(ee, ee, out=ee)             # e^{2 s E_l}
+    np.subtract(ee[:-1], ee[1:], out=u[:-1])
+    np.multiply(u[:-1], s, out=u[:-1])
+    np.multiply(ee[-1:], s, out=u[-1:])
+    np.multiply(v, r1, out=em)
+    drift += em                             # (alpha T_r - g_N) v
+    np.multiply(u, amps[-1:], out=u)
+    drift += u                              # T_r g_N u
+    return drift, amps, v
 
 
 def _stencil(x: np.ndarray, p: SystemParams, model: str, h: float):
@@ -121,14 +171,14 @@ def _stencil(x: np.ndarray, p: SystemParams, model: str, h: float):
     n = p.n_sites
     if x.shape != (n,):
         raise ParameterError(f"expected one state of shape ({n},), got {x.shape}")
-    drift, bond_amp, left_amp, right_amp, v = model_parts(x, p, model)
+    drift, amps, v = model_parts(x, p, model)
     dirs = np.zeros((2 * n + 1, n))
     dirs[:n] = np.eye(n)
     dirs[n:2 * n - 1] = np.eye(n - 1, n, 1) - np.eye(n - 1, n)
     dirs[2 * n - 1, 0] = dirs[2 * n, -1] = 1.0    # left e_1, right e_N
     if v is not None:
         dirs[2 * n] = v                             # the abep right direction
-    weights = np.concatenate([drift, bond_amp, [left_amp, right_amp]])
+    weights = np.concatenate([drift, amps])
     keep = weights != 0.0
     step = h * dirs[keep]
     return (np.concatenate([x[None], x + step, x - step]), weights[keep],

@@ -18,13 +18,14 @@ results are reproducible bit for bit given (seed, chain count).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import SystemParams, _eval_observable, _observables, as_state
 from .errors import NumericalBlowup, ParameterError
-from .generators import model_parts
+from .generators import Workspace, model_parts
 from .rng import as_generator, stream
 
 DEFAULT_CAP = 1e6
@@ -57,23 +58,36 @@ class SdeConfig:
 
 
 def _step_batch(x: np.ndarray, p: SystemParams, dt: float, gauss: np.ndarray,
-                model: str) -> np.ndarray:
-    """One EM step of site-major chains: x is (N, R), gauss is (N+1, R); a
-    single chain may also be passed as x (N,), gauss (N+1,)."""
+                model: str, ws: Workspace | None = None,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """One EM step of site-major chains: x is (N, R), gauss is (N+1, R).
+
+    The new states are written into out and the coefficient parts into ws,
+    a Workspace for x.shape; given both, the step allocates nothing.
+    """
     n = p.n_sites
-    drift, bond_amp, left_amp, right_amp, v = model_parts(x, p, model)
-    sq = np.sqrt(2.0 * dt)
-    out = x + drift * dt
-    if n > 1:
-        c = sq * np.sqrt(np.maximum(bond_amp, 0.0)) * gauss[: n - 1]
-        out[1:] += c
-        out[:-1] -= c
-    out[0] += sq * np.sqrt(np.maximum(left_amp, 0.0)) * gauss[n - 1]
-    cr = sq * np.sqrt(np.maximum(right_amp, 0.0)) * gauss[n]
+    if len(gauss) != n + 1:
+        raise IndexError(f"need {n + 1} noise rows, got {len(gauss)}")
+    drift, amps, v = model_parts(x, p, model, ws)
+    if out is None:
+        out = np.empty_like(x)
+    # amps becomes the noise terms sqrt(2 a_k dt) eta_k, one row per direction
+    np.maximum(amps, 0.0, out=amps)
+    np.sqrt(amps, out=amps)
+    np.multiply(amps, math.sqrt(2.0 * dt), out=amps)
+    np.multiply(amps, gauss, out=amps)
+    np.multiply(drift, dt, out=drift)
+    np.add(x, drift, out=out)
+    # named views, as in model_parts: out= skips the write-back of +=
+    bonds, head, tail, first, last = amps[:-2], out[:-1], out[1:], out[:1], out[-1:]
+    np.add(tail, bonds, out=tail)
+    np.subtract(head, bonds, out=head)
+    np.add(first, amps[-2:-1], out=first)
     if v is None:
-        out[-1] += cr
+        np.add(last, amps[-1:], out=last)
     else:
-        out += cr * v
+        np.multiply(v, amps[-1:], out=v)
+        out += v
     np.maximum(out, 0.0, out=out)
     return out
 
@@ -92,8 +106,15 @@ def _run_chains(x0: np.ndarray, p: SystemParams, model: str, dt: float,
     targets = sorted(int(t) for t in record_at)
     ti = 0
     snaps = []
-    # chunked noise draws; the normal stream is identical for any chunking
+    # one workspace per ensemble, so no step allocates: the states alternate
+    # between x and spare, and the noise comes in chunks, drawn (c, R, N+1)
+    # whatever the layout and stepped as (N+1, R) rows; the normal stream is
+    # identical for any chunking
+    spare = np.empty_like(x)
+    ws = Workspace(x.shape)
     chunk = max(1, min(4096, 65536 // max(1, r * k)))
+    draws = np.empty((chunk, r, k))
+    gauss = np.empty((chunk, k, r))
     step = 0
     # a diverging chain overflows inside the coefficient evaluation before
     # the cap trips; the guard below turns the resulting inf/nan into a
@@ -101,11 +122,10 @@ def _run_chains(x0: np.ndarray, p: SystemParams, model: str, dt: float,
     with np.errstate(over="ignore", invalid="ignore"):
         while step < n_steps:
             c = min(chunk, n_steps - step)
-            # drawn (c, R, N+1) whatever the layout, stepped as (N+1, R) rows
-            gauss = np.ascontiguousarray(
-                rng.standard_normal((c, r, k)).transpose(0, 2, 1))
+            rng.standard_normal(size=(c, r, k), out=draws[:c])
+            np.copyto(gauss[:c], draws[:c].transpose(0, 2, 1))
             for j in range(c):
-                x = _step_batch(x, p, dt, gauss[j], model)
+                x, spare = _step_batch(x, p, dt, gauss[j], model, ws, spare), x
                 step += 1
                 m = float(x.max())
                 # the inverted comparison also trips on nan and inf, which a

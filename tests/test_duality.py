@@ -149,3 +149,12 @@ def test_semigroup_check_sequence_matches_single_calls(t):
     for xi, chk in zip(xis, together):
         # bit for bit, not approximately
         assert chk == semigroup_duality_check(x0, xi, t, p, **kwargs)
+
+
+@pytest.mark.parametrize("t, dt", [(0.5, 2e-3), (0.2, 1e-3), (0.3, 0.1)])
+def test_semigroup_check_accepts_whole_step_horizons(t, dt):
+    # t / dt is a whole number up to rounding: 0.3 / 0.1 = 2.9999999999999996
+    p = SystemParams(2, 0.0, 1.0, 0.5, 1.0)
+    chk = semigroup_duality_check(np.array([0.8, 0.5]), np.array([0, 1, 0, 0]),
+                                  t, p, model="bep", n_runs=20, seed=3, dt=dt)
+    assert chk.lhs_se > 0.0

@@ -21,22 +21,22 @@ def _coordinate(k):
 def _per_point_coefficients(x, p, model):
     """Drift and (amplitude, direction) pairs at one state, from model_parts."""
     n = p.n_sites
-    drift, bond_amp, left_amp, right_amp, v = model_parts(as_state(x, n), p, model)
+    drift, amps, v = model_parts(as_state(x, n), p, model)
     dirs = []
     for i in range(n - 1):
         d = np.zeros(n)
         d[i] = -1.0
         d[i + 1] = 1.0
-        dirs.append((float(bond_amp[i]), d))
+        dirs.append((float(amps[i]), d))
     left = np.zeros(n)
     left[0] = 1.0
-    dirs.append((float(left_amp), left))
+    dirs.append((float(amps[n - 1]), left))
     if v is None:
         right = np.zeros(n)
         right[-1] = 1.0
     else:
         right = np.array(v, dtype=float)
-    dirs.append((float(right_amp), right))
+    dirs.append((float(amps[n]), right))
     return np.array(drift, dtype=float), dirs
 
 
@@ -167,8 +167,8 @@ def test_symmetric_carre_du_champ_on_squares():
 def test_noise_direction_count_and_layout():
     p = SystemParams(4, 0.0, 1.0, 1.0, 1.0)
     z = RNG.uniform(0.1, 1.0, 4)
-    _, bond, left, right, v = model_parts(z, p, "bep")
-    assert bond.size + 2 == 5
+    _, amps, v = model_parts(z, p, "bep")
+    assert amps.size == 5
     # every coefficient is nonzero here: rows are z, then z + h d for the
     # 4 drift and 5 noise directions, then z - h d
     pts, weights, n_drift = _stencil(z, p, "bep", 1e-3)
@@ -186,9 +186,8 @@ def test_asymmetric_reduces_to_symmetric_at_sigma_zero():
     ca = model_parts(x, p, "abep")
     cb = model_parts(x, p, "bep")
     assert np.allclose(ca[0], cb[0])
-    for a1, a2 in zip(ca[1:4], cb[1:4]):
-        assert a1 == pytest.approx(a2)
-    assert ca[4] is None and cb[4] is None
+    assert ca[1] == pytest.approx(cb[1])
+    assert ca[2] is None and cb[2] is None
 
 
 def test_asymmetric_drift_small_sigma_limit():
@@ -231,13 +230,11 @@ def test_model_parts_dispatch():
     # site-major: one row per site, one column per chain (N = 3, R = 5)
     p = SystemParams(3, 0.3, 1.0, 1.0, 1.0)
     x = np.linspace(0.1, 1.5, 15).reshape(3, 5)
-    drift, bond, left, right, v = model_parts(x, p, "abep")
+    drift, amps, v = model_parts(x, p, "abep")
     assert drift.shape == v.shape == (3, 5)
-    assert bond.shape == (2, 5)
-    assert left.shape == right.shape == (5,)
-    drift_b, bond_b, left_b, right_b, v_b = model_parts(x, p, "bep")
-    assert drift_b.shape == (3, 5) and bond_b.shape == (2, 5)
-    assert left_b.shape == right_b.shape == (5,)
+    assert amps.shape == (4, 5)      # rows: two bonds, left, right
+    drift_b, amps_b, v_b = model_parts(x, p, "bep")
+    assert drift_b.shape == (3, 5) and amps_b.shape == (4, 5)
     assert v_b is None
     with pytest.raises(ParameterError, match="unknown model"):
         model_parts(x, p, "nope")
@@ -250,6 +247,21 @@ def test_amplitudes_are_nonnegative_on_domain():
     p = SystemParams(3, 0.4, 1.0, 1.0, 2.0)
     for _ in range(50):
         x = RNG.uniform(0.0, 2.0, 3)
-        _, bond, left, right, _ = model_parts(x, p, "abep")
-        for amp in (*bond, left, right):
-            assert amp >= 0.0
+        _, amps, _ = model_parts(x, p, "abep")
+        assert np.all(amps >= 0.0)
+
+
+@pytest.mark.parametrize("model", ["bep", "abep"])
+def test_model_parts_without_workspace_share_no_memory(model):
+    # parts from separate calls stay valid side by side (b0 - b patterns);
+    # only a workspace passed in on purpose is reused
+    p = SystemParams(3, 0.3, 1.0, 1.0, 2.0)
+    first = model_parts(np.array([0.2, 0.5, 0.9]), p, model)
+    kept = [None if a is None else a.copy() for a in first]
+    second = model_parts(np.array([1.1, 0.4, 0.3]), p, model)
+    for a in first:
+        for b in second:
+            if a is not None and b is not None:
+                assert not np.shares_memory(a, b)
+    for a, k in zip(first, kept):
+        assert (a is None and k is None) or np.array_equal(a, k)

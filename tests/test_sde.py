@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from abep import (SdeConfig, SystemParams, ensemble_endpoint,
                   one_point_moment, simulate_trajectory, stationary_estimate)
 from abep.errors import NumericalBlowup, ParameterError
+from abep.generators import Workspace
 from abep.sde import _step_batch
 
 RNG = np.random.default_rng(777)
@@ -199,6 +201,27 @@ def test_step_batch_equals_single_steps(model, n):
         assert batch[:, i].tobytes() == single[:, 0].tobytes()
 
 
+@pytest.mark.parametrize("model", ["bep", "abep"])
+def test_step_with_workspace_allocates_no_array(model):
+    # the ensemble kernel steps into preallocated buffers; a single row of
+    # temporaries at R = 10^4 would be 80 KB
+    p = SystemParams(3, 0.1, 2.0, 0.5, 1.5)
+    r = 10_000
+    x = np.full((3, r), 0.5)
+    gauss = np.random.default_rng(3).standard_normal((4, r))
+    ws, out = Workspace(x.shape), np.empty_like(x)
+    want = _step_batch(x, p, 1e-3, gauss, model)
+    tracemalloc.start()
+    try:
+        got = _step_batch(x, p, 1e-3, gauss, model, ws, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got is out
+    assert got.tobytes() == want.tobytes()
+    assert peak < 8 * r
+
+
 def _sha256(a) -> str:
     return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
 
@@ -246,3 +269,37 @@ def test_pinned_bytes_abep_moments_estimate():
     est = stationary_estimate(p, cfg, "abep", obs, n_chains=8)
     assert _sha256(est) == \
         "698266646f6c281494960bf1d944e9d8901c4e6a6f67115ef19b9dd7ab3d1437"
+
+
+# Three kernel paths the digests above do not reach, recorded before the
+# step kernel moved to preallocated buffers: N = 1 abep (no bond rows), a
+# single bep chain, and 51 steps at R = 10^4, whose last noise chunk is
+# partial.
+
+
+@pytest.mark.usefixtures("pinned_exp")
+def test_pinned_bytes_abep_one_site_endpoint():
+    p = SystemParams(1, 0.1, 2.0, 0.5, 1.0)
+    final = ensemble_endpoint(np.full(1, 0.5), p, "abep", 1e-2, 0.5, 1000, seed=11)
+    assert final.shape == (1000, 1)
+    assert _sha256(final) == \
+        "f36e890bffa84da46ce4bb0394cd7997e0d43ab815bf63f7d2ab996c714e18d4"
+
+
+def test_pinned_bytes_bep_trajectory():
+    p = SystemParams(3, 0.0, 2.0, 0.5, 1.5)
+    cfg = SdeConfig(dt=1e-3, t_end=2.0, thinning=0.05, burn_in=0.0, seed=7)
+    traj = simulate_trajectory(np.zeros(3), p, cfg, model="bep")
+    assert len(traj) == 40
+    assert _sha256([[t, *x] for t, x in traj]) == \
+        "0b2c8f20907b0d1351b76d89212d03d6c8ae4f3574180e81e9b9e5cda5c3583a"
+
+
+def test_pinned_bytes_bep_endpoint_partial_noise_chunk():
+    p = SystemParams(2, 0.0, 2.0, 0.5, 1.0)
+    # 10^4 chains of 3 noise rows draw 2 steps per chunk: 25 full chunks
+    # and a last chunk of one step
+    final = ensemble_endpoint(np.full(2, 0.5), p, "bep", 1e-2, 0.51, 10_000, seed=11)
+    assert final.shape == (10_000, 2)
+    assert _sha256(final) == \
+        "06ffbb511579fea3ca37aef543beac0cc049ae75248928787101ca23103180b1"
