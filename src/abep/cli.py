@@ -71,7 +71,8 @@ def build_parser():
     sp.add_argument("--dt", type=float, default=1e-3)
     sp.add_argument("--t-end", type=float, default=1.0)
     sp.add_argument("--thinning", type=float, default=None,
-                    help="snapshot spacing (default t_end/100)")
+                    help="snapshot spacing (default t_end/100); like "
+                         "t_end and burn_in, a whole number of steps dt")
     sp.add_argument("--burn-in", type=float, default=0.0)
     sp.add_argument("--x0", default=None,
                     help="comma-separated start state (default zeros)")

@@ -31,6 +31,24 @@ from .rng import as_generator, stream
 DEFAULT_CAP = 1e6
 
 
+def whole_steps(t: float, dt: float, name: str = "t") -> int:
+    """The number of steps dt that reach time t.
+
+    ParameterError unless dt > 0 and t is 0 or a whole number of steps
+    (within 1e-9 relative): rounding t / dt would move t without a word,
+    and a positive t below half a step would take none.
+    """
+    if not (dt > 0 and t >= 0):
+        raise ParameterError(f"need dt > 0 and {name} >= 0, got dt={dt}, {name}={t}")
+    steps = t / dt
+    if t > 0 and not (0.5 <= steps < math.inf
+                      and abs(steps - round(steps)) <= 1e-9 * steps):
+        raise ParameterError(
+            f"{name} must be a whole number of steps dt, got "
+            f"{name} / dt = {steps:.12g}")
+    return round(steps)
+
+
 @dataclass(frozen=True)
 class SdeConfig:
     """Time stepping and sampling plan for one simulation."""
@@ -55,6 +73,8 @@ class SdeConfig:
             raise ParameterError(
                 f"burn_in must lie in [0, t_end], got {self.burn_in}"
             )
+        for name in ("t_end", "thinning", "burn_in"):
+            whole_steps(getattr(self, name), self.dt, name)
 
 
 def _step_batch(x: np.ndarray, p: SystemParams, dt: float, gauss: np.ndarray,
@@ -143,7 +163,7 @@ def _run_chains(x0: np.ndarray, p: SystemParams, model: str, dt: float,
 
 def _emit_steps(cfg: SdeConfig):
     """Step indices at which states are emitted: burn_in + j * thinning."""
-    n_steps = int(round(cfg.t_end / cfg.dt))
+    n_steps = whole_steps(cfg.t_end, cfg.dt)
     out = []
     j = 1
     while True:
@@ -180,7 +200,8 @@ def stationary_estimate(p: SystemParams, cfg: SdeConfig, model: str, observable,
     Runs n_chains independent chains from x0 (default: the zero state),
     discards burn_in, thins, and averages.  The standard error comes from
     the spread of per-chain batch means, so it accounts for autocorrelation
-    on scales below the batch length.
+    on scales below the batch length.  ParameterError unless there are at
+    least two batch means: min(n_batches, samples per chain) * n_chains >= 2.
 
     An observable takes a batch: it is called once with an (M, N) array of
     states and must return M values.  Given one callable the result is one
@@ -195,8 +216,12 @@ def stationary_estimate(p: SystemParams, cfg: SdeConfig, model: str, observable,
     start = np.zeros(p.n_sites) if x0 is None else as_state(x0, p.n_sites)
     x_init = np.tile(start, (n_chains, 1))
     n_steps, emit = _emit_steps(cfg)
-    if not emit:
-        raise ParameterError("no samples: increase t_end or reduce burn_in/thinning")
+    n_means = min(n_batches, len(emit)) * n_chains
+    if n_means < 2:
+        # one batch mean has no spread, so its standard error would read 0
+        raise ParameterError(
+            f"need two batch means for a standard error, got {max(n_means, 0)}: "
+            "increase t_end, n_chains or n_batches, or reduce burn_in or thinning")
     rng = stream(cfg.seed, f"stationary-{model}")
     _, snaps = _run_chains(x_init, p, model, cfg.dt, n_steps, rng, cap,
                            record_at=emit)
@@ -208,20 +233,20 @@ def stationary_estimate(p: SystemParams, cfg: SdeConfig, model: str, observable,
     for f in observables:
         vals = _eval_observable(f, flat).reshape(m, r)
         batch_means = np.concatenate([vals[g].mean(axis=0) for g in groups])
-        if batch_means.size > 1:
-            se = float(np.std(batch_means, ddof=1) / np.sqrt(batch_means.size))
-        else:
-            se = 0.0
+        se = float(np.std(batch_means, ddof=1) / np.sqrt(batch_means.size))
         out.append((float(vals.mean()), se))
     return out[0] if single else out
 
 
 def ensemble_endpoint(x0, p: SystemParams, model: str, dt: float, t: float,
                       n_chains: int, seed, cap: float = DEFAULT_CAP) -> np.ndarray:
-    """Final states of n_chains independent chains all started at x0."""
+    """Final states of n_chains independent chains all started at x0.
+
+    ParameterError unless t is 0 or a whole number of steps dt.
+    """
     arr = as_state(x0, p.n_sites)
+    n_steps = whole_steps(t, dt)
     rng = as_generator(seed, f"endpoint-{model}")
-    n_steps = int(round(t / dt))
     x_init = np.tile(arr, (n_chains, 1))
     final, _ = _run_chains(x_init, p, model, dt, n_steps, rng, cap)
     return final

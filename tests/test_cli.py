@@ -295,10 +295,10 @@ def test_verify_intertwining_needs_a_state(capsys):
     assert "--states" in capsys.readouterr().err
 
 
-def _assert_usage_error(argv, capsys):
+def _assert_usage_error(argv, capsys, check=True):
     # exit 2 with a one-line message: not 1, which would read as a failed
     # check, and no traceback
-    assert run(argv + ["--check", "--no-header"]) == 2
+    assert run(argv + ["--check"] * check + ["--no-header"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
     assert captured.out == ""
@@ -310,6 +310,22 @@ def _assert_usage_error(argv, capsys):
                                    ["--dt", "1", "--t", "0.4"]])
 def test_verify_duality_bad_arguments_are_usage_errors(flags, capsys):
     _assert_usage_error(["verify-duality", "--n", "2", *flags], capsys)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--dt", "0.3", "--t-end", "1.0", "--thinning", "0.5"],
+    ["--dt", "0.1", "--t-end", "1.0", "--thinning", "0.2", "--burn-in", "0.15"]])
+def test_simulate_times_off_the_step_grid_are_usage_errors(flags, capsys):
+    # rows would otherwise come out at t = 0.6 and 0.9, not 0.5 and 1.0
+    _assert_usage_error(["simulate", "--n", "1", *flags], capsys, check=False)
+
+
+def test_moments_one_batch_mean_is_a_usage_error(capsys):
+    # one chain with one sample: the se would print 0 and --check would pass
+    _assert_usage_error(
+        ["moments", "--n", "1", "--sigma", "0.02", "--mc-chains", "1",
+         "--mc-t-end", "1", "--mc-thinning", "1", "--mc-burn-in", "0",
+         "--mc-dt", "0.01"], capsys)
 
 
 @pytest.mark.parametrize("flags", [["--degree", "-1"], ["--fd-step", "0"],

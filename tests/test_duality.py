@@ -8,7 +8,9 @@ from abep import (SystemParams, classical_D, classical_D_sigma,
                   generator_duality_residual, laguerre_d, map_g,
                   orthogonal_D, orthogonal_D_sigma, pochhammer,
                   semigroup_duality_check, sip_generator_apply)
-from abep.errors import ParameterError
+import abep.duality as duality
+from abep.cli import run
+from abep.errors import NumericalBlowup, ParameterError
 
 RNG = np.random.default_rng(4096)
 
@@ -147,6 +149,8 @@ def test_semigroup_check_sequence_matches_single_calls(t):
     together = semigroup_duality_check(x0, xis, t, p, **kwargs)
     assert isinstance(together, list) and len(together) == 3
     for xi, chk in zip(xis, together):
+        # a fresh simulation each time, not the memoised ensemble
+        duality._endpoint_cache.clear()
         # bit for bit, not approximately
         assert chk == semigroup_duality_check(x0, xi, t, p, **kwargs)
 
@@ -158,3 +162,94 @@ def test_semigroup_check_accepts_whole_step_horizons(t, dt):
     chk = semigroup_duality_check(np.array([0.8, 0.5]), np.array([0, 1, 0, 0]),
                                   t, p, model="bep", n_runs=20, seed=3, dt=dt)
     assert chk.lhs_se > 0.0
+
+
+MEMO_P = SystemParams(2, 0.05, 2.0, 0.5, 1.5)
+MEMO_ARGS = dict(x0=(0.5, 0.5), p=MEMO_P, model="abep", dt=5e-3,
+                 t_horizon=0.2, n_runs=200, seed=4, cap=1e6)
+
+
+@pytest.fixture
+def simulations(monkeypatch):
+    """Count the diffusion ensembles simulated, starting from an empty memo."""
+    calls = []
+    simulate = duality.ensemble_endpoint
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(duality, "ensemble_endpoint", counted)
+    duality._endpoint_cache.clear()
+    yield calls
+    duality._endpoint_cache.clear()
+
+
+def _memo_check(xi0=(0, 1, 0, 0), dfun="classical", **changes):
+    kwargs = {**MEMO_ARGS, **changes}
+    x0, p, t = np.array(kwargs.pop("x0")), kwargs.pop("p"), kwargs.pop("t_horizon")
+    return semigroup_duality_check(x0, np.array(xi0), t, p, dfun=dfun, **kwargs)
+
+
+@pytest.mark.parametrize("model, sigma", [("bep", 0.0), ("abep", 0.05)])
+def test_semigroup_check_memo_hit_equals_cold_call(simulations, model, sigma):
+    p = SystemParams(2, sigma, 2.0, 0.5, 1.5)
+    calls = [((0, 1, 0, 0), "classical"), ((0, 1, 0, 0), "classical"),
+             ((0, 1, 1, 0), "classical"), ((0, 0, 2, 1), "orthogonal")]
+    warm = [_memo_check(xi, dfun, p=p, model=model) for xi, dfun in calls]
+    assert len(simulations) == 1
+    for (xi, dfun), chk in zip(calls, warm):
+        duality._endpoint_cache.clear()
+        # bit for bit, not approximately
+        assert chk == _memo_check(xi, dfun, p=p, model=model)
+    assert len(simulations) == 1 + len(calls)
+
+
+@pytest.mark.parametrize("change", [
+    dict(x0=(0.5, 0.6)), dict(p=SystemParams(2, 0.06, 2.0, 0.5, 1.5)),
+    dict(model="bep"), dict(dt=1e-2), dict(t_horizon=0.3), dict(n_runs=201),
+    dict(seed=5), dict(cap=1e5)])
+def test_semigroup_check_memo_key_holds_every_ensemble_argument(simulations, change):
+    base = _memo_check()
+    _memo_check(**change)
+    assert len(simulations) == 2
+    # one entry: the first ensemble was dropped, so going back simulates again
+    assert len(duality._endpoint_cache) == 1
+    assert _memo_check() == base
+    assert len(simulations) == 3
+
+
+def test_semigroup_check_memo_is_read_only(simulations):
+    _memo_check()
+    (finals,) = duality._endpoint_cache.values()
+    assert not finals.flags.writeable
+    with pytest.raises(ValueError):
+        finals[0, 0] = 1.0
+
+
+def test_semigroup_check_blowup_stores_nothing(simulations):
+    # every chain starts at the cap, so the first step that moves one up trips
+    with pytest.raises(NumericalBlowup):
+        _memo_check(cap=0.5)
+    assert duality._endpoint_cache == {}
+    _memo_check()
+    (kept,) = duality._endpoint_cache.items()
+    with pytest.raises(NumericalBlowup):
+        _memo_check(cap=0.5)
+    assert list(duality._endpoint_cache.items()) == [kept]
+
+
+def test_verify_duality_cli_reuse_prints_fresh_bytes(capsys):
+    argv = ["verify-duality", "--n", "2", "--model", "abep", "--sigma", "0.05",
+            "--tl", "0.5", "--tr", "1.5", "--t", "0.2", "--runs", "300",
+            "--dt", "5e-3", "--seed", "4", "--no-header"]
+    outputs = []
+    for fresh in (False, True):
+        duality._endpoint_cache.clear()
+        for xi0 in ("1,0", "1,1"):
+            if fresh:
+                duality._endpoint_cache.clear()
+            assert run(argv + ["--xi0", xi0]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 4

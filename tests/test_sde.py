@@ -47,6 +47,10 @@ def test_em_step_zero_noise_is_euler():
     dict(dt=0.01, t_end=1.0, thinning=2.0),
     dict(dt=0.01, t_end=1.0, thinning=0.1, burn_in=3.0),
     dict(dt=0.01, t_end=1.0, thinning=0.1, burn_in=-0.5),
+    # each time must be a whole number of steps: no silent rounding to dt
+    dict(dt=0.3, t_end=1.0, thinning=0.6),
+    dict(dt=0.1, t_end=1.0, thinning=0.25),
+    dict(dt=0.1, t_end=1.0, thinning=0.2, burn_in=0.15),
 ])
 def test_config_validation(bad):
     with pytest.raises(ParameterError):
@@ -125,6 +129,29 @@ def test_ensemble_endpoint_shape_and_determinism():
     assert np.array_equal(a, b)
     assert np.all(a >= 0.0)
     assert a.std() > 0.0
+
+
+@pytest.mark.parametrize("dt, t", [(1.0, 0.4), (0.3, 0.5), (0.0, 1.0), (0.1, -0.1),
+                                   (float("inf"), 1.0)])
+def test_ensemble_endpoint_needs_whole_steps(dt, t):
+    # dt=1, t=0.4 and dt=inf would take no step and return x0
+    p = SystemParams(1, 0.0, 1.0, 1.0, 1.0)
+    with pytest.raises(ParameterError):
+        ensemble_endpoint(np.zeros(1), p, "bep", dt, t, 4, seed=0)
+
+
+def test_stationary_estimate_needs_two_batch_means():
+    # one chain with one sample gives one batch mean: its se would read 0
+    p = SystemParams(1, 0.02, 1.0, 1.0, 1.0)
+    cfg = SdeConfig(dt=0.01, t_end=1.0, thinning=1.0, seed=0)
+    obs = lambda s: s[:, 0]
+    with pytest.raises(ParameterError, match="two batch means"):
+        stationary_estimate(p, cfg, "abep", obs, n_chains=1)
+    with pytest.raises(ParameterError, match="two batch means"):
+        stationary_estimate(p, SdeConfig(dt=0.01, t_end=1.0, thinning=0.5),
+                            "abep", obs, n_chains=1, n_batches=1)
+    # two chains give two means
+    assert stationary_estimate(p, cfg, "abep", obs, n_chains=2)[1] > 0.0
 
 
 def test_stationary_estimate_needs_samples():
