@@ -312,6 +312,8 @@ def _cmd_verify_duality(args):
 def _cmd_verify_intertwining(args):
     if args.states < 1:
         raise ConfigError("--states must be at least 1")
+    if args.funcs < 1:
+        raise ConfigError("--funcs must be at least 1")
     if args.degree < 0:
         raise ConfigError("--degree must be at least 0")
     p = SystemParams(args.n, args.sigma, args.alpha, args.tl, args.tr)
@@ -398,6 +400,8 @@ def _cmd_moments(args):
 
 
 def _cmd_reversible_check(args):
+    if args.samples < 2:
+        raise ConfigError("--samples must be at least 2 for a standard error")
     p = SystemParams(args.n, args.sigma, args.alpha, args.t, args.t)
     samples, stats = reversible_sampler(p, args.samples, seed=args.seed,
                                         with_stats=True)

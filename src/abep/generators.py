@@ -51,20 +51,47 @@ from .errors import ParameterError
 
 
 class Workspace:
-    """Buffers for model_parts on site-major states of one shape.
+    """Buffers and prebuilt views for model_parts and the Euler-Maruyama
+    step on one site-major state array.
 
-    A model_parts call given a workspace writes every part into it and
-    allocates nothing; the parts it returns are views of these buffers, so
-    the next call with the same workspace overwrites them.
+    Workspace(x, model) binds x, of shape (N,) or (N, R), and builds once
+    every view of x and of its own buffers that model_parts reads or
+    writes for 'bep' or 'abep' (model), and that a step reads; the 'abep'
+    set holds the 'bep' one.  A model_parts call given the workspace
+    writes every part into it and allocates nothing; the parts it returns
+    are views of these buffers, so the next call overwrites them.
     """
 
-    def __init__(self, shape):
-        n, rest = shape[0], tuple(shape[1:])
+    def __init__(self, x: np.ndarray, model: str):
+        n, rest = x.shape[0], x.shape[1:]
+        self.x, self.model = x, model
         block = np.empty((6, n, *rest))
-        self.drift, self.ee, self.em, self.ep, self.v, self.u = block
-        self.em_ep = block[2:4]                  # em and ep as one block
-        self.amps = np.empty((n + 1, *rest))     # rows: bonds, left, right
+        drift, ee, em, ep, v, u = block
+        self.drift, self.ee, self.em = drift, ee, em
+        self.ep, self.v, self.u = ep, v, u
+        self.amps = amps = np.empty((n + 1, *rest))   # rows: bonds, left, right
         self.r1, self.r2 = np.empty((2, 1, *rest))   # one-row scratch
+        # named views: a ufunc with out= on one skips the write-back of
+        # `drift[:-1] -= c`, and building them here keeps slicing out of
+        # the steps
+        self.head, self.tail = drift[:-1], drift[1:]
+        self.first, self.last = drift[:1], drift[-1:]
+        self.bonds, self.left, self.right = amps[:-2], amps[-2:-1], amps[-1:]
+        self.x_head, self.x_tail = x[:-1], x[1:]
+        self.x_first, self.x_last = x[:1], x[-1:]
+        self.u_head = u[:-1]
+        if model != "abep":
+            return
+        self.em_ep = block[2:4]                  # em and ep as one block
+        ee_rows = [ee[i:i + 1] for i in range(n)]
+        # E_l = x_l + E_{l+1}: one (E_{l+1}, x_l, E_l) triple per site, N-1 down
+        self.sums = [(ee_rows[i + 1], x[i:i + 1], ee_rows[i])
+                     for i in range(n - 2, -1, -1)]
+        self.ee_first, self.ee_last = ee_rows[0], ee_rows[-1]
+        self.ee_head, self.ee_tail = ee[:-1], ee[1:]
+        self.em_head, self.em_last = em[:-1], em[-1:]
+        self.ep_tail, self.ep_first = ep[1:], ep[:1]
+        self.v_head, self.v_last, self.u_last = v[:-1], v[-1:], u[-1:]
 
 
 def model_parts(x: np.ndarray, p: SystemParams, model: str,
@@ -76,8 +103,9 @@ def model_parts(x: np.ndarray, p: SystemParams, model: str,
     Returns (drift like x, amplitudes (N+1, ...) with one row per noise
     direction, right direction v like x, or None for the static e_N of the
     symmetric model).  With sigma = 0 'abep' is 'bep'.  The parts are
-    written into ws, a Workspace for x.shape, when one is given; otherwise
-    each call returns arrays of its own.
+    written into ws, a Workspace bound to x for this model, when one is
+    given (ParameterError when it is bound to another array or model);
+    otherwise each call returns arrays of its own.
     """
     if model not in ("bep", "abep"):
         raise ParameterError(f"unknown model {model!r}")
@@ -85,35 +113,36 @@ def model_parts(x: np.ndarray, p: SystemParams, model: str,
         raise ParameterError(
             f"expected {p.n_sites} site rows, got states of shape {x.shape}")
     if ws is None:
-        ws = Workspace(x.shape)
+        ws = Workspace(x, model)
+    elif ws.x is not x or ws.model != model:
+        raise ParameterError(
+            f"the workspace is bound to another state array or model ({ws.model!r})")
     a = p.alpha
     drift, amps, r1, r2 = ws.drift, ws.amps, ws.r1, ws.r2
-    # the drift rows that bond and reservoir terms update; a ufunc with out=
-    # on a named view skips the write-back of `drift[:-1] -= c`
-    head, tail, first, last = drift[:-1], drift[1:], drift[:1], drift[-1:]
+    head, tail, first, last = ws.head, ws.tail, ws.first, ws.last
     drift.fill(0.0)
     if model == "bep" or p.sigma == 0:
-        c = ws.u[:-1]                      # bond coefficient on e_{i+1} - e_i
-        np.subtract(x[:-1], x[1:], out=c)
+        c = ws.u_head                      # bond coefficient on e_{i+1} - e_i
+        np.subtract(ws.x_head, ws.x_tail, out=c)
         np.multiply(c, a, out=c)
         np.subtract(head, c, out=head)
         np.add(tail, c, out=tail)
-        np.subtract(p.t_left * a, x[:1], out=r1)
+        np.subtract(p.t_left * a, ws.x_first, out=r1)
         np.add(first, r1, out=first)
-        np.subtract(p.t_right * a, x[-1:], out=r1)
+        np.subtract(p.t_right * a, ws.x_last, out=r1)
         np.add(last, r1, out=last)
-        np.multiply(x[:-1], x[1:], out=amps[:-2])
-        np.multiply(x[:1], p.t_left, out=amps[-2:-1])
-        np.multiply(x[-1:], p.t_right, out=amps[-1:])
+        np.multiply(ws.x_head, ws.x_tail, out=ws.bonds)
+        np.multiply(ws.x_first, p.t_left, out=ws.left)
+        np.multiply(ws.x_last, p.t_right, out=ws.right)
         return drift, amps, None
 
     s = p.sigma
     ee, em, ep, v, u = ws.ee, ws.em, ws.ep, ws.v, ws.u
     # partial energies E_l = x_l + ... + x_N, summed from site N down, then
     # ee[l-1] = e^{s E_l}
-    ee[-1] = x[-1]
-    for i in range(x.shape[0] - 2, -1, -1):
-        np.add(ee[i + 1:i + 2], x[i:i + 1], out=ee[i:i + 1])
+    ws.ee_last[...] = ws.x_last
+    for below, row, out in ws.sums:
+        np.add(below, row, out=out)
     np.multiply(ee, s, out=ee)
     np.exp(ee, out=ee)
     # ep = e^{s x_i} - 1 and em = 1 - e^{-s x_i}, one expm1 for both
@@ -123,10 +152,10 @@ def model_parts(x: np.ndarray, p: SystemParams, model: str,
     np.negative(em, out=em)
 
     # bulk bonds; u and v are scratch until the right reservoir
-    prod, c = u[:-1], v[:-1]
-    np.multiply(em[:-1], ep[1:], out=prod)
-    np.divide(prod, s * s, out=amps[:-2])
-    np.subtract(em[:-1], ep[1:], out=c)
+    prod, c = ws.u_head, ws.v_head
+    np.multiply(ws.em_head, ws.ep_tail, out=prod)
+    np.divide(prod, s * s, out=ws.bonds)
+    np.subtract(ws.em_head, ws.ep_tail, out=c)
     np.multiply(c, a, out=c)
     np.add(prod, c, out=c)
     np.divide(c, s, out=c)
@@ -134,28 +163,28 @@ def model_parts(x: np.ndarray, p: SystemParams, model: str,
     np.add(tail, c, out=tail)
 
     # left reservoir (site 1 only), with r1 = T_l e^{s E_1}
-    np.multiply(ee[:1], p.t_left, out=r1)
-    np.multiply(r1, ep[:1], out=amps[-2:-1])
-    np.divide(amps[-2:-1], s, out=amps[-2:-1])
-    np.add(ep[:1], a, out=r2)
+    np.multiply(ws.ee_first, p.t_left, out=r1)
+    np.multiply(r1, ws.ep_first, out=ws.left)
+    np.divide(ws.left, s, out=ws.left)
+    np.add(ws.ep_first, a, out=r2)
     r1 *= r2
-    np.divide(ep[:1], s, out=r2)
+    np.divide(ws.ep_first, s, out=r2)
     r1 -= r2
     np.add(first, r1, out=first)
 
     # right reservoir: rank-one direction across the whole chain
     np.multiply(ee, em, out=v)
-    v[-1] = ee[-1]
-    np.divide(em[-1:], s, out=r2)           # g_N(x) = (1 - e^{-s x_N}) / s
-    np.multiply(r2, p.t_right, out=amps[-1:])
+    ws.v_last[...] = ws.ee_last
+    np.divide(ws.em_last, s, out=r2)        # g_N(x) = (1 - e^{-s x_N}) / s
+    np.multiply(r2, p.t_right, out=ws.right)
     np.subtract(a * p.t_right, r2, out=r1)
     np.multiply(ee, ee, out=ee)             # e^{2 s E_l}
-    np.subtract(ee[:-1], ee[1:], out=u[:-1])
-    np.multiply(u[:-1], s, out=u[:-1])
-    np.multiply(ee[-1:], s, out=u[-1:])
+    np.subtract(ws.ee_head, ws.ee_tail, out=ws.u_head)
+    np.multiply(ws.u_head, s, out=ws.u_head)
+    np.multiply(ws.ee_last, s, out=ws.u_last)
     np.multiply(v, r1, out=em)
     drift += em                             # (alpha T_r - g_N) v
-    np.multiply(u, amps[-1:], out=u)
+    np.multiply(u, ws.right, out=u)
     drift += u                              # T_r g_N u
     return drift, amps, v
 

@@ -78,38 +78,40 @@ class SdeConfig:
 
 
 def _step_batch(x: np.ndarray, p: SystemParams, dt: float, gauss: np.ndarray,
-                model: str, ws: Workspace | None = None,
-                out: np.ndarray | None = None) -> np.ndarray:
+                model: str, ws: Workspace | None = None) -> np.ndarray:
     """One EM step of site-major chains: x is (N, R), gauss is (N+1, R).
 
-    The new states are written into out and the coefficient parts into ws,
-    a Workspace for x.shape; given both, the step allocates nothing.
+    Given ws, a Workspace bound to x, the step overwrites x with the new
+    states and ws with the coefficient parts, and allocates nothing: every
+    read of x comes before the first write to it.  Without ws it steps a
+    copy of x.  Returns the stepped array.
     """
     n = p.n_sites
     if len(gauss) != n + 1:
         raise IndexError(f"need {n + 1} noise rows, got {len(gauss)}")
+    if ws is None:
+        x = np.array(x, dtype=float)
+        ws = Workspace(x, model)
     drift, amps, v = model_parts(x, p, model, ws)
-    if out is None:
-        out = np.empty_like(x)
     # amps becomes the noise terms sqrt(2 a_k dt) eta_k, one row per direction
     np.maximum(amps, 0.0, out=amps)
     np.sqrt(amps, out=amps)
     np.multiply(amps, math.sqrt(2.0 * dt), out=amps)
     np.multiply(amps, gauss, out=amps)
     np.multiply(drift, dt, out=drift)
-    np.add(x, drift, out=out)
-    # named views, as in model_parts: out= skips the write-back of +=
-    bonds, head, tail, first, last = amps[:-2], out[:-1], out[1:], out[:1], out[-1:]
+    np.add(x, drift, out=x)
+    bonds, head, tail = ws.bonds, ws.x_head, ws.x_tail
+    first, last = ws.x_first, ws.x_last
     np.add(tail, bonds, out=tail)
     np.subtract(head, bonds, out=head)
-    np.add(first, amps[-2:-1], out=first)
+    np.add(first, ws.left, out=first)
     if v is None:
-        np.add(last, amps[-1:], out=last)
+        np.add(last, ws.right, out=last)
     else:
-        np.multiply(v, amps[-1:], out=v)
-        out += v
-    np.maximum(out, 0.0, out=out)
-    return out
+        np.multiply(v, ws.right, out=v)
+        x += v
+    np.maximum(x, 0.0, out=x)
+    return x
 
 
 def _run_chains(x0: np.ndarray, p: SystemParams, model: str, dt: float,
@@ -119,19 +121,23 @@ def _run_chains(x0: np.ndarray, p: SystemParams, model: str, dt: float,
     indices; the batch is stepped site-major.
 
     Returns (final states, list of snapshots), both chain-major (R, N).
-    Raises NumericalBlowup when any component passes the cap.
+    ParameterError, before any step, unless cap is greater than every
+    component of x0 (a nan cap is not); NumericalBlowup when any component
+    passes the cap.
     """
     x = np.array(x0.T, dtype=float, order="C")
+    if not (x < cap).all():
+        raise ParameterError(
+            f"cap must be greater than every component of the start state, got {cap}")
     k, r = x.shape[0] + 1, x.shape[1]
     targets = sorted(int(t) for t in record_at)
     ti = 0
     snaps = []
-    # one workspace per ensemble, so no step allocates: the states alternate
-    # between x and spare, and the noise comes in chunks, drawn (c, R, N+1)
+    # one workspace per ensemble, bound to x, so no step allocates: x is
+    # stepped in place, and the noise comes in chunks, drawn (c, R, N+1)
     # whatever the layout and stepped as (N+1, R) rows; the normal stream is
     # identical for any chunking
-    spare = np.empty_like(x)
-    ws = Workspace(x.shape)
+    ws = Workspace(x, model)
     chunk = max(1, min(4096, 65536 // max(1, r * k)))
     draws = np.empty((chunk, r, k))
     gauss = np.empty((chunk, k, r))
@@ -145,9 +151,9 @@ def _run_chains(x0: np.ndarray, p: SystemParams, model: str, dt: float,
             rng.standard_normal(size=(c, r, k), out=draws[:c])
             np.copyto(gauss[:c], draws[:c].transpose(0, 2, 1))
             for j in range(c):
-                x, spare = _step_batch(x, p, dt, gauss[j], model, ws, spare), x
+                _step_batch(x, p, dt, gauss[j], model, ws)
                 step += 1
-                m = float(x.max())
+                m = np.maximum.reduce(x, None)
                 # the inverted comparison also trips on nan and inf, which a
                 # plain m > cap would let through
                 if not m <= cap:

@@ -302,6 +302,7 @@ def _assert_usage_error(argv, capsys, check=True):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
     assert captured.out == ""
+    return captured.err
 
 
 @pytest.mark.parametrize("flags", [["--runs", "0"], ["--runs", "-5"],
@@ -326,6 +327,32 @@ def test_moments_one_batch_mean_is_a_usage_error(capsys):
         ["moments", "--n", "1", "--sigma", "0.02", "--mc-chains", "1",
          "--mc-t-end", "1", "--mc-thinning", "1", "--mc-burn-in", "0",
          "--mc-dt", "0.01"], capsys)
+
+
+@pytest.mark.parametrize("argv, check", [
+    (["simulate", "--n", "2", "--t-end", "0.1", "--dt", "0.01", "--thinning", "0.05",
+      "--cap", "nan"], False),
+    (["simulate", "--n", "2", "--t-end", "0.1", "--dt", "0.01", "--thinning", "0.05",
+      "--cap", "-1"], False),
+    (["verify-duality", "--n", "2", "--model", "abep", "--sigma", "0.05", "--runs", "10",
+      "--dt", "0.01", "--t", "0.1", "--cap", "nan"], True),
+    (["moments", "--n", "2", "--sigma", "0.02", "--mc-dt", "0.01", "--mc-t-end", "1",
+      "--mc-burn-in", "0", "--mc-thinning", "0.1", "--cap", "nan"], True)],
+    ids=["simulate-nan", "simulate-negative", "verify-duality-nan", "moments-nan"])
+def test_cap_not_above_the_start_state_is_a_usage_error(argv, check, capsys):
+    # a nan cap used to read as a blow-up at the first step
+    assert "cap must be greater" in _assert_usage_error(argv, capsys, check=check)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["reversible-check", "--n", "1", "--sigma", "0.05", "--t", "0.5", "--samples", "1"],
+     "--samples"),
+    (["verify-intertwining", "--n", "2", "--funcs", "0"], "--funcs")])
+def test_counts_that_leave_nothing_to_estimate_are_usage_errors(argv, flag, capsys):
+    # one sample has no standard error, and no function has no residual
+    assert run(argv + ["--check", "--no-header"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {flag}") and captured.out == ""
 
 
 @pytest.mark.parametrize("flags", [["--degree", "-1"], ["--fd-step", "0"],

@@ -228,14 +228,16 @@ def test_semigroup_check_memo_is_read_only(simulations):
 
 
 def test_semigroup_check_blowup_stores_nothing(simulations):
-    # every chain starts at the cap, so the first step that moves one up trips
-    with pytest.raises(NumericalBlowup):
-        _memo_check(cap=0.5)
-    assert duality._endpoint_cache == {}
+    # every chain starts 0.01 below the cap, so the first step that moves
+    # one up by more trips; a cap at the start is refused before any step
+    for cap, error in [(0.51, NumericalBlowup), (0.5, ParameterError)]:
+        with pytest.raises(error):
+            _memo_check(cap=cap)
+        assert duality._endpoint_cache == {}
     _memo_check()
     (kept,) = duality._endpoint_cache.items()
     with pytest.raises(NumericalBlowup):
-        _memo_check(cap=0.5)
+        _memo_check(cap=0.51)
     assert list(duality._endpoint_cache.items()) == [kept]
 
 

@@ -7,7 +7,7 @@ import pytest
 from abep import (SdeConfig, SystemParams, ensemble_endpoint,
                   one_point_moment, simulate_trajectory, stationary_estimate)
 from abep.errors import NumericalBlowup, ParameterError
-from abep.generators import Workspace
+from abep.generators import Workspace, model_parts
 from abep.sde import _step_batch
 
 RNG = np.random.default_rng(777)
@@ -121,6 +121,14 @@ def test_small_cap_trips():
         simulate_trajectory(np.zeros(2), p, cfg, cap=0.5)
 
 
+@pytest.mark.parametrize("cap", [float("nan"), -1.0, 0.0, 0.5])
+def test_cap_must_exceed_the_start_state(cap):
+    # t = 0 takes no step, so the error comes from the check made before it
+    p = SystemParams(2, 0.1, 2.0, 0.5, 1.5)
+    with pytest.raises(ParameterError, match="cap must be greater"):
+        ensemble_endpoint(np.full(2, 0.5), p, "abep", 0.01, 0.0, 4, seed=0, cap=cap)
+
+
 def test_ensemble_endpoint_shape_and_determinism():
     p = SystemParams(3, 0.05, 1.0, 0.5, 1.0)
     a = ensemble_endpoint(np.zeros(3), p, "bep", 0.01, 1.0, 32, seed=9)
@@ -230,23 +238,53 @@ def test_step_batch_equals_single_steps(model, n):
 
 @pytest.mark.parametrize("model", ["bep", "abep"])
 def test_step_with_workspace_allocates_no_array(model):
-    # the ensemble kernel steps into preallocated buffers; a single row of
-    # temporaries at R = 10^4 would be 80 KB
+    # the ensemble kernel steps its states in place, in a workspace bound to
+    # them; a single row of temporaries at R = 10^4 would be 80 KB
     p = SystemParams(3, 0.1, 2.0, 0.5, 1.5)
     r = 10_000
     x = np.full((3, r), 0.5)
     gauss = np.random.default_rng(3).standard_normal((4, r))
-    ws, out = Workspace(x.shape), np.empty_like(x)
     want = _step_batch(x, p, 1e-3, gauss, model)
+    ws = Workspace(x, model)
     tracemalloc.start()
     try:
-        got = _step_batch(x, p, 1e-3, gauss, model, ws, out)
+        got = _step_batch(x, p, 1e-3, gauss, model, ws)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert got is out
+    assert got is x
     assert got.tobytes() == want.tobytes()
     assert peak < 8 * r
+
+
+@pytest.mark.parametrize("model", ["bep", "abep"])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_bound_workspace_steps_equal_fresh_workspace_steps(model, n):
+    # views built once must follow the state across steps: 50 in-place steps
+    # on one bound workspace give the bytes of 50 steps on fresh ones
+    p = SystemParams(n, 0.1, 2.0, 0.5, 1.5)
+    rng = np.random.default_rng(60 + n)
+    x = rng.uniform(0.0, 1.0, (n, 16))
+    fresh = x.copy()
+    ws = Workspace(x, model)
+    for _ in range(50):
+        gauss = rng.standard_normal((n + 1, 16))
+        assert _step_batch(x, p, 1e-2, gauss, model, ws) is x
+        fresh = _step_batch(fresh, p, 1e-2, gauss, model)
+        assert x.tobytes() == fresh.tobytes()
+    assert np.all(np.isfinite(x)) and x.std() > 0.0
+
+
+def test_workspace_bound_elsewhere_is_refused():
+    p = SystemParams(2, 0.1, 2.0, 0.5, 1.5)
+    x = np.full((2, 4), 0.5)
+    gauss = np.zeros((3, 4))
+    with pytest.raises(ParameterError, match="bound to another"):
+        _step_batch(x, p, 1e-2, gauss, "abep", Workspace(x.copy(), "abep"))
+    # a workspace holds the views of its own model only
+    with pytest.raises(ParameterError, match="bound to another"):
+        model_parts(x, p, "abep", Workspace(x, "bep"))
+    assert np.all(x == 0.5)
 
 
 def _sha256(a) -> str:
