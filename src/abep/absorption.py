@@ -28,14 +28,14 @@ load it.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from itertools import chain, combinations_with_replacement
 
 import numpy as np
 
 from .core import SystemParams
 from .errors import SingularSystem, SiteError
-from .sip import _edge_rate, _jump, _occupied, _rate_table
+from .sip import _edge_rate, _occupied, _rate_table
 
 _exit_cache: dict = {}
 # states per block of _generator: bounds the memory of its (states, 2N)
@@ -62,31 +62,32 @@ class AbsorptionResult:
 def _generator(n: int, k: int, alpha: float, edge: str):
     """States of k walkers on 0..N+1 and the sparse rate matrix between them.
 
-    A state is the sorted tuple of walker sites.  Returns (states, Q) with
-    Q[a, b] the jump rate from states[a] to states[b]; Q has no diagonal.
+    Returns (states, Q): states is the (S, k) array of sorted walker sites,
+    one state per row in lexicographic order, and Q[a, b] the jump rate from
+    states[a] to states[b]; Q has no diagonal.
     """
     from scipy import sparse
 
-    states = list(itertools.combinations_with_replacement(range(n + 2), k))
-    index = {s: r for r, s in enumerate(states)}
+    states = np.fromiter(chain.from_iterable(combinations_with_replacement(
+        range(n + 2), k)), np.int64).reshape(-1, k)
+    # sites as base N+2 digits give ascending keys: a state's row is its key's rank
+    digit = (n + 2) ** np.arange(k - 1, -1, -1)
+    keys = states @ digit
     rows, cols, rates = [], [], []
     for first in range(0, len(states), _BLOCK_STATES):
-        block = np.array(states[first:first + _BLOCK_STATES])
-        occ = np.zeros((len(block), n + 2), dtype=np.int64)
-        for site in block.T:
-            occ[np.arange(len(block)), site] += 1
+        block = states[first:first + _BLOCK_STATES]
+        occ = (block[:, :, None] == np.arange(n + 2)).sum(axis=1)
         r, c = np.nonzero(_occupied(occ))
         rows.append(first + r)
         rates.append(_rate_table(occ, alpha, edge)[r, c])
-        targets = occ[r]
-        _jump(targets, np.arange(len(r)), c)
-        # every target holds k walkers, so its sites in order fill one row
-        hit = np.nonzero(targets)
-        sites = np.repeat(hit[1], targets[hit]).reshape(-1, k)
-        cols += [index[t] for t in map(tuple, sites.tolist())]
-    q = sparse.csr_matrix((np.concatenate(rates), (np.concatenate(rows), cols)),
-                          shape=(len(states), len(states)))
-    return states, q
+        # a left jump moves the first walker at the source site, a right
+        # jump the last, so the target stays sorted and one digit changes
+        src, right = c // 2 + 1, c % 2
+        pos = (block[r] < (src + right)[:, None]).sum(axis=1) - right
+        cols.append(np.searchsorted(keys, keys[first + r]
+                                    + (2 * right - 1) * digit[pos]))
+    rows, cols, rates = map(np.concatenate, (rows, cols, rates))
+    return states, sparse.csr_matrix((rates, (rows, cols)), shape=(len(states),) * 2)
 
 
 def _exit_table(n: int, k: int, alpha: float, edge: str):
@@ -103,7 +104,7 @@ def _exit_table(n: int, k: int, alpha: float, edge: str):
     from scipy.sparse.linalg import splu
 
     states, q = _generator(n, k, alpha, edge)
-    live = np.array([any(1 <= site <= n for site in s) for s in states])
+    live = ((states >= 1) & (states <= n)).any(axis=1)
     q_live = q[live]
     a = (sparse.diags(np.asarray(q_live.sum(axis=1)).ravel())
          - q_live[:, live]).tocsc()
@@ -118,9 +119,8 @@ def _exit_table(n: int, k: int, alpha: float, edge: str):
     # N = 80, the refined solve about 1e-15
     h += lu.solve(b - a @ h)
     rows = np.full((n + 2,) * k, -1)
-    rows[tuple(np.array(states)[live].T)] = np.arange(np.count_nonzero(live))
-    outcomes = [(s.count(0), k - s.count(0))
-                for s, on in zip(states, live) if not on]
+    rows[tuple(states[live].T)] = np.arange(np.count_nonzero(live))
+    outcomes = [(c, k - c) for c in (states[~live] == 0).sum(axis=1).tolist()]
     _exit_cache[key] = (rows, outcomes, h)
     return _exit_cache[key]
 
@@ -142,10 +142,10 @@ def _value(x):
 
 
 def _exit_probs(sites, p: SystemParams, edge: str, *outcomes):
-    """Probabilities of the given outcomes for walkers at sorted bulk sites."""
+    """Probabilities of the outcomes for walkers at sites ordered within 1..N."""
+    sites = _sites(p.n_sites, *sites)
     rows, cols, h = _exit_table(p.n_sites, len(sites), p.alpha, edge)
-    row = rows[sites]
-    return [_value(h[row, cols.index(o)]) for o in outcomes]
+    return [_value(h[rows[sites], cols.index(o)]) for o in outcomes]
 
 
 def single_right_closed(i, n: int, alpha: float, edge: str = "unit"):
@@ -164,8 +164,7 @@ def single_absorption_solve(i, p: SystemParams, edge: str = "unit"):
 
     i may be an array of sites; each probability then has its shape.
     """
-    sites = _sites(p.n_sites, i)
-    (pr,) = _exit_probs(sites, p, edge, (0, 1))
+    (pr,) = _exit_probs((i,), p, edge, (0, 1))
     return (1.0 - pr, pr)
 
 
@@ -175,8 +174,7 @@ def two_particle_solve(i, j, p: SystemParams,
 
     i and j may be arrays of sites that broadcast together.
     """
-    sites = _sites(p.n_sites, i, j)
-    return AbsorptionResult(*_exit_probs(sites, p, edge, (2, 0), (0, 2), (1, 1)))
+    return AbsorptionResult(*_exit_probs((i, j), p, edge, (2, 0), (0, 2), (1, 1)))
 
 
 def two_particle_closed_form(i, j, p: SystemParams) -> AbsorptionResult:

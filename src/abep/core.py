@@ -45,16 +45,14 @@ class SystemParams:
     t_right: float
 
     def __post_init__(self):
-        if int(self.n_sites) != self.n_sites or self.n_sites < 1:
+        if not (1 <= self.n_sites < np.inf and int(self.n_sites) == self.n_sites):
             raise ParameterError(f"n_sites must be a positive integer, got {self.n_sites}")
-        if not (self.sigma >= 0):
-            raise ParameterError(f"sigma must be >= 0, got {self.sigma}")
-        if not (self.alpha > 0):
-            raise ParameterError(f"alpha must be > 0, got {self.alpha}")
-        if not (self.t_left >= 0 and self.t_right >= 0):
-            raise ParameterError(
-                f"temperatures must be >= 0, got ({self.t_left}, {self.t_right})"
-            )
+        if not (0 < self.alpha < np.inf):
+            raise ParameterError(f"alpha must be finite and > 0, got {self.alpha}")
+        for name in ("sigma", "t_left", "t_right"):
+            if not (0 <= getattr(self, name) < np.inf):
+                raise ParameterError(
+                    f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
 
 def as_state(x, n_sites: int | None = None, allow_negative: bool = False) -> np.ndarray:

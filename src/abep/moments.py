@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .absorption import (_sites, single_absorption_solve, single_right_closed,
+from .absorption import (_sites, _value, single_absorption_solve, single_right_closed,
                          two_particle_closed_form, two_particle_solve)
 from .core import DOMAIN_TOL, SystemParams, as_state, map_g_inv, partial_energies
 from .errors import ParameterError, RejectionStall, RouteMismatch
@@ -81,43 +81,49 @@ def one_point_moment(m: int, p: SystemParams, edge: str = "unit") -> float:
     return closed
 
 
-def _two_point_assembly(m: int, n: int, p: SystemParams, one_point, pair) -> float:
-    """The two-point moment from one-point values and pair exit probabilities.
+def _two_point_assembly(m, n, p: SystemParams, one_point, pair):
+    """Two-point moments from one-point values and pair exit probabilities.
 
     one_point(k) gives the one-point moment at site k, and pair(lo, hi) the
     AbsorptionResult of pairs started at arrays of sites lo <= hi.  A pair
-    started at (i, j) ends both-left, both-right or split, and those
-    outcomes carry weights T_left^2, T_right^2 and T_left*T_right.
-    Off-diagonal pairs enter with weight (sigma*alpha)^2, coinciding pairs
-    with sigma^2*alpha*(alpha+1).
+    started at (i, j) ends both-left, both-right or split, with weights
+    T_left^2, T_right^2 and T_left*T_right; off-diagonal pairs enter with
+    weight (sigma*alpha)^2, coinciding ones with sigma^2*alpha*(alpha+1).
+    These terms are built once on the (N, N) grid; the moment at (m, n)
+    sums the block i >= m, j >= n, copied contiguous to keep the sum order.
     """
     nn = p.n_sites
-    _sites(nn, m, n)
+    m, n = np.broadcast_arrays(*_sites(nn, m, n))
     s, a, tl, tr = p.sigma, p.alpha, p.t_left, p.t_right
-    i, j = np.arange(m, nn + 1)[:, None], np.arange(n, nn + 1)
+    i, j = np.arange(1, nn + 1)[:, None], np.arange(1, nn + 1)
     res = pair(np.minimum(i, j), np.maximum(i, j))
     w = np.where(i == j, s * s * a * (a + 1.0), (s * a) ** 2)
-    return one_point(m) + one_point(n) - 1.0 + float(np.sum(
-        w * (tl * tl * res.p_both_left + tr * tr * res.p_both_right
-             + tl * tr * res.p_split)))
+    f = w * (tl * tl * res.p_both_left + tr * tr * res.p_both_right
+             + tl * tr * res.p_split)
+    lo, hi = m.ravel().tolist(), n.ravel().tolist()
+    one = {k: one_point(k) for k in {*lo, *hi}}
+    moments = [one[k] + one[l] - 1.0
+               + float(np.ascontiguousarray(f[k - 1:, l - 1:]).sum())
+               for k, l in zip(lo, hi)]
+    return _value(np.reshape(moments, m.shape))
 
 
-def two_point_moment(m: int, n: int, p: SystemParams, edge: str = "unit") -> float:
+def two_point_moment(m, n, p: SystemParams, edge: str = "unit"):
     """Stationary expectation of exp(-sigma * (E_m(x) + E_n(x))), m <= n.
 
     Assembled from the one-point moments and the exactly solved two-walker
-    absorption probabilities.
+    absorption probabilities; arrays of sites m, n give an array.
     """
     return _two_point_assembly(
         m, n, p, lambda k: one_point_moment(k, p, edge),
         lambda lo, hi: two_particle_solve(lo, hi, p, edge=edge))
 
 
-def two_point_closed_form(m: int, n: int, p: SystemParams) -> float:
+def two_point_closed_form(m, n, p: SystemParams):
     """The two-point moment in closed form (walk bookkeeping), m <= n.
 
     The assembly of two_point_moment fed by the one-point and two-walker
-    closed forms instead of linear solves.
+    closed forms instead of linear solves; m and n may be arrays.
     """
     return _two_point_assembly(
         m, n, p, lambda k: _one_point_closed(k, p, "walk"),
@@ -126,15 +132,15 @@ def two_point_closed_form(m: int, n: int, p: SystemParams) -> float:
 
 @dataclass(frozen=True)
 class TwoPointReport:
-    """Assembly-route value, closed-form value, and their gap."""
+    """Assembly-route value, closed-form value, and their gap (arrays for arrays)."""
 
     assembly: float
     closed_form: float
     difference: float
 
 
-def two_point_report(m: int, n: int, p: SystemParams) -> TwoPointReport:
-    """Evaluate both two-point routes (walk bookkeeping) and report the gap."""
+def two_point_report(m, n, p: SystemParams) -> TwoPointReport:
+    """Both two-point routes (walk bookkeeping) and their gap; m, n may be arrays."""
     assembly = two_point_moment(m, n, p, edge="walk")
     closed = two_point_closed_form(m, n, p)
     return TwoPointReport(assembly, closed, closed - assembly)

@@ -176,17 +176,27 @@ def test_pair_mean_rule_at_large_n(edge):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_engine_rates_are_the_simulated_rates(k):
-    n = 3
-    p = SystemParams(n, 0.0, 0.7, 1.0, 1.0)
-    states, q = _generator(n, k, p.alpha, "unit")
-    for row, sites in enumerate(states):
-        occ = np.bincount(sites, minlength=n + 2)
-        want = {}
-        for tgt, rate in sip_rates(occ, p):
-            want[tuple(tgt)] = want.get(tuple(tgt), 0.0) + rate
-        got = {tuple(np.bincount(states[col], minlength=n + 2)): q[row, col]
-               for col in q[row].indices}
-        assert got == pytest.approx(want, abs=1e-15)
+    # N = 10 with k = 3 has 364 states: more than one block of _generator
+    for n in (3, 10):
+        p = SystemParams(n, 0.0, 0.7, 1.0, 1.0)
+        states, q = _generator(n, k, p.alpha, "unit")
+        for row, sites in enumerate(states):
+            occ = np.bincount(sites, minlength=n + 2)
+            want = {}
+            for tgt, rate in sip_rates(occ, p):
+                want[tuple(tgt)] = want.get(tuple(tgt), 0.0) + rate
+            got = {tuple(np.bincount(states[col], minlength=n + 2)): q[row, col]
+                   for col in q[row].indices}
+            assert got == pytest.approx(want, abs=1e-15)
+        # walk walkers make the same jumps, those into 0 or N+1 alpha times
+        # as fast
+        unit, walk = q.tocoo(), _generator(n, k, p.alpha, "walk")[1].tocoo()
+        absorbed = np.isin(states, (0, n + 1)).sum(axis=1)
+        into_edge = absorbed[unit.col] > absorbed[unit.row]
+        assert np.array_equal(walk.row, unit.row)
+        assert np.array_equal(walk.col, unit.col)
+        assert np.array_equal(walk.data,
+                              np.where(into_edge, p.alpha * unit.data, unit.data))
 
 
 def test_defaults_are_the_simulated_unit_walkers():

@@ -164,8 +164,10 @@ def test_moments_two_point_table(capsys):
 @pytest.mark.parametrize("disagree", [False, True])
 def test_moments_two_point_check_fails_on_a_gap(monkeypatch, capsys, disagree):
     if disagree:
+        # the table's one call covers every pair, so the closed form
+        # returns one value per pair
         monkeypatch.setattr(abep.moments, "two_point_closed_form",
-                            lambda m, n, p: 0.5)
+                            lambda m, n, p: np.full(np.broadcast(m, n).shape, 0.5))
     rc = run(["moments", "--n", "3", "--sigma", "0.05", "--alpha", "2",
               "--tl", "0.5", "--tr", "1.5", "--two-point", "--no-header",
               "--check"])
@@ -344,6 +346,14 @@ def test_cap_not_above_the_start_state_is_a_usage_error(argv, check, capsys):
     assert "cap must be greater" in _assert_usage_error(argv, capsys, check=check)
 
 
+@pytest.mark.parametrize("flag", ["--sigma", "--alpha", "--tl", "--tr"])
+def test_infinite_parameters_are_usage_errors(flag, capsys):
+    # an infinite temperature used to print nan and -inf rows and exit 1,
+    # which reads as a failed check
+    err = _assert_usage_error(["moments", "--no-mc", "--n", "2", flag, "inf"], capsys)
+    assert "must be finite" in err
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["reversible-check", "--n", "1", "--sigma", "0.05", "--t", "0.5", "--samples", "1"],
      "--samples"),
@@ -463,3 +473,21 @@ def test_verify_intertwining_pinned_bytes(capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "fcd370a1121c9d708e1f39fa855ab0827e41bd617362d0b2b9db9f07ce578346"
+
+
+# Recorded with the per-pair two-point assembly and the per-transition
+# walker generator; the whole-array routes must print the same bytes.
+@pytest.mark.parametrize("argv, digest", [
+    (["moments", "--two-point", "--no-mc", "--n", "20", "--sigma", "0.01", "--alpha",
+      "2.0", "--tl", "0.5", "--tr", "1.5", "--check", "--no-header"],
+     "200f61d61de98a3e52952e68e5cfe5f8802cb80391f013ea547902702f422f8e"),
+    (["absorption", "--n", "80", "--alpha", "2.0", "--i", "20", "--j", "60", "--edge",
+      "walk", "--no-header"],
+     "1d0edf501ff1aa47ddd142d500477fa02e3610e294d8be835e0ebb9b1915382d"),
+    (["absorption", "--n", "80", "--alpha", "2.0", "--i", "20", "--j", "60", "--edge",
+      "unit", "--no-header"],
+     "acc81bb1f385abae0ba809ec1589df651b4dcef78dfb7ad990f39239e6489734")],
+    ids=["two-point-table", "absorption-walk", "absorption-unit"])
+def test_dual_exact_pinned_bytes(argv, digest, capsys):
+    assert run(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

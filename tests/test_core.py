@@ -72,11 +72,17 @@ def test_map_g_inv_domain_error():
 
 @pytest.mark.parametrize("bad", [
     dict(n_sites=0),
+    dict(n_sites=np.inf),
+    dict(n_sites=np.nan),
     dict(sigma=-0.1),
     dict(alpha=0.0),
     dict(alpha=-2.0),
     dict(t_left=-1.0),
     dict(t_right=-0.5),
+    dict(sigma=np.inf),
+    dict(alpha=np.inf),
+    dict(t_left=np.inf),
+    dict(t_right=np.inf),
 ])
 def test_system_params_validation(bad):
     kw = dict(n_sites=2, sigma=0.1, alpha=1.0, t_left=1.0, t_right=1.0)

@@ -12,8 +12,8 @@ import abep.moments
 from abep import (SystemParams, map_g, model_parts, one_point_moment,
                   one_point_routes, partial_energies, reversible_cdf_1d,
                   reversible_log_density, reversible_mass, reversible_moment,
-                  reversible_sampler, two_point_closed_form, two_point_moment,
-                  two_point_report)
+                  reversible_sampler, two_particle_closed_form, two_particle_solve,
+                  two_point_closed_form, two_point_moment, two_point_report)
 from abep.cli import run
 from abep.errors import ParameterError, RejectionStall, RouteMismatch
 
@@ -163,9 +163,60 @@ def test_two_point_report_flags_display_mismatch():
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
 def test_two_point_closed_form_matches_assembly(n, alpha):
     p = SystemParams(n, 0.02, alpha, 0.5, 1.5)
-    for m in range(1, n + 1):
-        for m2 in range(m, n + 1):
-            assert abs(two_point_report(m, m2, p).difference) < 1e-12
+    m, m2 = np.triu_indices(n)
+    assert np.abs(two_point_report(m + 1, m2 + 1, p).difference).max() < 1e-12
+
+
+def _fresh_block_assembly(m, n, p, one_point, pair):
+    """The two-point moment at (m, n) from a block built for that pair alone.
+
+    The pair terms of i >= m, j >= n are computed afresh and summed, the
+    per-pair reference the whole-grid table must match bit for bit.
+    """
+    nn, s, a, tl, tr = p.n_sites, p.sigma, p.alpha, p.t_left, p.t_right
+    i, j = np.arange(m, nn + 1)[:, None], np.arange(n, nn + 1)
+    res = pair(np.minimum(i, j), np.maximum(i, j))
+    w = np.where(i == j, s * s * a * (a + 1.0), (s * a) ** 2)
+    return one_point(m) + one_point(n) - 1.0 + float(np.sum(
+        w * (tl * tl * res.p_both_left + tr * tr * res.p_both_right
+             + tl * tr * res.p_split)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 12])
+def test_two_point_table_equals_per_pair_assembly(n):
+    p = SystemParams(n, 0.03, 2.0, 0.5, 1.5)
+    m, m2 = np.triu_indices(n)
+    m, m2 = m + 1, m2 + 1
+    pairs = list(zip(m.tolist(), m2.tolist()))
+    for edge in ("unit", "walk"):
+        table = two_point_moment(m, m2, p, edge=edge)
+        assert table.tolist() == [two_point_moment(a, b, p, edge=edge)
+                                  for a, b in pairs]
+        assert table.tolist() == [_fresh_block_assembly(
+            a, b, p, lambda k: one_point_moment(k, p, edge),
+            lambda lo, hi: two_particle_solve(lo, hi, p, edge=edge))
+            for a, b in pairs]
+    table = two_point_closed_form(m, m2, p)
+    assert table.tolist() == [two_point_closed_form(a, b, p) for a, b in pairs]
+    # the one-point moment is its closed form, checked against the solve
+    assert table.tolist() == [_fresh_block_assembly(
+        a, b, p, lambda k: one_point_moment(k, p, "walk"),
+        lambda lo, hi: two_particle_closed_form(lo, hi, p)) for a, b in pairs]
+    rep = two_point_report(m, m2, p)
+    assert rep.difference.tolist() == [two_point_report(a, b, p).difference
+                                       for a, b in pairs]
+
+
+def test_two_point_table_keeps_the_sum_order_of_large_blocks():
+    # numpy sums a strided block through an 8192-element buffer, in another
+    # order than one contiguous pass once the block is larger: at N = 120
+    # every pair with m, n <= 20 has such a block
+    p = SystemParams(120, 0.002, 2.0, 0.5, 1.5)
+    m, m2 = np.add(np.triu_indices(20), 1)
+    assert two_point_closed_form(m, m2, p).tolist() == [_fresh_block_assembly(
+        a, b, p, lambda k: one_point_moment(k, p, "walk"),
+        lambda lo, hi: two_particle_closed_form(lo, hi, p))
+        for a, b in zip(m.tolist(), m2.tolist())]
 
 
 def test_reversible_density_at_origin():
