@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import math
 import sys
@@ -58,7 +59,10 @@ def _system_flags(sub, sigma_default=0.0):
                      help="right reservoir temperature")
 
 
+@functools.cache
 def build_parser():
+    """The parser and each subcommand's flag table, built once per process:
+    parsing, config expansion and the handlers only read them."""
     ap = argparse.ArgumentParser(
         prog="abep",
         description="Simulation and verification toolkit for asymmetric "

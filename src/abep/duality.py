@@ -156,23 +156,18 @@ def semigroup_duality_check(x0, xi0, t_horizon: float, p: SystemParams,
                             model: str = "bep", dfun: str = "classical",
                             n_runs: int = 10_000, seed: int = 0,
                             dt: float = 1e-3, t_orth=None,
-                            cap: float = 1e6):
+                            cap: float = 1e6) -> DualityCheck:
     """Compare E[D(X_t, xi0)] against E[D(x0, Xi_t)] with n_runs per side.
 
     The left side propagates diffusion chains from x0 with the
-    Euler-Maruyama scheme; the right side runs the particle system to the
-    same horizon.  Returns both means with standard errors and the
-    two-sided z-score as a DualityCheck.
+    Euler-Maruyama scheme; the right side runs the particle system from the
+    one configuration xi0 to the same horizon.  Returns both means with
+    standard errors and the two-sided z-score as a DualityCheck.
 
-    xi0 may also be a sequence of particle configurations: the diffusion
-    ensemble is then simulated once and evaluated for each of them, and the
-    result is a list with one DualityCheck per configuration, each
-    bit-identical to a single-configuration call with the same arguments.
-    Consecutive calls that differ only in xi0, dfun or t_orth reuse one
-    ensemble too: the last one is kept read-only, keyed by x0, p, model,
-    dt, t_horizon, n_runs, seed and cap, and a hit gives the bytes of a
-    fresh simulation.  Only the last ensemble of the process is kept, so a
-    list of xi0 stays the way to share one across separate processes.
+    Consecutive calls that differ only in xi0, dfun or t_orth share one
+    diffusion ensemble: the last one is kept read-only, keyed by x0, p,
+    model, dt, t_horizon, n_runs, seed and cap, and a hit gives the bytes of
+    a fresh simulation.
     ParameterError unless n_runs >= 2 (a standard error needs two runs),
     dt > 0, and t_horizon is 0 or a whole number of steps dt (within 1e-9
     relative), since the diffusion side takes round(t_horizon / dt) steps.
@@ -181,29 +176,20 @@ def semigroup_duality_check(x0, xi0, t_horizon: float, p: SystemParams,
         raise ParameterError(f"need n_runs >= 2, got n_runs={n_runs}")
     whole_steps(t_horizon, dt, "t_horizon")
     arr = as_state(x0, p.n_sites)
-    single = len(xi0) == 0 or np.ndim(xi0[0]) == 0
-    occs = [as_particles(xi, p.n_sites) for xi in ([xi0] if single else xi0)]
+    occ0 = as_particles(xi0, p.n_sites)
     dual = _select_dfun(model, dfun, p, t_orth)
-
     if t_horizon == 0:
-        vals = [float(dual(arr, occ0)) for occ0 in occs]
-        checks = [DualityCheck(v, 0.0, v, 0.0, 0.0) for v in vals]
-    else:
-        key = (arr.tobytes(), p, model, dt, t_horizon, n_runs, int(seed), cap)
-        finals = _endpoint_cache.get(key)
-        if finals is None:
-            finals = ensemble_endpoint(arr, p, model, dt, t_horizon, n_runs,
-                                       stream(seed, f"duality-sde-{model}"), cap)
-            finals.flags.writeable = False
-            _endpoint_cache.clear()
-            _endpoint_cache[key] = finals
-        checks = [_two_sided(dual, arr, finals, occ0, p, n_runs, t_horizon, seed)
-                  for occ0 in occs]
-    return checks[0] if single else checks
+        v = float(dual(arr, occ0))
+        return DualityCheck(v, 0.0, v, 0.0, 0.0)
 
-
-def _two_sided(dual, arr, finals, occ0, p, n_runs, t_horizon, seed) -> DualityCheck:
-    """Diffusion-side mean over finals against a particle run from occ0."""
+    key = (arr.tobytes(), p, model, dt, t_horizon, n_runs, int(seed), cap)
+    finals = _endpoint_cache.get(key)
+    if finals is None:
+        finals = ensemble_endpoint(arr, p, model, dt, t_horizon, n_runs,
+                                   stream(seed, f"duality-sde-{model}"), cap)
+        finals.flags.writeable = False
+        _endpoint_cache.clear()
+        _endpoint_cache[key] = finals
     lhs_vals = np.asarray(dual(finals, occ0), dtype=float)
     lhs = float(lhs_vals.mean())
     lhs_se = float(lhs_vals.std(ddof=1) / math.sqrt(n_runs))

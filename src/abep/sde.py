@@ -29,6 +29,8 @@ from .generators import Workspace, model_parts
 from .rng import as_generator, stream
 
 DEFAULT_CAP = 1e6
+# batch means per chain in the standard error of stationary_estimate
+N_BATCHES = 20
 
 
 def whole_steps(t: float, dt: float, name: str = "t") -> int:
@@ -73,8 +75,18 @@ class SdeConfig:
             raise ParameterError(
                 f"burn_in must lie in [0, t_end], got {self.burn_in}"
             )
-        for name in ("t_end", "thinning", "burn_in"):
-            whole_steps(getattr(self, name), self.dt, name)
+        if not self.steps()[1]:
+            raise ParameterError(
+                f"no state to emit: need burn_in + thinning <= t_end, got "
+                f"burn_in={self.burn_in}, thinning={self.thinning}, t_end={self.t_end}")
+
+    def steps(self) -> tuple[int, range]:
+        """The step count to t_end and the emitted steps: burn_in + j * thinning
+        for j >= 1, up to and including t_end, all in whole steps dt."""
+        n_steps = whole_steps(self.t_end, self.dt, "t_end")
+        every = whole_steps(self.thinning, self.dt, "thinning")
+        start = whole_steps(self.burn_in, self.dt, "burn_in") + every
+        return n_steps, range(start, n_steps + 1, every)
 
 
 def _step_batch(x: np.ndarray, p: SystemParams, dt: float, gauss: np.ndarray,
@@ -116,11 +128,11 @@ def _step_batch(x: np.ndarray, p: SystemParams, dt: float, gauss: np.ndarray,
 
 def _run_chains(x0: np.ndarray, p: SystemParams, model: str, dt: float,
                 n_steps: int, rng: np.random.Generator, cap: float,
-                record_at=()):
-    """Propagate a chain-major (R, N) batch, snapshotting at the given step
-    indices; the batch is stepped site-major.
+                emit: range = range(0)):
+    """Propagate a chain-major (R, N) batch; the batch is stepped site-major.
 
-    Returns (final states, list of snapshots), both chain-major (R, N).
+    Returns the final states, chain-major (R, N), and the snapshots, one
+    (len(emit), R, N) array whose row i holds the states after step emit[i].
     ParameterError, before any step, unless cap is greater than every
     component of x0 (a nan cap is not); NumericalBlowup when any component
     passes the cap.
@@ -130,9 +142,7 @@ def _run_chains(x0: np.ndarray, p: SystemParams, model: str, dt: float,
         raise ParameterError(
             f"cap must be greater than every component of the start state, got {cap}")
     k, r = x.shape[0] + 1, x.shape[1]
-    targets = sorted(int(t) for t in record_at)
-    ti = 0
-    snaps = []
+    snaps = np.empty((len(emit), *x0.shape))
     # one workspace per ensemble, bound to x, so no step allocates: x is
     # stepped in place, and the noise comes in chunks, drawn (c, R, N+1)
     # whatever the layout and stepped as (N+1, R) rows; the normal stream is
@@ -161,53 +171,36 @@ def _run_chains(x0: np.ndarray, p: SystemParams, model: str, dt: float,
                         f"component reached {m:.4g} (cap {cap:.4g}) "
                         f"at t = {step * dt:.6g}"
                     )
-                while ti < len(targets) and targets[ti] == step:
-                    snaps.append(x.T.copy())
-                    ti += 1
+                if step in emit:
+                    snaps[emit.index(step)] = x.T
     return x.T.copy(), snaps
-
-
-def _emit_steps(cfg: SdeConfig):
-    """Step indices at which states are emitted: burn_in + j * thinning."""
-    n_steps = whole_steps(cfg.t_end, cfg.dt)
-    out = []
-    j = 1
-    while True:
-        t = cfg.burn_in + j * cfg.thinning
-        if t > cfg.t_end * (1.0 + 1e-12):
-            break
-        idx = int(round(t / cfg.dt))
-        if idx >= 1:
-            out.append(min(idx, n_steps))
-        j += 1
-    return n_steps, out
 
 
 def simulate_trajectory(x0, p: SystemParams, cfg: SdeConfig, model: str = "bep",
                         cap: float = DEFAULT_CAP):
     """Integrate one trajectory, emitting thinned states after burn-in.
 
-    Returns a list of (time, configuration) pairs, deterministic given the
-    seed in cfg.
+    Returns a list of (time, configuration) pairs, one per step of
+    cfg.steps(): burn_in + j * thinning for j >= 1, in whole steps dt, up to
+    and including t_end.  Deterministic given the seed in cfg.
     """
     arr = as_state(x0, p.n_sites)
-    n_steps, emit = _emit_steps(cfg)
+    n_steps, emit = cfg.steps()
     rng = stream(cfg.seed, f"trajectory-{model}")
-    _, snaps = _run_chains(arr[None, :], p, model, cfg.dt, n_steps, rng, cap,
-                           record_at=emit)
+    _, snaps = _run_chains(arr[None, :], p, model, cfg.dt, n_steps, rng, cap, emit)
     return [(idx * cfg.dt, snap[0]) for idx, snap in zip(emit, snaps)]
 
 
 def stationary_estimate(p: SystemParams, cfg: SdeConfig, model: str, observable,
-                        n_chains: int = 1, x0=None, cap: float = DEFAULT_CAP,
-                        n_batches: int = 20):
+                        n_chains: int = 1, x0=None, cap: float = DEFAULT_CAP):
     """Long-run mean of one or several observables with batch-means errors.
 
-    Runs n_chains independent chains from x0 (default: the zero state),
-    discards burn_in, thins, and averages.  The standard error comes from
-    the spread of per-chain batch means, so it accounts for autocorrelation
-    on scales below the batch length.  ParameterError unless there are at
-    least two batch means: min(n_batches, samples per chain) * n_chains >= 2.
+    Runs n_chains independent chains from x0 (default: the zero state) and
+    averages the states of every chain at the steps simulate_trajectory
+    emits: len(cfg.steps()[1]) * n_chains samples.  The standard error comes
+    from the spread of per-chain batch means, N_BATCHES per chain or one per
+    sample if fewer, so it accounts for autocorrelation on scales below the
+    batch length.  ParameterError unless there are at least two batch means.
 
     An observable takes a batch: it is called once with an (M, N) array of
     states and must return M values.  Given one callable the result is one
@@ -221,20 +214,18 @@ def stationary_estimate(p: SystemParams, cfg: SdeConfig, model: str, observable,
         raise ParameterError("n_chains must be >= 1")
     start = np.zeros(p.n_sites) if x0 is None else as_state(x0, p.n_sites)
     x_init = np.tile(start, (n_chains, 1))
-    n_steps, emit = _emit_steps(cfg)
-    n_means = min(n_batches, len(emit)) * n_chains
+    n_steps, emit = cfg.steps()
+    n_means = min(N_BATCHES, len(emit)) * n_chains
     if n_means < 2:
         # one batch mean has no spread, so its standard error would read 0
         raise ParameterError(
-            f"need two batch means for a standard error, got {max(n_means, 0)}: "
-            "increase t_end, n_chains or n_batches, or reduce burn_in or thinning")
+            f"need two batch means for a standard error, got {n_means}: "
+            "increase t_end or n_chains, or reduce burn_in or thinning")
     rng = stream(cfg.seed, f"stationary-{model}")
-    _, snaps = _run_chains(x_init, p, model, cfg.dt, n_steps, rng, cap,
-                           record_at=emit)
-    stacked = np.stack(snaps)                      # (M, R, N)
-    m, r, n = stacked.shape
-    flat = stacked.reshape(m * r, n)
-    groups = np.array_split(np.arange(m), min(n_batches, m))
+    _, snaps = _run_chains(x_init, p, model, cfg.dt, n_steps, rng, cap, emit)
+    m, r, n = snaps.shape
+    flat = snaps.reshape(m * r, n)
+    groups = np.array_split(np.arange(m), min(N_BATCHES, m))
     out = []
     for f in observables:
         vals = _eval_observable(f, flat).reshape(m, r)

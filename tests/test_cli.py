@@ -208,6 +208,18 @@ def test_simulate_deterministic_bytes(capsys):
     assert times == pytest.approx([0.1, 0.2, 0.3, 0.4, 0.5])
 
 
+@pytest.mark.parametrize("flags, steps", [
+    (["--dt", "1", "--t-end", "6", "--thinning", "2.000000001"], [2, 4, 6]),
+    (["--dt", "1", "--t-end", "6", "--thinning", "1.999999999"], [2, 4, 6]),
+    (["--dt", "0.1", "--t-end", "0.3999999999", "--thinning", "0.2"], [2, 4])])
+def test_simulate_emits_the_row_at_t_end(flags, steps, capsys):
+    # a time within the whole-step tolerance is its whole step, so the last
+    # row is the last step whichever way thinning rounds
+    assert run(["simulate", "--n", "1", *flags, "--no-header"]) == 0
+    times = [float(row[0]) for row in _table(capsys)[1:]]
+    assert times == [k * float(flags[1]) for k in steps]
+
+
 def test_header_comment_by_default(capsys):
     run(["absorption", "--n", "2", "--i", "1"])
     out = capsys.readouterr().out
@@ -321,6 +333,14 @@ def test_verify_duality_bad_arguments_are_usage_errors(flags, capsys):
 def test_simulate_times_off_the_step_grid_are_usage_errors(flags, capsys):
     # rows would otherwise come out at t = 0.6 and 0.9, not 0.5 and 1.0
     _assert_usage_error(["simulate", "--n", "1", *flags], capsys, check=False)
+
+
+def test_simulate_that_emits_nothing_is_a_usage_error(capsys):
+    # burn_in + thinning > t_end: the run used to print only the header
+    err = _assert_usage_error(
+        ["simulate", "--n", "2", "--dt", "0.1", "--t-end", "1", "--thinning", "0.2",
+         "--burn-in", "1"], capsys, check=False)
+    assert "burn_in=1.0, thinning=0.2, t_end=1.0" in err
 
 
 def test_moments_one_batch_mean_is_a_usage_error(capsys):
@@ -491,3 +511,50 @@ def test_verify_intertwining_pinned_bytes(capsys):
 def test_dual_exact_pinned_bytes(argv, digest, capsys):
     assert run(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# Recorded before the snapshots moved into one preallocated array: the
+# benchmark's dense trajectory and the Monte Carlo columns of moments --check.
+@pytest.mark.usefixtures("pinned_exp")
+@pytest.mark.parametrize("argv, digest", [
+    (["simulate", "--model", "abep", "--n", "3", "--sigma", "0.02", "--alpha", "2.0",
+      "--tl", "0.5", "--tr", "1.5", "--dt", "0.01", "--t-end", "20.0", "--thinning",
+      "0.02", "--seed", "0", "--no-header"],
+     "1c2162c580c47f6ac702dcfc1425b849dc1c6f9b0abe5df052dec2cb837a5a04"),
+    (["moments", "--n", "2", "--sigma", "0.02", "--alpha", "2", "--tl", "0.5", "--tr",
+      "1.5", "--mc-dt", "0.01", "--mc-t-end", "20", "--mc-burn-in", "5", "--mc-chains",
+      "8", "--seed", "0", "--check", "--no-header"],
+     "7314a5e27e57ec66d22fcbc3454857786b72aebee5584a38ea191a1ddeaacc97")],
+    ids=["simulate-dense", "moments-mc"])
+def test_diffusion_pinned_bytes(argv, digest, capsys):
+    assert run(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_calls_in_one_process_print_the_bytes_of_fresh_processes(
+        tmp_path, monkeypatch, capsys):
+    # the parser is built at the first call and shared by the later ones;
+    # usage messages wrap at COLUMNS, so both sides get the same width
+    monkeypatch.setenv("COLUMNS", "80")
+    config = tmp_path / "pair.cfg"
+    config.write_text("n = 4\ni = 2\nalpha = 2\nno_header = true\n")
+    calls = [
+        ["absorption", "--n", "3", "--i", "1", "--no-header"],
+        ["absorption", "--config", str(config), "--j", "3", "--check"],
+        ["absorption", "--n", "three", "--i", "1"],
+        ["simulate", "--n", "1", "--dt", "0.1", "--t-end", "1", "--thinning", "0.25"],
+        ["absorption", "--config", str(config), "--edge", "walk"],
+        ["simulate", "--n", "2", "--dt", "0.01", "--t-end", "0.1", "--thinning",
+         "0.05", "--no-header"],
+        ["absorption", "--n", "3", "--i", "1", "--no-header"],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(abep.cli.__file__).parents[1])}
+    abep.cli.build_parser.cache_clear()
+    for argv in calls:
+        code = run(argv)
+        here = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "abep", *argv], env=env,
+                               capture_output=True, text=True)
+        assert (code, here.out, here.err) == \
+            (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert abep.cli.build_parser.cache_info().misses == 1

@@ -75,9 +75,26 @@ def test_trajectory_deterministic_and_seed_sensitive():
 
 def test_trajectory_emission_times():
     p = SystemParams(1, 0.0, 1.0, 1.0, 1.0)
-    cfg = SdeConfig(dt=0.1, t_end=1.0, thinning=0.2, burn_in=0.4, seed=0)
-    times = [t for t, _ in simulate_trajectory([0.0], p, cfg)]
-    assert times == pytest.approx([0.6, 0.8, 1.0])
+    cases = [
+        (0.1, 1.0, 0.2, 0.4, [6, 8, 10]),
+        # times within the whole-step tolerance count as their whole steps,
+        # so the row at t_end comes out whichever side of it
+        # burn_in + j * thinning falls in floating point
+        (1.0, 6.0, 2.000000001, 0.0, [2, 4, 6]),
+        (1.0, 6.0, 1.999999999, 0.0, [2, 4, 6]),
+        (0.1, 0.3999999999, 0.2, 0.0, [2, 4]),
+        (0.1, 1.0, 0.2999999999, 0.1, [4, 7, 10]),
+    ]
+    for dt, t_end, thinning, burn_in, steps in cases:
+        cfg = SdeConfig(dt=dt, t_end=t_end, thinning=thinning, burn_in=burn_in, seed=0)
+        times = [t for t, _ in simulate_trajectory([0.0], p, cfg)]
+        assert times == [k * dt for k in steps], (t_end, thinning)
+
+
+def test_config_that_emits_nothing_is_rejected():
+    # burn_in + thinning > t_end: the run would take its steps and return no row
+    with pytest.raises(ParameterError, match=r"burn_in=1\.0, thinning=0\.2, t_end=1\.0"):
+        SdeConfig(dt=0.1, t_end=1.0, thinning=0.2, burn_in=1.0)
 
 
 def test_bep_single_site_stationary_mean():
@@ -155,18 +172,33 @@ def test_stationary_estimate_needs_two_batch_means():
     obs = lambda s: s[:, 0]
     with pytest.raises(ParameterError, match="two batch means"):
         stationary_estimate(p, cfg, "abep", obs, n_chains=1)
-    with pytest.raises(ParameterError, match="two batch means"):
-        stationary_estimate(p, SdeConfig(dt=0.01, t_end=1.0, thinning=0.5),
-                            "abep", obs, n_chains=1, n_batches=1)
     # two chains give two means
     assert stationary_estimate(p, cfg, "abep", obs, n_chains=2)[1] > 0.0
 
 
 def test_stationary_estimate_needs_samples():
     p = SystemParams(1, 0.0, 1.0, 1.0, 1.0)
-    cfg = SdeConfig(dt=0.01, t_end=1.0, thinning=0.9, burn_in=0.9, seed=0)
     with pytest.raises(ParameterError):
+        cfg = SdeConfig(dt=0.01, t_end=1.0, thinning=0.9, burn_in=0.9, seed=0)
         stationary_estimate(p, cfg, "bep", lambda s: np.asarray(s)[..., 0])
+
+
+def test_stationary_estimate_averages_every_emitted_sample():
+    # t_end = 0.3999999999 is step 4, the second emitted step
+    p = SystemParams(1, 0.02, 1.0, 1.0, 1.0)
+    seen = []
+
+    def first_site(states):
+        seen.append(states.copy())
+        return states[:, 0]
+
+    cfg = SdeConfig(dt=0.1, t_end=0.3999999999, thinning=0.2, seed=0)
+    mean, _ = stationary_estimate(p, cfg, "abep", first_site, n_chains=3)
+    assert seen[0].shape == (2 * 3, 1)
+    assert mean == seen[0][:, 0].mean()
+    same = SdeConfig(dt=0.1, t_end=0.4, thinning=0.2, seed=0)
+    assert stationary_estimate(p, same, "abep", first_site, n_chains=3) == \
+        stationary_estimate(p, cfg, "abep", first_site, n_chains=3)
 
 
 def _tail_observables(p):
