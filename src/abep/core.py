@@ -55,6 +55,13 @@ class SystemParams:
                     f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
 
+def _array(x, what: str, dtype=None) -> np.ndarray:
+    try:                    # a ragged or non-numeric x is a ParameterError
+        return np.asarray(x, dtype=dtype)
+    except (ValueError, TypeError) as err:
+        raise ParameterError(f"{what} must be a rectangular array: {err}") from None
+
+
 def as_state(x, n_sites: int | None = None, allow_negative: bool = False) -> np.ndarray:
     """Coerce to a float array of site energies and validate it.
 
@@ -62,7 +69,7 @@ def as_state(x, n_sites: int | None = None, allow_negative: bool = False) -> np.
     smoothly to slightly negative energies, which finite-difference drivers
     probing x - h*e_i rely on.
     """
-    arr = np.asarray(x, dtype=float)
+    arr = _array(x, "energy configuration", float)
     if arr.ndim < 1:
         raise ParameterError("energy configuration must have at least one axis")
     if n_sites is not None and arr.shape[-1] != n_sites:
@@ -78,9 +85,9 @@ def as_state(x, n_sites: int | None = None, allow_negative: bool = False) -> np.
 
 def as_particles(xi, n_sites: int | None = None) -> np.ndarray:
     """Coerce to an integer occupation vector over sites 0..N+1."""
-    arr = np.asarray(xi)
+    arr = _array(xi, "particle configuration")
     if not np.issubdtype(arr.dtype, np.integer):
-        rounded = np.rint(np.asarray(arr, dtype=float))
+        rounded = np.rint(_array(arr, "particle configuration", float))
         if not (np.isfinite(rounded).all() and np.array_equal(arr, rounded)):
             raise ParameterError("particle counts must be finite integers")
         arr = rounded.astype(np.int64)

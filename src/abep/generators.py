@@ -59,12 +59,15 @@ class Workspace:
     writes for 'bep' or 'abep' (model), and that a step reads; the 'abep'
     set holds the 'bep' one.  A model_parts call given the workspace
     writes every part into it and allocates nothing; the parts it returns
-    are views of these buffers, so the next call overwrites them.
+    are views of these buffers, so the next call overwrites them.  The
+    constants of p are bound at the first call with p and rebound by any
+    call with other parameters (bind); the step binds dt the same way.
     """
 
     def __init__(self, x: np.ndarray, model: str):
         n, rest = x.shape[0], x.shape[1:]
         self.x, self.model = x, model
+        self.p = self.dt = None        # parameters and step bound so far
         block = np.empty((6, n, *rest))
         drift, ee, em, ep, v, u = block
         self.drift, self.ee, self.em = drift, ee, em
@@ -93,6 +96,14 @@ class Workspace:
         self.ep_tail, self.ep_first = ep[1:], ep[:1]
         self.v_head, self.v_last, self.u_last = v[:-1], v[-1:], u[-1:]
 
+    def bind(self, p: SystemParams) -> None:
+        """Bind p's constants as 0-d float64 arrays: same doubles, cheaper ufunc calls."""
+        s, a, tl, tr = p.sigma, p.alpha, p.t_left, p.t_right
+        (self.sigma, self.sigma2, self.alpha, self.t_left, self.t_right,
+         self.t_left_alpha, self.t_right_alpha) = [
+            np.array(c, float) for c in (s, s * s, a, tl, tr, tl * a, tr * a)]
+        self.p = p
+
 
 def model_parts(x: np.ndarray, p: SystemParams, model: str,
                 ws: Workspace | None = None):
@@ -117,74 +128,76 @@ def model_parts(x: np.ndarray, p: SystemParams, model: str,
     elif ws.x is not x or ws.model != model:
         raise ParameterError(
             f"the workspace is bound to another state array or model ({ws.model!r})")
-    a = p.alpha
+    if ws.p is not p:
+        ws.bind(p)
+    a = ws.alpha
     drift, amps, r1, r2 = ws.drift, ws.amps, ws.r1, ws.r2
     head, tail, first, last = ws.head, ws.tail, ws.first, ws.last
     drift.fill(0.0)
     if model == "bep" or p.sigma == 0:
         c = ws.u_head                      # bond coefficient on e_{i+1} - e_i
-        np.subtract(ws.x_head, ws.x_tail, out=c)
-        np.multiply(c, a, out=c)
-        np.subtract(head, c, out=head)
-        np.add(tail, c, out=tail)
-        np.subtract(p.t_left * a, ws.x_first, out=r1)
-        np.add(first, r1, out=first)
-        np.subtract(p.t_right * a, ws.x_last, out=r1)
-        np.add(last, r1, out=last)
-        np.multiply(ws.x_head, ws.x_tail, out=ws.bonds)
-        np.multiply(ws.x_first, p.t_left, out=ws.left)
-        np.multiply(ws.x_last, p.t_right, out=ws.right)
+        np.subtract(ws.x_head, ws.x_tail, c)
+        np.multiply(c, a, c)
+        np.subtract(head, c, head)
+        np.add(tail, c, tail)
+        np.subtract(ws.t_left_alpha, ws.x_first, r1)
+        np.add(first, r1, first)
+        np.subtract(ws.t_right_alpha, ws.x_last, r1)
+        np.add(last, r1, last)
+        np.multiply(ws.x_head, ws.x_tail, ws.bonds)
+        np.multiply(ws.x_first, ws.t_left, ws.left)
+        np.multiply(ws.x_last, ws.t_right, ws.right)
         return drift, amps, None
 
-    s = p.sigma
+    s = ws.sigma
     ee, em, ep, v, u = ws.ee, ws.em, ws.ep, ws.v, ws.u
     # partial energies E_l = x_l + ... + x_N, summed from site N down, then
     # ee[l-1] = e^{s E_l}
     ws.ee_last[...] = ws.x_last
     for below, row, out in ws.sums:
-        np.add(below, row, out=out)
-    np.multiply(ee, s, out=ee)
-    np.exp(ee, out=ee)
+        np.add(below, row, out)
+    np.multiply(ee, s, ee)
+    np.exp(ee, ee)
     # ep = e^{s x_i} - 1 and em = 1 - e^{-s x_i}, one expm1 for both
-    np.multiply(x, s, out=ep)
-    np.negative(ep, out=em)
-    np.expm1(ws.em_ep, out=ws.em_ep)
-    np.negative(em, out=em)
+    np.multiply(x, s, ep)
+    np.negative(ep, em)
+    np.expm1(ws.em_ep, ws.em_ep)
+    np.negative(em, em)
 
     # bulk bonds; u and v are scratch until the right reservoir
     prod, c = ws.u_head, ws.v_head
-    np.multiply(ws.em_head, ws.ep_tail, out=prod)
-    np.divide(prod, s * s, out=ws.bonds)
-    np.subtract(ws.em_head, ws.ep_tail, out=c)
-    np.multiply(c, a, out=c)
-    np.add(prod, c, out=c)
-    np.divide(c, s, out=c)
-    np.subtract(head, c, out=head)
-    np.add(tail, c, out=tail)
+    np.multiply(ws.em_head, ws.ep_tail, prod)
+    np.divide(prod, ws.sigma2, ws.bonds)
+    np.subtract(ws.em_head, ws.ep_tail, c)
+    np.multiply(c, a, c)
+    np.add(prod, c, c)
+    np.divide(c, s, c)
+    np.subtract(head, c, head)
+    np.add(tail, c, tail)
 
     # left reservoir (site 1 only), with r1 = T_l e^{s E_1}
-    np.multiply(ws.ee_first, p.t_left, out=r1)
-    np.multiply(r1, ws.ep_first, out=ws.left)
-    np.divide(ws.left, s, out=ws.left)
-    np.add(ws.ep_first, a, out=r2)
+    np.multiply(ws.ee_first, ws.t_left, r1)
+    np.multiply(r1, ws.ep_first, ws.left)
+    np.divide(ws.left, s, ws.left)
+    np.add(ws.ep_first, a, r2)
     r1 *= r2
-    np.divide(ws.ep_first, s, out=r2)
+    np.divide(ws.ep_first, s, r2)
     r1 -= r2
-    np.add(first, r1, out=first)
+    np.add(first, r1, first)
 
     # right reservoir: rank-one direction across the whole chain
-    np.multiply(ee, em, out=v)
+    np.multiply(ee, em, v)
     ws.v_last[...] = ws.ee_last
-    np.divide(ws.em_last, s, out=r2)        # g_N(x) = (1 - e^{-s x_N}) / s
-    np.multiply(r2, p.t_right, out=ws.right)
-    np.subtract(a * p.t_right, r2, out=r1)
-    np.multiply(ee, ee, out=ee)             # e^{2 s E_l}
-    np.subtract(ws.ee_head, ws.ee_tail, out=ws.u_head)
-    np.multiply(ws.u_head, s, out=ws.u_head)
-    np.multiply(ws.ee_last, s, out=ws.u_last)
-    np.multiply(v, r1, out=em)
+    np.divide(ws.em_last, s, r2)            # g_N(x) = (1 - e^{-s x_N}) / s
+    np.multiply(r2, ws.t_right, ws.right)
+    np.subtract(ws.t_right_alpha, r2, r1)   # alpha T_r - g_N; T_r alpha is the same double
+    np.multiply(ee, ee, ee)                 # e^{2 s E_l}
+    np.subtract(ws.ee_head, ws.ee_tail, ws.u_head)
+    np.multiply(ws.u_head, s, ws.u_head)
+    np.multiply(ws.ee_last, s, ws.u_last)
+    np.multiply(v, r1, em)
     drift += em                             # (alpha T_r - g_N) v
-    np.multiply(u, ws.right, out=u)
+    np.multiply(u, ws.right, u)
     drift += u                              # T_r g_N u
     return drift, amps, v
 

@@ -29,6 +29,7 @@ from .generators import Workspace, model_parts
 from .rng import as_generator, stream
 
 DEFAULT_CAP = 1e6
+_ZERO = np.zeros(())                # the clamps' 0.0, bound as in Workspace.bind
 # batch means per chain in the standard error of stationary_estimate
 N_BATCHES = 20
 
@@ -104,25 +105,29 @@ def _step_batch(x: np.ndarray, p: SystemParams, dt: float, gauss: np.ndarray,
     if ws is None:
         x = np.array(x, dtype=float)
         ws = Workspace(x, model)
+    if ws.dt is not dt:             # step constants, bound as in Workspace.bind
+        ws.dt, ws.dt_c = dt, np.array(dt, dtype=float)
+        ws.noise_scale = np.array(math.sqrt(2.0 * dt))
     drift, amps, v = model_parts(x, p, model, ws)
     # amps becomes the noise terms sqrt(2 a_k dt) eta_k, one row per direction
-    np.maximum(amps, 0.0, out=amps)
-    np.sqrt(amps, out=amps)
-    np.multiply(amps, math.sqrt(2.0 * dt), out=amps)
-    np.multiply(amps, gauss, out=amps)
-    np.multiply(drift, dt, out=drift)
-    np.add(x, drift, out=x)
+    # (np.maximum takes out= by keyword: numpy 2.4 deprecates a positional one)
+    np.maximum(amps, _ZERO, out=amps)
+    np.sqrt(amps, amps)
+    np.multiply(amps, ws.noise_scale, amps)
+    np.multiply(amps, gauss, amps)
+    np.multiply(drift, ws.dt_c, drift)
+    np.add(x, drift, x)
     bonds, head, tail = ws.bonds, ws.x_head, ws.x_tail
     first, last = ws.x_first, ws.x_last
-    np.add(tail, bonds, out=tail)
-    np.subtract(head, bonds, out=head)
-    np.add(first, ws.left, out=first)
+    np.add(tail, bonds, tail)
+    np.subtract(head, bonds, head)
+    np.add(first, ws.left, first)
     if v is None:
-        np.add(last, ws.right, out=last)
+        np.add(last, ws.right, last)
     else:
-        np.multiply(v, ws.right, out=v)
+        np.multiply(v, ws.right, v)
         x += v
-    np.maximum(x, 0.0, out=x)
+    np.maximum(x, _ZERO, out=x)
     return x
 
 

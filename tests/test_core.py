@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from abep import (DOMAIN_TOL, DomainError, SystemParams, map_g, map_g_inv,
-                  partial_energies)
+from abep import (DOMAIN_TOL, DomainError, SystemParams, as_particles, as_state,
+                  map_g, map_g_inv, partial_energies)
 from abep.errors import ParameterError
 
 RNG = np.random.default_rng(20240817)
@@ -97,3 +97,11 @@ def test_state_validation():
         map_g(np.array([1.0, 2.0]), p)
     with pytest.raises(ParameterError):
         map_g(np.array([1.0, np.inf, 2.0]), p)
+
+
+def test_ragged_input_is_a_parameter_error():
+    # numpy refuses an inhomogeneous nesting with a ValueError of its own
+    with pytest.raises(ParameterError, match="rectangular"):
+        as_state([[0.1, 0.2], [0.3]], 2)
+    with pytest.raises(ParameterError, match="rectangular"):
+        as_particles([[0, 1], [0]])

@@ -148,6 +148,11 @@ def test_semigroup_check_takes_one_configuration(t):
     with pytest.raises(ParameterError, match="one-dimensional"):
         semigroup_duality_check(np.array([0.5, 0.5]), xis, t, p, model="abep",
                                 n_runs=300, seed=4, dt=5e-3)
+    # a ragged list is refused the same way, not by numpy's ValueError
+    ragged = [np.array([0, 1, 0, 0]), [0, 1, 0]]
+    with pytest.raises(ParameterError, match="rectangular"):
+        semigroup_duality_check(np.array([0.5, 0.5]), ragged, t, p, model="abep",
+                                n_runs=300, seed=4, dt=5e-3)
 
 
 @pytest.mark.parametrize("t, dt", [(0.5, 2e-3), (0.2, 1e-3), (0.3, 0.1)])

@@ -277,16 +277,27 @@ def test_step_with_workspace_allocates_no_array(model):
     x = np.full((3, r), 0.5)
     gauss = np.random.default_rng(3).standard_normal((4, r))
     want = _step_batch(x, p, 1e-3, gauss, model)
+    want2 = _step_batch(want, p, 1e-3, gauss, model)
     ws = Workspace(x, model)
     tracemalloc.start()
     try:
         got = _step_batch(x, p, 1e-3, gauss, model, ws)
         peak = tracemalloc.get_traced_memory()[1]
+        assert got.tobytes() == want.tobytes()
+        # the first step bound the constants; a steady-state step reuses
+        # them and allocates no array either
+        bound = (ws.alpha, ws.t_right_alpha, ws.dt_c, ws.noise_scale)
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        got = _step_batch(x, p, 1e-3, gauss, model, ws)
+        peak2 = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
     assert got is x
-    assert got.tobytes() == want.tobytes()
-    assert peak < 8 * r
+    assert got.tobytes() == want2.tobytes()
+    assert peak < 8 * r and peak2 < 8 * r
+    now = (ws.alpha, ws.t_right_alpha, ws.dt_c, ws.noise_scale)
+    assert all(a is b for a, b in zip(now, bound))
 
 
 @pytest.mark.parametrize("model", ["bep", "abep"])
@@ -305,6 +316,26 @@ def test_bound_workspace_steps_equal_fresh_workspace_steps(model, n):
         fresh = _step_batch(fresh, p, 1e-2, gauss, model)
         assert x.tobytes() == fresh.tobytes()
     assert np.all(np.isfinite(x)) and x.std() > 0.0
+
+
+@pytest.mark.parametrize("model", ["bep", "abep"])
+def test_bound_constants_follow_params_and_dt(model):
+    # a workspace rebinds its constants whenever a step brings other
+    # parameters or another dt: each step equals the same step on a fresh
+    # workspace, byte for byte
+    p1 = SystemParams(3, 0.1, 2.0, 0.5, 1.5)
+    p2 = SystemParams(3, 0.3, 0.7, 1.2, 0.4)
+    rng = np.random.default_rng(71)
+    x = rng.uniform(0.0, 1.0, (3, 8))
+    fresh = x.copy()
+    ws = Workspace(x, model)
+    for p, dt in [(p1, 1e-2), (p2, 1e-2), (p1, 1e-2), (p1, 3e-3), (p2, 3e-3),
+                  (p1, 1e-2)]:
+        gauss = rng.standard_normal((4, 8))
+        assert _step_batch(x, p, dt, gauss, model, ws) is x
+        fresh = _step_batch(fresh, p, dt, gauss, model)
+        assert x.tobytes() == fresh.tobytes()
+        assert ws.p is p and ws.dt == dt
 
 
 def test_workspace_bound_elsewhere_is_refused():
