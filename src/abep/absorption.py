@@ -126,13 +126,17 @@ def _exit_table(n: int, k: int, alpha: float, edge: str):
 
 
 def _sites(n: int, *sites):
-    """The sites as arrays; SiteError unless 1 <= sites[0] <= ... <= N."""
+    """The sites as int64 arrays; SiteError unless they are integers (a float
+    such as 2.0 counts) with 1 <= sites[0] <= ... <= N."""
     sites = tuple(np.asarray(s) for s in sites)
+    if not all(s.dtype.kind in "iu" or s.dtype.kind == "f" and (s == np.rint(s)).all()
+               for s in sites):
+        raise SiteError(f"sites {[s.tolist() for s in sites]} must be integers")
     chain = (1, *sites, n)
     if not all((a <= b).all() for a, b in zip(chain, chain[1:])):
         raise SiteError(f"sites {[s.tolist() for s in sites]} are not "
                         f"ordered within 1..{n}")
-    return sites
+    return tuple(s.astype(np.int64, copy=False) for s in sites)
 
 
 def _value(x):

@@ -27,7 +27,7 @@ import numpy as np
 from .core import SystemParams, as_particles, as_state, map_g
 from .errors import ParameterError
 from .generators import apply_generator
-from .sde import ensemble_endpoint, whole_steps
+from .sde import DEFAULT_CAP, ensemble_endpoint, whole_steps
 from .sip import final_state_counts, sip_rates
 from .rng import stream
 
@@ -156,13 +156,14 @@ def semigroup_duality_check(x0, xi0, t_horizon: float, p: SystemParams,
                             model: str = "bep", dfun: str = "classical",
                             n_runs: int = 10_000, seed: int = 0,
                             dt: float = 1e-3, t_orth=None,
-                            cap: float = 1e6) -> DualityCheck:
+                            cap: float = DEFAULT_CAP) -> DualityCheck:
     """Compare E[D(X_t, xi0)] against E[D(x0, Xi_t)] with n_runs per side.
 
     The left side propagates diffusion chains from x0 with the
     Euler-Maruyama scheme; the right side runs the particle system from the
     one configuration xi0 to the same horizon.  Returns both means with
-    standard errors and the two-sided z-score as a DualityCheck.
+    standard errors, each the sample deviation (ddof=1) over sqrt(n_runs),
+    and the two-sided z-score as a DualityCheck.
 
     Consecutive calls that differ only in xi0, dfun or t_orth share one
     diffusion ensemble: the last one is kept read-only, keyed by x0, p,
@@ -195,15 +196,14 @@ def semigroup_duality_check(x0, xi0, t_horizon: float, p: SystemParams,
     lhs_se = float(lhs_vals.std(ddof=1) / math.sqrt(n_runs))
 
     counts = final_state_counts(occ0, p, n_runs, t_horizon, seed=seed)
+    runs, vals = zip(*[(c, float(dual(arr, np.array(config, dtype=np.int64))))
+                       for config, c in sorted(counts.items())])
     mean = 0.0
-    second = 0.0
-    for config, c in sorted(counts.items()):
-        w = c / n_runs
-        v = float(dual(arr, np.array(config, dtype=np.int64)))
-        mean += w * v
-        second += w * v * v
-    var = max(second - mean * mean, 0.0)
-    rhs_se = math.sqrt(var / n_runs)
+    for c, v in zip(runs, vals):
+        mean += c / n_runs * v
+    # the lhs estimator on the expanded values: c runs end with value v
+    ss = sum(c * (v - mean) ** 2 for c, v in zip(runs, vals))
+    rhs_se = math.sqrt(ss / (n_runs - 1)) / math.sqrt(n_runs)
 
     denom = math.hypot(lhs_se, rhs_se)
     if denom == 0.0:

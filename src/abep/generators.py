@@ -51,23 +51,31 @@ from .errors import ParameterError
 
 
 class Workspace:
-    """Buffers and prebuilt views for model_parts and the Euler-Maruyama
-    step on one site-major state array.
+    """Buffers, prebuilt views and bound constants for model_parts and the
+    Euler-Maruyama step on one site-major state array.
 
-    Workspace(x, model) binds x, of shape (N,) or (N, R), and builds once
-    every view of x and of its own buffers that model_parts reads or
-    writes for 'bep' or 'abep' (model), and that a step reads; the 'abep'
-    set holds the 'bep' one.  A model_parts call given the workspace
-    writes every part into it and allocates nothing; the parts it returns
-    are views of these buffers, so the next call overwrites them.  The
-    constants of p are bound at the first call with p and rebound by any
-    call with other parameters (bind); the step binds dt the same way.
+    Workspace(x, p, model) checks that model is 'bep' or 'abep' and that x
+    has p.n_sites rows, (N,) or (N, R), and binds x, p and model for good.
+    It builds once every view of x and of its own buffers that model_parts
+    reads or writes for the model, and that a step reads (the 'abep' set
+    holds the 'bep' one), and binds p's constants as 0-d float64 arrays:
+    the same doubles, cheaper ufunc calls.  A model_parts call given the
+    workspace writes every part into it and allocates nothing; the parts it
+    returns are views of these buffers, so the next call overwrites them.
     """
 
-    def __init__(self, x: np.ndarray, model: str):
+    def __init__(self, x: np.ndarray, p: SystemParams, model: str):
+        if model not in ("bep", "abep"):
+            raise ParameterError(f"unknown model {model!r}")
+        if x.shape[0] != p.n_sites:
+            raise ParameterError(
+                f"expected {p.n_sites} site rows, got states of shape {x.shape}")
         n, rest = x.shape[0], x.shape[1:]
-        self.x, self.model = x, model
-        self.p = self.dt = None        # parameters and step bound so far
+        self.x, self.p, self.model = x, p, model
+        s, a, tl, tr = p.sigma, p.alpha, p.t_left, p.t_right
+        (self.sigma, self.sigma2, self.alpha, self.t_left, self.t_right,
+         self.t_left_alpha, self.t_right_alpha) = [
+            np.array(c, float) for c in (s, s * s, a, tl, tr, tl * a, tr * a)]
         block = np.empty((6, n, *rest))
         drift, ee, em, ep, v, u = block
         self.drift, self.ee, self.em = drift, ee, em
@@ -96,14 +104,6 @@ class Workspace:
         self.ep_tail, self.ep_first = ep[1:], ep[:1]
         self.v_head, self.v_last, self.u_last = v[:-1], v[-1:], u[-1:]
 
-    def bind(self, p: SystemParams) -> None:
-        """Bind p's constants as 0-d float64 arrays: same doubles, cheaper ufunc calls."""
-        s, a, tl, tr = p.sigma, p.alpha, p.t_left, p.t_right
-        (self.sigma, self.sigma2, self.alpha, self.t_left, self.t_right,
-         self.t_left_alpha, self.t_right_alpha) = [
-            np.array(c, float) for c in (s, s * s, a, tl, tr, tl * a, tr * a)]
-        self.p = p
-
 
 def model_parts(x: np.ndarray, p: SystemParams, model: str,
                 ws: Workspace | None = None):
@@ -114,22 +114,16 @@ def model_parts(x: np.ndarray, p: SystemParams, model: str,
     Returns (drift like x, amplitudes (N+1, ...) with one row per noise
     direction, right direction v like x, or None for the static e_N of the
     symmetric model).  With sigma = 0 'abep' is 'bep'.  The parts are
-    written into ws, a Workspace bound to x for this model, when one is
-    given (ParameterError when it is bound to another array or model);
-    otherwise each call returns arrays of its own.
+    written into ws when one is given, a Workspace bound to this x, p and
+    model (ParameterError otherwise); without one each call binds a fresh
+    workspace and returns arrays of its own.
     """
-    if model not in ("bep", "abep"):
-        raise ParameterError(f"unknown model {model!r}")
-    if x.shape[0] != p.n_sites:
-        raise ParameterError(
-            f"expected {p.n_sites} site rows, got states of shape {x.shape}")
     if ws is None:
-        ws = Workspace(x, model)
-    elif ws.x is not x or ws.model != model:
+        ws = Workspace(x, p, model)
+    elif ws.x is not x or ws.p is not p or ws.model != model:
         raise ParameterError(
-            f"the workspace is bound to another state array or model ({ws.model!r})")
-    if ws.p is not p:
-        ws.bind(p)
+            "the workspace is bound to another state array, parameters or "
+            f"model ({ws.model!r})")
     a = ws.alpha
     drift, amps, r1, r2 = ws.drift, ws.amps, ws.r1, ws.r2
     head, tail, first, last = ws.head, ws.tail, ws.first, ws.last

@@ -29,7 +29,7 @@ from .generators import Workspace, model_parts
 from .rng import as_generator, stream
 
 DEFAULT_CAP = 1e6
-_ZERO = np.zeros(())                # the clamps' 0.0, bound as in Workspace.bind
+_ZERO = np.zeros(())                # the clamps' 0.0, bound as in Workspace
 # batch means per chain in the standard error of stationary_estimate
 N_BATCHES = 20
 
@@ -90,32 +90,26 @@ class SdeConfig:
         return n_steps, range(start, n_steps + 1, every)
 
 
-def _step_batch(x: np.ndarray, p: SystemParams, dt: float, gauss: np.ndarray,
-                model: str, ws: Workspace | None = None) -> np.ndarray:
-    """One EM step of site-major chains: x is (N, R), gauss is (N+1, R).
+def _step_batch(ws: Workspace, dt: np.ndarray, noise_scale: np.ndarray,
+                gauss: np.ndarray) -> np.ndarray:
+    """One EM step of the site-major chains ws.x, (N, R); gauss is (N+1, R).
 
-    Given ws, a Workspace bound to x, the step overwrites x with the new
-    states and ws with the coefficient parts, and allocates nothing: every
-    read of x comes before the first write to it.  Without ws it steps a
-    copy of x.  Returns the stepped array.
+    dt and noise_scale = sqrt(2 dt) are 0-d float64 arrays.  The step
+    overwrites ws.x with the new states and ws with the coefficient parts,
+    and allocates nothing: every read of x comes before the first write to
+    it.  Returns ws.x.
     """
-    n = p.n_sites
-    if len(gauss) != n + 1:
-        raise IndexError(f"need {n + 1} noise rows, got {len(gauss)}")
-    if ws is None:
-        x = np.array(x, dtype=float)
-        ws = Workspace(x, model)
-    if ws.dt is not dt:             # step constants, bound as in Workspace.bind
-        ws.dt, ws.dt_c = dt, np.array(dt, dtype=float)
-        ws.noise_scale = np.array(math.sqrt(2.0 * dt))
-    drift, amps, v = model_parts(x, p, model, ws)
+    x = ws.x
+    if len(gauss) != len(x) + 1:
+        raise IndexError(f"need {len(x) + 1} noise rows, got {len(gauss)}")
+    drift, amps, v = model_parts(x, ws.p, ws.model, ws)
     # amps becomes the noise terms sqrt(2 a_k dt) eta_k, one row per direction
     # (np.maximum takes out= by keyword: numpy 2.4 deprecates a positional one)
     np.maximum(amps, _ZERO, out=amps)
     np.sqrt(amps, amps)
-    np.multiply(amps, ws.noise_scale, amps)
+    np.multiply(amps, noise_scale, amps)
     np.multiply(amps, gauss, amps)
-    np.multiply(drift, ws.dt_c, drift)
+    np.multiply(drift, dt, drift)
     np.add(x, drift, x)
     bonds, head, tail = ws.bonds, ws.x_head, ws.x_tail
     first, last = ws.x_first, ws.x_last
@@ -131,28 +125,32 @@ def _step_batch(x: np.ndarray, p: SystemParams, dt: float, gauss: np.ndarray,
     return x
 
 
-def _run_chains(x0: np.ndarray, p: SystemParams, model: str, dt: float,
-                n_steps: int, rng: np.random.Generator, cap: float,
+def _run_chains(start: np.ndarray, n_chains: int, p: SystemParams, model: str,
+                dt: float, n_steps: int, rng: np.random.Generator, cap: float,
                 emit: range = range(0)):
-    """Propagate a chain-major (R, N) batch; the batch is stepped site-major.
+    """Propagate n_chains chains all started at the state start, (N,); the
+    batch is stepped site-major.
 
     Returns the final states, chain-major (R, N), and the snapshots, one
     (len(emit), R, N) array whose row i holds the states after step emit[i].
-    ParameterError, before any step, unless cap is greater than every
-    component of x0 (a nan cap is not); NumericalBlowup when any component
-    passes the cap.
+    ParameterError, before any step, unless n_chains >= 1, model is 'bep'
+    or 'abep', and cap is greater than every component of start (a nan cap
+    is not); NumericalBlowup when any component passes the cap.
     """
-    x = np.array(x0.T, dtype=float, order="C")
-    if not (x < cap).all():
+    if not n_chains >= 1:
+        raise ParameterError(f"n_chains must be >= 1, got {n_chains}")
+    if not (start < cap).all():
         raise ParameterError(
             f"cap must be greater than every component of the start state, got {cap}")
-    k, r = x.shape[0] + 1, x.shape[1]
-    snaps = np.empty((len(emit), *x0.shape))
+    x = np.repeat(start[:, None], n_chains, axis=1)
     # one workspace per ensemble, bound to x, so no step allocates: x is
     # stepped in place, and the noise comes in chunks, drawn (c, R, N+1)
     # whatever the layout and stepped as (N+1, R) rows; the normal stream is
     # identical for any chunking
-    ws = Workspace(x, model)
+    ws = Workspace(x, p, model)
+    dt_c, noise_scale = np.array(dt, float), np.array(math.sqrt(2.0 * dt))
+    k, r = len(start) + 1, n_chains          # noise rows, chains
+    snaps = np.empty((len(emit), r, k - 1))
     chunk = max(1, min(4096, 65536 // max(1, r * k)))
     draws = np.empty((chunk, r, k))
     gauss = np.empty((chunk, k, r))
@@ -166,7 +164,7 @@ def _run_chains(x0: np.ndarray, p: SystemParams, model: str, dt: float,
             rng.standard_normal(size=(c, r, k), out=draws[:c])
             np.copyto(gauss[:c], draws[:c].transpose(0, 2, 1))
             for j in range(c):
-                _step_batch(x, p, dt, gauss[j], model, ws)
+                _step_batch(ws, dt_c, noise_scale, gauss[j])
                 step += 1
                 m = np.maximum.reduce(x, None)
                 # the inverted comparison also trips on nan and inf, which a
@@ -192,7 +190,7 @@ def simulate_trajectory(x0, p: SystemParams, cfg: SdeConfig, model: str = "bep",
     arr = as_state(x0, p.n_sites)
     n_steps, emit = cfg.steps()
     rng = stream(cfg.seed, f"trajectory-{model}")
-    _, snaps = _run_chains(arr[None, :], p, model, cfg.dt, n_steps, rng, cap, emit)
+    _, snaps = _run_chains(arr, 1, p, model, cfg.dt, n_steps, rng, cap, emit)
     return [(idx * cfg.dt, snap[0]) for idx, snap in zip(emit, snaps)]
 
 
@@ -215,10 +213,7 @@ def stationary_estimate(p: SystemParams, cfg: SdeConfig, model: str, observable,
     arguments.
     """
     single, observables = _observables(observable)
-    if n_chains < 1:
-        raise ParameterError("n_chains must be >= 1")
     start = np.zeros(p.n_sites) if x0 is None else as_state(x0, p.n_sites)
-    x_init = np.tile(start, (n_chains, 1))
     n_steps, emit = cfg.steps()
     n_means = min(N_BATCHES, len(emit)) * n_chains
     if n_means < 2:
@@ -227,7 +222,8 @@ def stationary_estimate(p: SystemParams, cfg: SdeConfig, model: str, observable,
             f"need two batch means for a standard error, got {n_means}: "
             "increase t_end or n_chains, or reduce burn_in or thinning")
     rng = stream(cfg.seed, f"stationary-{model}")
-    _, snaps = _run_chains(x_init, p, model, cfg.dt, n_steps, rng, cap, emit)
+    _, snaps = _run_chains(start, n_chains, p, model, cfg.dt, n_steps, rng,
+                           cap, emit)
     m, r, n = snaps.shape
     flat = snaps.reshape(m * r, n)
     groups = np.array_split(np.arange(m), min(N_BATCHES, m))
@@ -244,11 +240,11 @@ def ensemble_endpoint(x0, p: SystemParams, model: str, dt: float, t: float,
                       n_chains: int, seed, cap: float = DEFAULT_CAP) -> np.ndarray:
     """Final states of n_chains independent chains all started at x0.
 
-    ParameterError unless t is 0 or a whole number of steps dt.
+    ParameterError unless t is 0 or a whole number of steps dt, n_chains
+    >= 1 and model is 'bep' or 'abep', also at t = 0.
     """
     arr = as_state(x0, p.n_sites)
     n_steps = whole_steps(t, dt)
     rng = as_generator(seed, f"endpoint-{model}")
-    x_init = np.tile(arr, (n_chains, 1))
-    final, _ = _run_chains(x_init, p, model, dt, n_steps, rng, cap)
+    final, _ = _run_chains(arr, n_chains, p, model, dt, n_steps, rng, cap)
     return final

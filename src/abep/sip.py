@@ -87,7 +87,11 @@ def _simulate(occ0, p: SystemParams, n_runs: int, rng: np.random.Generator,
     which the runs stopped: when their bulk empties or, if t_max is given,
     at that horizon.  Each round draws a (2, active) block of uniforms, the
     first row for the waiting times and the second for the moves.
+    ParameterError unless n_runs >= 1 and a given t_max is >= 0 (nan is not).
     """
+    if not (n_runs >= 1 and (t_max is None or t_max >= 0)):
+        raise ParameterError(f"need n_runs >= 1 and a time horizon >= 0, got "
+                             f"n_runs={n_runs}, horizon={t_max}")
     n = p.n_sites
     occ = np.tile(occ0, (n_runs, 1))
     t = np.zeros(n_runs)

@@ -3,11 +3,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from abep import (SystemParams, mc_absorption, single_absorption_solve,
+from abep import (SystemParams, mc_absorption, one_point_moment,
+                  reversible_moment, single_absorption_solve,
                   single_right_closed, sip_rates, two_particle_closed_form,
-                  two_particle_solve)
+                  two_particle_solve, two_point_moment)
 from abep.absorption import _exit_table, _generator
-from abep.errors import ParameterError, SingularSystem, ToolkitError
+from abep.errors import ParameterError, SingularSystem, SiteError, ToolkitError
 
 
 def params(n, alpha):
@@ -38,6 +39,28 @@ def test_single_out_of_range():
     # a typed error, so the CLI reports it without catching IndexError
     with pytest.raises(ToolkitError):
         single_absorption_solve(4, params(3, 1.0))
+
+
+SITE_ROUTES = {
+    "single_solve": lambda p, i: single_absorption_solve(i, p),
+    "pair_solve": lambda p, i: two_particle_solve(i, 3, p),
+    "pair_closed": lambda p, i: two_particle_closed_form(i, 3, p),
+    "one_point": lambda p, i: one_point_moment(i, p),
+    "two_point": lambda p, i: two_point_moment(i, 3, p),
+    "reversible": lambda p, i: reversible_moment(i, p),
+}
+
+
+@pytest.mark.parametrize("route", SITE_ROUTES)
+def test_sites_must_be_integers(route):
+    # an integral float is that site; any other value is a SiteError, not a
+    # number, numpy's IndexError or an ordering complaint
+    p = SystemParams(3, 0.05, 1.5, 1.0, 1.0)
+    call = SITE_ROUTES[route]
+    assert call(p, 2.0) == call(p, 2)
+    for bad in (1.5, np.nan, [1, 2.5]):
+        with pytest.raises(SiteError, match="must be integers"):
+            call(p, bad)
 
 
 @pytest.mark.parametrize("alpha,expected", [

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import eval_genlaguerre
 
 from abep import (SystemParams, classical_D, classical_D_sigma,
-                  generator_duality_residual, laguerre_d, map_g,
+                  final_state_counts, generator_duality_residual, laguerre_d, map_g,
                   orthogonal_D, orthogonal_D_sigma, pochhammer,
                   semigroup_duality_check, sip_generator_apply)
 import abep.duality as duality
@@ -138,6 +138,22 @@ def test_semigroup_check_short_horizon():
     assert chk.z_score < 4.0
     assert chk.lhs_se > 0.0
     assert chk.rhs_se > 0.0
+
+
+@pytest.mark.parametrize("n_runs", [2, 3, 7])
+def test_semigroup_check_rhs_se_is_the_sample_deviation(n_runs):
+    # both sides use one estimator: the two-pass deviation with ddof=1 of
+    # the per-run values, over sqrt(n_runs)
+    p = SystemParams(2, 0.0, 2.0, 0.5, 1.5)
+    x0, xi0, t = np.array([0.8, 0.5]), np.array([0, 1, 1, 0]), 0.5
+    chk = semigroup_duality_check(x0, xi0, t, p, n_runs=n_runs, seed=3, dt=0.01)
+    counts = final_state_counts(xi0, p, n_runs, t, seed=3)
+    vals = np.repeat([classical_D(x0, xi, p) for xi in counts],
+                     list(counts.values()))
+    assert len(counts) > 1
+    assert chk.rhs_se == pytest.approx(np.std(vals, ddof=1) / math.sqrt(n_runs),
+                                       rel=1e-12)
+    assert chk.rhs == pytest.approx(vals.mean(), rel=1e-12)
 
 
 @pytest.mark.parametrize("t", [0.0, 0.2])

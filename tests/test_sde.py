@@ -1,4 +1,5 @@
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,11 +14,22 @@ from abep.sde import _step_batch
 RNG = np.random.default_rng(777)
 
 
+def _step_constants(dt):
+    """dt and sqrt(2 dt) as the 0-d arrays that _step_batch reads."""
+    return np.array(dt, float), np.array(math.sqrt(2.0 * dt))
+
+
+def _fresh_step(x, p, dt, gauss, model):
+    """One step of a copy of x on a workspace of its own; x is unchanged."""
+    ws = Workspace(np.array(x, dtype=float), p, model)
+    return _step_batch(ws, *_step_constants(dt), gauss)
+
+
 def test_em_step_shape_and_positivity():
     p = SystemParams(3, 0.2, 1.0, 1.0, 2.0)
     x = np.array([[0.02], [0.5], [0.01]])
     for _ in range(50):
-        out = _step_batch(x, p, 0.01, RNG.standard_normal((4, 1)), "bep")
+        out = _fresh_step(x, p, 0.01, RNG.standard_normal((4, 1)), "bep")
         assert out.shape == (3, 1)
         assert np.all(out >= 0.0)
 
@@ -26,13 +38,13 @@ def test_em_step_noise_shape_checked():
     # the kernel reads one noise row per direction: too few rows cannot pass
     p = SystemParams(2, 0.1, 1.0, 1.0, 1.0)
     with pytest.raises(IndexError):
-        _step_batch(np.ones((2, 1)), p, 0.01, np.zeros((2, 1)), "bep")
+        _fresh_step(np.ones((2, 1)), p, 0.01, np.zeros((2, 1)), "bep")
 
 
 def test_em_step_zero_noise_is_euler():
     p = SystemParams(2, 0.0, 2.0, 0.5, 1.5)
     x = np.array([[0.4], [0.9]])
-    out = _step_batch(x, p, 0.001, np.zeros((3, 1)), "bep")
+    out = _fresh_step(x, p, 0.001, np.zeros((3, 1)), "bep")
     # drift at site 1: alpha*Tl - z1 + alpha*(z2 - z1); site 2 mirrored
     d1 = 2.0 * 0.5 - 0.4 + 2.0 * (0.9 - 0.4)
     d2 = 2.0 * 1.5 - 0.9 + 2.0 * (0.4 - 0.9)
@@ -165,6 +177,16 @@ def test_ensemble_endpoint_needs_whole_steps(dt, t):
         ensemble_endpoint(np.zeros(1), p, "bep", dt, t, 4, seed=0)
 
 
+@pytest.mark.parametrize("model, n_chains, match", [
+    ("bep", 0, "n_chains"), ("abep", -1, "n_chains"), ("nope", 4, "unknown model")])
+@pytest.mark.parametrize("t", [0.0, 0.1])
+def test_ensemble_endpoint_checks_chains_and_model(model, n_chains, match, t):
+    # t = 0 takes no step: the checks come before the first one
+    p = SystemParams(2, 0.1, 2.0, 0.5, 1.5)
+    with pytest.raises(ParameterError, match=match):
+        ensemble_endpoint(np.full(2, 0.5), p, model, 0.01, t, n_chains, seed=0)
+
+
 def test_stationary_estimate_needs_two_batch_means():
     # one chain with one sample gives one batch mean: its se would read 0
     p = SystemParams(1, 0.02, 1.0, 1.0, 1.0)
@@ -261,10 +283,10 @@ def test_step_batch_equals_single_steps(model, n):
     x = rng.uniform(0.0, 2.0, (n, r))
     x[:, 0] = 0.0
     gauss = rng.standard_normal((n + 1, r))
-    batch = _step_batch(x, p, 1e-2, gauss, model)
+    batch = _fresh_step(x, p, 1e-2, gauss, model)
     assert batch.shape == (n, r)
     for i in range(r):
-        single = _step_batch(x[:, i:i + 1], p, 1e-2, gauss[:, i:i + 1], model)
+        single = _fresh_step(x[:, i:i + 1], p, 1e-2, gauss[:, i:i + 1], model)
         assert batch[:, i].tobytes() == single[:, 0].tobytes()
 
 
@@ -276,28 +298,25 @@ def test_step_with_workspace_allocates_no_array(model):
     r = 10_000
     x = np.full((3, r), 0.5)
     gauss = np.random.default_rng(3).standard_normal((4, r))
-    want = _step_batch(x, p, 1e-3, gauss, model)
-    want2 = _step_batch(want, p, 1e-3, gauss, model)
-    ws = Workspace(x, model)
+    want = _fresh_step(x, p, 1e-3, gauss, model)
+    want2 = _fresh_step(want, p, 1e-3, gauss, model)
+    ws = Workspace(x, p, model)
+    dt, scale = _step_constants(1e-3)
     tracemalloc.start()
     try:
-        got = _step_batch(x, p, 1e-3, gauss, model, ws)
+        got = _step_batch(ws, dt, scale, gauss)
         peak = tracemalloc.get_traced_memory()[1]
         assert got.tobytes() == want.tobytes()
-        # the first step bound the constants; a steady-state step reuses
-        # them and allocates no array either
-        bound = (ws.alpha, ws.t_right_alpha, ws.dt_c, ws.noise_scale)
+        # a second step allocates no array either
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
-        got = _step_batch(x, p, 1e-3, gauss, model, ws)
+        got = _step_batch(ws, dt, scale, gauss)
         peak2 = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
     assert got is x
     assert got.tobytes() == want2.tobytes()
     assert peak < 8 * r and peak2 < 8 * r
-    now = (ws.alpha, ws.t_right_alpha, ws.dt_c, ws.noise_scale)
-    assert all(a is b for a, b in zip(now, bound))
 
 
 @pytest.mark.parametrize("model", ["bep", "abep"])
@@ -309,44 +328,26 @@ def test_bound_workspace_steps_equal_fresh_workspace_steps(model, n):
     rng = np.random.default_rng(60 + n)
     x = rng.uniform(0.0, 1.0, (n, 16))
     fresh = x.copy()
-    ws = Workspace(x, model)
+    ws = Workspace(x, p, model)
+    dt, scale = _step_constants(1e-2)
     for _ in range(50):
         gauss = rng.standard_normal((n + 1, 16))
-        assert _step_batch(x, p, 1e-2, gauss, model, ws) is x
-        fresh = _step_batch(fresh, p, 1e-2, gauss, model)
+        assert _step_batch(ws, dt, scale, gauss) is x
+        fresh = _fresh_step(fresh, p, 1e-2, gauss, model)
         assert x.tobytes() == fresh.tobytes()
     assert np.all(np.isfinite(x)) and x.std() > 0.0
-
-
-@pytest.mark.parametrize("model", ["bep", "abep"])
-def test_bound_constants_follow_params_and_dt(model):
-    # a workspace rebinds its constants whenever a step brings other
-    # parameters or another dt: each step equals the same step on a fresh
-    # workspace, byte for byte
-    p1 = SystemParams(3, 0.1, 2.0, 0.5, 1.5)
-    p2 = SystemParams(3, 0.3, 0.7, 1.2, 0.4)
-    rng = np.random.default_rng(71)
-    x = rng.uniform(0.0, 1.0, (3, 8))
-    fresh = x.copy()
-    ws = Workspace(x, model)
-    for p, dt in [(p1, 1e-2), (p2, 1e-2), (p1, 1e-2), (p1, 3e-3), (p2, 3e-3),
-                  (p1, 1e-2)]:
-        gauss = rng.standard_normal((4, 8))
-        assert _step_batch(x, p, dt, gauss, model, ws) is x
-        fresh = _step_batch(fresh, p, dt, gauss, model)
-        assert x.tobytes() == fresh.tobytes()
-        assert ws.p is p and ws.dt == dt
 
 
 def test_workspace_bound_elsewhere_is_refused():
     p = SystemParams(2, 0.1, 2.0, 0.5, 1.5)
     x = np.full((2, 4), 0.5)
-    gauss = np.zeros((3, 4))
-    with pytest.raises(ParameterError, match="bound to another"):
-        _step_batch(x, p, 1e-2, gauss, "abep", Workspace(x.copy(), "abep"))
-    # a workspace holds the views of its own model only
-    with pytest.raises(ParameterError, match="bound to another"):
-        model_parts(x, p, "abep", Workspace(x, "bep"))
+    other_p = SystemParams(2, 0.3, 0.7, 1.2, 0.4)
+    # a workspace serves the one state array, parameters and model it was
+    # built with, and holds the views of that model only
+    for ws in [Workspace(x.copy(), p, "abep"), Workspace(x, other_p, "abep"),
+               Workspace(x, p, "bep")]:
+        with pytest.raises(ParameterError, match="bound to another"):
+            model_parts(x, p, "abep", ws)
     assert np.all(x == 0.5)
 
 

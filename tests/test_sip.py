@@ -263,6 +263,19 @@ def test_batched_calls_reject_bad_config(xi0):
         final_state_counts(xi0, p, 10, 0.5)
 
 
+@pytest.mark.parametrize("n_runs, t_horizon", [(0, 0.5), (-3, 0.5), (10, -1.0),
+                                              (10, np.nan), (10, -np.inf)])
+def test_batched_calls_reject_bad_runs_and_horizon(n_runs, t_horizon):
+    # a negative or nan horizon would return the start configuration or run
+    # every run to absorption, and n_runs below 1 has nothing to count
+    p = SystemParams(2, 0.0, 1.0, 1.0, 1.0)
+    with pytest.raises(ParameterError, match="n_runs|horizon"):
+        final_state_counts([0, 1, 0, 0], p, n_runs, t_horizon)
+    if n_runs < 1:
+        with pytest.raises(ParameterError, match="n_runs"):
+            mc_absorption([0, 1, 0, 0], p, n_runs)
+
+
 def _digest(items) -> str:
     return hashlib.sha256(repr(sorted(items)).encode()).hexdigest()
 
