@@ -1,30 +1,24 @@
 """Exact absorption probabilities for one or two dual particles.
 
 The dual particles random-walk on sites 1..N with inclusion attraction and
-disappear into the boundary sites 0 and N+1.  For the boundary jumps two
-rate bookkeepings are supported:
-
-    edge="unit":  boundary jumps at rate (count at the edge site), exactly
-                  the particle system simulated in :mod:`abep.sip` and the
-                  dual of the energy diffusions; the default;
-    edge="walk":  boundary jumps at rate alpha * (count), which makes a
-                  lone particle a uniform nearest-neighbor walk; opt-in.
+disappear into the boundary sites 0 and N+1 at rate (count at the edge site)
+for edge="unit", the default: the particles simulated in :mod:`abep.sip`,
+dual to the energy diffusions; or at alpha * (count) for edge="walk", which
+makes a lone particle a uniform nearest-neighbor walk.
 
 A lone walker's exit probability has one closed form for both
 bookkeepings.  Only "walk" has a two-walker closed form
 (two_particle_closed_form); for "unit" pairs what is closed is the total
 and the mean number absorbed right, h(i) + h(j).  The two bookkeepings
 agree at alpha = 1 (and for N = 1, where every bond touches a boundary).
-The linear solver is the authority, the closed forms are validators
-against it.
+The linear solver is the authority, the closed forms are validators.
 
-The solver enumerates every placement of k walkers on sites 0..N+1, takes
-the jump rates from the simulator's own rate table (``sip._rate_table``),
-factors the sparse transient block once and solves it for every absorbed
-outcome (left count, right count).  The solves and the closed forms take
-single sites or arrays of sites.  scipy.sparse is imported at the first
-solve, so importing this module (or any route that never solves) does not
-load it.
+The solver enumerates every placement of k walkers on sites 0..N+1 as
+sorted sites, builds every walker's jumps in whole arrays with rates from
+the simulator's own rate law (``sip._hop_rates``), factors the sparse
+transient block once and solves it for every absorbed outcome (left
+count, right count).  The solves and the closed forms take single sites
+or arrays of sites.  scipy.sparse is imported at the first solve.
 """
 from __future__ import annotations
 
@@ -33,14 +27,11 @@ from itertools import chain, combinations_with_replacement
 
 import numpy as np
 
-from .core import SystemParams
+from .core import SystemParams, _whole
 from .errors import SingularSystem, SiteError
-from .sip import _edge_rate, _occupied, _rate_table
+from .sip import _edge_rate, _hop_rates
 
 _exit_cache: dict = {}
-# states per block of _generator: bounds the memory of its (states, 2N)
-# rate table, which would otherwise grow as N**3 for pairs
-_BLOCK_STATES = 256
 
 
 @dataclass(frozen=True)
@@ -73,21 +64,19 @@ def _generator(n: int, k: int, alpha: float, edge: str):
     # sites as base N+2 digits give ascending keys: a state's row is its key's rank
     digit = (n + 2) ** np.arange(k - 1, -1, -1)
     keys = states @ digit
-    rows, cols, rates = [], [], []
-    for first in range(0, len(states), _BLOCK_STATES):
-        block = states[first:first + _BLOCK_STATES]
-        occ = (block[:, :, None] == np.arange(n + 2)).sum(axis=1)
-        r, c = np.nonzero(_occupied(occ))
-        rows.append(first + r)
-        rates.append(_rate_table(occ, alpha, edge)[r, c])
-        # a left jump moves the first walker at the source site, a right
-        # jump the last, so the target stays sorted and one digit changes
-        src, right = c // 2 + 1, c % 2
-        pos = (block[r] < (src + right)[:, None]).sum(axis=1) - right
-        cols.append(np.searchsorted(keys, keys[first + r]
-                                    + (2 * right - 1) * digit[pos]))
-    rows, cols, rates = map(np.concatenate, (rows, cols, rates))
-    return states, sparse.csr_matrix((rates, (rows, cols)), shape=(len(states),) * 2)
+    # per walker: the walkers at its site and at the sites left and right
+    count, k_left, k_right = (sum(states[:, v, None] == states + d for v in range(k))
+                              for d in (0, -1, 1))
+    # a left jump moves the first walker at a bulk site, a right jump the
+    # last, so the target stays sorted and one digit changes
+    moves = np.stack([np.diff(states, axis=1, prepend=-1) != 0,
+                      np.diff(states, axis=1, append=n + 2) != 0], axis=2)
+    r, w, right = np.nonzero(moves & ((states >= 1) & (states <= n))[:, :, None])
+    rates = np.stack([_hop_rates(count, k_left, states == 1, alpha, edge),
+                      _hop_rates(count, k_right, states == n, alpha, edge)],
+                     axis=2)[r, w, right]
+    cols = np.searchsorted(keys, keys[r] + (2 * right - 1) * digit[w])
+    return states, sparse.csr_matrix((rates, (r, cols)), shape=(len(states),) * 2)
 
 
 def _exit_table(n: int, k: int, alpha: float, edge: str):
@@ -129,8 +118,7 @@ def _sites(n: int, *sites):
     """The sites as int64 arrays; SiteError unless they are integers (a float
     such as 2.0 counts) with 1 <= sites[0] <= ... <= N."""
     sites = tuple(np.asarray(s) for s in sites)
-    if not all(s.dtype.kind in "iu" or s.dtype.kind == "f" and (s == np.rint(s)).all()
-               for s in sites):
+    if not all(map(_whole, sites)):
         raise SiteError(f"sites {[s.tolist() for s in sites]} must be integers")
     chain = (1, *sites, n)
     if not all((a <= b).all() for a, b in zip(chain, chain[1:])):

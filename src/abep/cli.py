@@ -261,7 +261,7 @@ def _make_poly(coeffs, exps):
         arr = np.asarray(pts, dtype=float)
         vals = np.zeros(arr.shape[0])
         for c, e in zip(coeffs, exps):
-            vals = vals + c * np.prod(arr ** e, axis=1)
+            vals = vals + c * np.multiply.reduce(arr ** e, axis=1)
         return vals
     return f
 

@@ -62,6 +62,19 @@ def _array(x, what: str, dtype=None) -> np.ndarray:
         raise ParameterError(f"{what} must be a rectangular array: {err}") from None
 
 
+def _whole(x) -> bool:
+    """True if x holds integers: an integer dtype, or whole floats such as 2.0."""
+    x = np.asarray(x)
+    return x.dtype.kind in "iu" or x.dtype.kind == "f" and (x == np.rint(x)).all()
+
+
+def _count(n, name: str, least: int = 1) -> int:
+    """n as an int; ParameterError unless it is a whole number >= least."""
+    if not (_whole(n) and least <= n < np.inf):
+        raise ParameterError(f"{name} must be a whole number >= {least}, got {n}")
+    return int(n)
+
+
 def as_state(x, n_sites: int | None = None, allow_negative: bool = False) -> np.ndarray:
     """Coerce to a float array of site energies and validate it.
 

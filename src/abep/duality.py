@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SystemParams, as_particles, as_state, map_g
+from .core import SystemParams, _count, as_particles, as_state, map_g
 from .errors import ParameterError
 from .generators import apply_generator
 from .sde import DEFAULT_CAP, ensemble_endpoint, whole_steps
@@ -169,12 +169,11 @@ def semigroup_duality_check(x0, xi0, t_horizon: float, p: SystemParams,
     diffusion ensemble: the last one is kept read-only, keyed by x0, p,
     model, dt, t_horizon, n_runs, seed and cap, and a hit gives the bytes of
     a fresh simulation.
-    ParameterError unless n_runs >= 2 (a standard error needs two runs),
-    dt > 0, and t_horizon is 0 or a whole number of steps dt (within 1e-9
-    relative), since the diffusion side takes round(t_horizon / dt) steps.
+    ParameterError unless n_runs is a whole number >= 2 (a standard error
+    needs two runs), dt > 0 and t_horizon is 0 or a whole number of steps
+    dt within 1e-9 relative: the diffusion side takes round(t_horizon / dt).
     """
-    if n_runs < 2:
-        raise ParameterError(f"need n_runs >= 2, got n_runs={n_runs}")
+    _count(n_runs, "n_runs", 2)
     whole_steps(t_horizon, dt, "t_horizon")
     arr = as_state(x0, p.n_sites)
     occ0 = as_particles(xi0, p.n_sites)

@@ -33,7 +33,8 @@ import numpy as np
 
 from .absorption import (_sites, _value, single_absorption_solve, single_right_closed,
                          two_particle_closed_form, two_particle_solve)
-from .core import DOMAIN_TOL, SystemParams, as_state, map_g_inv, partial_energies
+from .core import (DOMAIN_TOL, SystemParams, _count, as_state, map_g_inv,
+                   partial_energies)
 from .errors import ParameterError, RejectionStall, RouteMismatch
 from .rng import as_generator
 
@@ -250,8 +251,7 @@ def reversible_sampler(p: SystemParams, n_samples: int, seed=0,
     accepted, acceptance_rate) when with_stats is set.
     """
     t = _require_equal_temps(p)
-    if n_samples < 1:
-        raise ParameterError("n_samples must be at least 1")
+    n_samples = _count(n_samples, "n_samples")
     rate = reversible_mass(p)
     if rate < 1e-6:
         raise RejectionStall(f"predicted acceptance rate {rate:.3e}; "

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SystemParams, _eval_observable, _observables, as_state
+from .core import SystemParams, _count, _eval_observable, _observables, as_state
 from .errors import NumericalBlowup, ParameterError
 from .generators import Workspace, model_parts
 from .rng import as_generator, stream
@@ -133,23 +133,22 @@ def _run_chains(start: np.ndarray, n_chains: int, p: SystemParams, model: str,
 
     Returns the final states, chain-major (R, N), and the snapshots, one
     (len(emit), R, N) array whose row i holds the states after step emit[i].
-    ParameterError, before any step, unless n_chains >= 1, model is 'bep'
-    or 'abep', and cap is greater than every component of start (a nan cap
-    is not); NumericalBlowup when any component passes the cap.
+    ParameterError, before any step, unless n_chains is a whole number >= 1,
+    model is 'bep' or 'abep', and cap is greater than every component of
+    start (a nan cap is not); NumericalBlowup when any component passes it.
     """
-    if not n_chains >= 1:
-        raise ParameterError(f"n_chains must be >= 1, got {n_chains}")
+    r = _count(n_chains, "n_chains")
     if not (start < cap).all():
         raise ParameterError(
             f"cap must be greater than every component of the start state, got {cap}")
-    x = np.repeat(start[:, None], n_chains, axis=1)
+    x = np.repeat(start[:, None], r, axis=1)
     # one workspace per ensemble, bound to x, so no step allocates: x is
     # stepped in place, and the noise comes in chunks, drawn (c, R, N+1)
     # whatever the layout and stepped as (N+1, R) rows; the normal stream is
     # identical for any chunking
     ws = Workspace(x, p, model)
     dt_c, noise_scale = np.array(dt, float), np.array(math.sqrt(2.0 * dt))
-    k, r = len(start) + 1, n_chains          # noise rows, chains
+    k = len(start) + 1                      # noise rows
     snaps = np.empty((len(emit), r, k - 1))
     chunk = max(1, min(4096, 65536 // max(1, r * k)))
     draws = np.empty((chunk, r, k))
@@ -203,7 +202,8 @@ def stationary_estimate(p: SystemParams, cfg: SdeConfig, model: str, observable,
     emits: len(cfg.steps()[1]) * n_chains samples.  The standard error comes
     from the spread of per-chain batch means, N_BATCHES per chain or one per
     sample if fewer, so it accounts for autocorrelation on scales below the
-    batch length.  ParameterError unless there are at least two batch means.
+    batch length.  ParameterError unless n_chains is a whole number >= 1 and
+    there are at least two batch means.
 
     An observable takes a batch: it is called once with an (M, N) array of
     states and must return M values.  Given one callable the result is one
@@ -215,7 +215,7 @@ def stationary_estimate(p: SystemParams, cfg: SdeConfig, model: str, observable,
     single, observables = _observables(observable)
     start = np.zeros(p.n_sites) if x0 is None else as_state(x0, p.n_sites)
     n_steps, emit = cfg.steps()
-    n_means = min(N_BATCHES, len(emit)) * n_chains
+    n_means = min(N_BATCHES, len(emit)) * _count(n_chains, "n_chains")
     if n_means < 2:
         # one batch mean has no spread, so its standard error would read 0
         raise ParameterError(
@@ -240,8 +240,8 @@ def ensemble_endpoint(x0, p: SystemParams, model: str, dt: float, t: float,
                       n_chains: int, seed, cap: float = DEFAULT_CAP) -> np.ndarray:
     """Final states of n_chains independent chains all started at x0.
 
-    ParameterError unless t is 0 or a whole number of steps dt, n_chains
-    >= 1 and model is 'bep' or 'abep', also at t = 0.
+    ParameterError unless t is 0 or a whole number of steps dt, n_chains is
+    a whole number >= 1 and model is 'bep' or 'abep', also at t = 0.
     """
     arr = as_state(x0, p.n_sites)
     n_steps = whole_steps(t, dt)

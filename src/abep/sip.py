@@ -5,8 +5,8 @@ neighbor j at rate (count at i) * (alpha + count at j), so particles attract
 each other on top of free diffusion.  Sites 0 and N+1 absorb: the jump
 1 -> 0 happens at rate (count at site 1) and N -> N+1 at rate (count at
 site N), and absorbed particles never move again.  That is the "unit"
-boundary bookkeeping; the rate table also serves the "walk" one (boundary
-jumps at alpha * count) for the exact solves in :mod:`abep.absorption`.
+boundary bookkeeping; the rate law, _hop_rates, serves the "walk" one
+(boundary jumps at alpha * count) too, for :mod:`abep.absorption`.
 
 All runs of one call advance together by Gillespie's direct method
 (Gillespie, J. Phys. Chem. 81, 1977), applied to a batch: each round takes
@@ -21,7 +21,7 @@ from collections import Counter
 
 import numpy as np
 
-from .core import SystemParams, as_particles
+from .core import SystemParams, _count, as_particles
 from .errors import ParameterError, SimulationCap
 # as_generator is unused here but stays importable: bench/tracing.py wraps
 # abep.sip.as_generator
@@ -42,6 +42,14 @@ def _edge_rate(alpha: float, edge: str) -> float:
     raise ParameterError(f"edge must be 'unit' or 'walk', got {edge!r}")
 
 
+def _hop_rates(k, k_target, into_edge, alpha: float, edge: str) -> np.ndarray:
+    """The rate law: k (alpha + k_target) for a jump from a site holding k to
+    one holding k_target, _edge_rate * k where the index into_edge marks 0 or N+1."""
+    rates = k * (alpha + k_target)
+    rates[into_edge] = _edge_rate(alpha, edge) * k[into_edge]
+    return rates
+
+
 def _rate_table(occ, alpha: float, edge: str = "unit") -> np.ndarray:
     """Jump rates of every configuration: (R, 2N) from (R, N+2) occupations.
 
@@ -50,17 +58,9 @@ def _rate_table(occ, alpha: float, edge: str = "unit") -> np.ndarray:
     """
     k = occ[:, 1:-1]
     rates = np.empty(k.shape + (2,))
-    rates[:, :, 0] = k * (alpha + occ[:, :-2])
-    rates[:, :, 1] = k * (alpha + occ[:, 2:])
-    at_edge = _edge_rate(alpha, edge)
-    rates[:, 0, 0] = at_edge * k[:, 0]
-    rates[:, -1, 1] = at_edge * k[:, -1]
+    rates[:, :, 0] = _hop_rates(k, occ[:, :-2], np.s_[:, 0], alpha, edge)
+    rates[:, :, 1] = _hop_rates(k, occ[:, 2:], np.s_[:, -1], alpha, edge)
     return rates.reshape(len(occ), -1)
-
-
-def _occupied(occ) -> np.ndarray:
-    """Mask of the rate table's columns whose source site is occupied."""
-    return np.repeat(occ[:, 1:-1] > 0, 2, axis=1)
 
 
 def _jump(occ, rows, col) -> None:
@@ -73,7 +73,7 @@ def _jump(occ, rows, col) -> None:
 def sip_rates(xi, p: SystemParams):
     """All possible single jumps from xi as (target configuration, rate)."""
     occ = as_particles(xi, p.n_sites)[None]
-    cols = np.flatnonzero(_occupied(occ)[0])
+    cols = np.flatnonzero(np.repeat(occ[0, 1:-1] > 0, 2))
     targets = np.repeat(occ, len(cols), axis=0)
     _jump(targets, np.arange(len(cols)), cols)
     return list(zip(targets, _rate_table(occ, p.alpha)[0, cols].tolist()))
@@ -87,11 +87,11 @@ def _simulate(occ0, p: SystemParams, n_runs: int, rng: np.random.Generator,
     which the runs stopped: when their bulk empties or, if t_max is given,
     at that horizon.  Each round draws a (2, active) block of uniforms, the
     first row for the waiting times and the second for the moves.
-    ParameterError unless n_runs >= 1 and a given t_max is >= 0 (nan is not).
+    ParameterError unless n_runs is a whole number >= 1 and t_max None or >= 0.
     """
-    if not (n_runs >= 1 and (t_max is None or t_max >= 0)):
-        raise ParameterError(f"need n_runs >= 1 and a time horizon >= 0, got "
-                             f"n_runs={n_runs}, horizon={t_max}")
+    n_runs = _count(n_runs, "n_runs")
+    if not (t_max is None or t_max >= 0):
+        raise ParameterError(f"need a time horizon >= 0, got {t_max}")
     n = p.n_sites
     occ = np.tile(occ0, (n_runs, 1))
     t = np.zeros(n_runs)

@@ -199,7 +199,8 @@ def test_pair_mean_rule_at_large_n(edge):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_engine_rates_are_the_simulated_rates(k):
-    # N = 10 with k = 3 has 364 states: more than one block of _generator
+    # N = 3 keeps every walker next to a boundary; N = 10 with k = 3 (364
+    # states) also stacks walkers on bulk sites away from both
     for n in (3, 10):
         p = SystemParams(n, 0.0, 0.7, 1.0, 1.0)
         states, q = _generator(n, k, p.alpha, "unit")

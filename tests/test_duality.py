@@ -157,6 +157,22 @@ def test_semigroup_check_rhs_se_is_the_sample_deviation(n_runs):
 
 
 @pytest.mark.parametrize("t", [0.0, 0.2])
+@pytest.mark.parametrize("n_runs", [1, 2.5, math.inf])
+def test_semigroup_check_rejects_bad_run_counts(n_runs, t):
+    p = SystemParams(2, 0.0, 1.0, 0.5, 1.0)
+    with pytest.raises(ParameterError, match="n_runs must be a whole number >= 2"):
+        semigroup_duality_check(np.array([0.8, 0.5]), np.array([0, 1, 0, 0]), t,
+                                p, n_runs=n_runs, dt=0.01)
+
+
+def test_semigroup_check_takes_whole_float_run_counts():
+    p = SystemParams(2, 0.0, 1.0, 0.5, 1.0)
+    args = (np.array([0.8, 0.5]), np.array([0, 1, 1, 0]), 0.2, p)
+    assert (semigroup_duality_check(*args, n_runs=40.0, seed=2, dt=0.01)
+            == semigroup_duality_check(*args, n_runs=40, seed=2, dt=0.01))
+
+
+@pytest.mark.parametrize("t", [0.0, 0.2])
 def test_semigroup_check_takes_one_configuration(t):
     # checks share an ensemble through the memo, not through a list of xi0
     p = SystemParams(2, 0.05, 2.0, 0.5, 1.5)

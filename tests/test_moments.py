@@ -242,6 +242,18 @@ def test_reversible_density_unequal_temperatures_rejected():
         reversible_sampler(p, 10)
 
 
+@pytest.mark.parametrize("n_samples", [0, 2.5, np.nan])
+def test_reversible_sampler_rejects_bad_counts(n_samples):
+    p = SystemParams(2, 0.3, 1.0, 1.0, 1.0)
+    with pytest.raises(ParameterError, match="n_samples must be a whole number"):
+        reversible_sampler(p, n_samples)
+
+
+def test_reversible_sampler_takes_whole_float_counts():
+    p = SystemParams(2, 0.3, 1.0, 1.0, 1.0)
+    assert reversible_sampler(p, 7.0).tobytes() == reversible_sampler(p, 7).tobytes()
+
+
 def test_reversible_density_matches_pushforward():
     # density of x equals the Gamma product density of g(x) times the
     # volume factor of the transform

@@ -178,13 +178,36 @@ def test_ensemble_endpoint_needs_whole_steps(dt, t):
 
 
 @pytest.mark.parametrize("model, n_chains, match", [
-    ("bep", 0, "n_chains"), ("abep", -1, "n_chains"), ("nope", 4, "unknown model")])
+    ("bep", 0, "n_chains"), ("abep", -1, "n_chains"), ("nope", 4, "unknown model"),
+    ("bep", 2.5, "n_chains"), ("abep", math.inf, "n_chains"),
+    ("bep", math.nan, "n_chains")])
 @pytest.mark.parametrize("t", [0.0, 0.1])
 def test_ensemble_endpoint_checks_chains_and_model(model, n_chains, match, t):
     # t = 0 takes no step: the checks come before the first one
     p = SystemParams(2, 0.1, 2.0, 0.5, 1.5)
     with pytest.raises(ParameterError, match=match):
         ensemble_endpoint(np.full(2, 0.5), p, model, 0.01, t, n_chains, seed=0)
+
+
+def test_whole_float_chain_counts_run_as_integers():
+    p = SystemParams(2, 0.1, 2.0, 0.5, 1.5)
+    x0 = np.full(2, 0.5)
+    assert (ensemble_endpoint(x0, p, "abep", 0.01, 0.1, 3.0, seed=0).tobytes()
+            == ensemble_endpoint(x0, p, "abep", 0.01, 0.1, 3, seed=0).tobytes())
+    cfg = SdeConfig(dt=0.01, t_end=1.0, thinning=0.1, seed=0)
+    obs = lambda s: s[:, 0]
+    assert (stationary_estimate(p, cfg, "abep", obs, n_chains=2.0)
+            == stationary_estimate(p, cfg, "abep", obs, n_chains=2))
+
+
+@pytest.mark.parametrize("n_chains", [-1, 0, 2.5, math.nan])
+def test_stationary_estimate_names_a_bad_chain_count(n_chains):
+    # checked before the batch means, which a negative count would make
+    # negative
+    p = SystemParams(2, 0.02, 1.0, 1.0, 1.0)
+    cfg = SdeConfig(dt=0.01, t_end=1.0, thinning=0.1, seed=0)
+    with pytest.raises(ParameterError, match="n_chains must be a whole number"):
+        stationary_estimate(p, cfg, "abep", lambda s: s[:, 0], n_chains=n_chains)
 
 
 def test_stationary_estimate_needs_two_batch_means():

@@ -11,7 +11,7 @@ from abep import SystemParams, final_state_counts, mc_absorption, sip_rates
 from abep.absorption import _exit_table, _generator
 from abep.errors import ParameterError, SimulationCap
 from abep.rng import stream
-from abep.sip import _edge_rate, _occupied, _rate_table, _simulate
+from abep.sip import _edge_rate, _rate_table, _simulate
 
 RNG = np.random.default_rng(77)
 
@@ -158,7 +158,7 @@ def test_rate_table_matches_per_site_loop(edge):
             for occ in _configurations(n, 3):
                 want = _moves_reference(occ.tolist(), n, alpha, edge)
                 table = _rate_table(occ[None], alpha, edge)
-                cols = np.flatnonzero(_occupied(occ[None])[0])
+                cols = np.flatnonzero(np.repeat(occ[1:-1] > 0, 2))
                 src = cols // 2 + 1
                 got = list(zip(src.tolist(), (src + 2 * (cols % 2) - 1).tolist(),
                                table[0, cols].tolist()))
@@ -177,17 +177,18 @@ def test_rate_table_matches_per_site_loop(edge):
 
 @pytest.mark.parametrize("edge", ["unit", "walk"])
 def test_generator_matches_per_site_build(edge):
-    # alpha = 0 keeps the zero-rate jumps of occupied sites as stored zeros
-    for n in range(1, 6):
-        for k in (1, 2, 3):
-            for alpha in (0.0, 0.5, 1.0, 2.5):
-                states, q = _generator(n, k, alpha, edge)
-                ref_states, ref = _generator_reference(n, k, alpha, edge)
-                assert states.tolist() == [list(s) for s in ref_states]
-                for attr in ("indptr", "indices", "data"):
-                    got, want = getattr(q, attr), getattr(ref, attr)
-                    assert got.dtype == want.dtype
-                    assert got.tobytes() == want.tobytes(), (n, k, alpha, attr)
+    # alpha = 0 keeps the zero-rate jumps of occupied sites as stored zeros;
+    # at N = 1 every walker sits on the one site that is first and last
+    cases = [(n, k) for n in range(1, 6) for k in (1, 2, 3)] + [(1, 4), (8, 4), (12, 3)]
+    for n, k in cases:
+        for alpha in (0.0, 0.5, 1.0, 2.5):
+            states, q = _generator(n, k, alpha, edge)
+            ref_states, ref = _generator_reference(n, k, alpha, edge)
+            assert states.tolist() == [list(s) for s in ref_states]
+            for attr in ("indptr", "indices", "data"):
+                got, want = getattr(q, attr), getattr(ref, attr)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), (n, k, alpha, attr)
 
 
 def _z(freq, prob, runs):
@@ -264,16 +265,27 @@ def test_batched_calls_reject_bad_config(xi0):
 
 
 @pytest.mark.parametrize("n_runs, t_horizon", [(0, 0.5), (-3, 0.5), (10, -1.0),
-                                              (10, np.nan), (10, -np.inf)])
+                                              (10, np.nan), (10, -np.inf),
+                                              (2.5, 0.5), (np.inf, 0.5),
+                                              (np.nan, 0.5), (True, 0.5), ("3", 0.5)])
 def test_batched_calls_reject_bad_runs_and_horizon(n_runs, t_horizon):
     # a negative or nan horizon would return the start configuration or run
-    # every run to absorption, and n_runs below 1 has nothing to count
+    # every run to absorption, n_runs below 1 has nothing to count, and a
+    # count is a whole number (2.0 is, 2.5, inf, True and "3" are not)
     p = SystemParams(2, 0.0, 1.0, 1.0, 1.0)
     with pytest.raises(ParameterError, match="n_runs|horizon"):
         final_state_counts([0, 1, 0, 0], p, n_runs, t_horizon)
-    if n_runs < 1:
+    if t_horizon == 0.5:                # the run count is the bad argument
         with pytest.raises(ParameterError, match="n_runs"):
             mc_absorption([0, 1, 0, 0], p, n_runs)
+
+
+def test_batched_calls_take_whole_float_counts():
+    p = SystemParams(2, 0.05, 2.0, 0.5, 1.5)
+    xi0 = [0, 1, 1, 0]
+    assert mc_absorption(xi0, p, 50.0, seed=1) == mc_absorption(xi0, p, 50, seed=1)
+    assert (final_state_counts(xi0, p, 50.0, 0.3, seed=1)
+            == final_state_counts(xi0, p, 50, 0.3, seed=1))
 
 
 def _digest(items) -> str:
