@@ -12,7 +12,8 @@ from .core import (DOMAIN_TOL, SystemParams, as_particles, as_state, map_g,
 from .errors import (ConfigError, DomainError, NumericalBlowup,
                      ParameterError, RejectionStall, RouteMismatch,
                      SimulationCap, SingularSystem, SiteError, ToolkitError)
-from .generators import apply_generator, intertwining_residual, model_parts
+from .generators import (Workspace, apply_generator, intertwining_residual,
+                         model_parts)
 from .sde import (DEFAULT_CAP, SdeConfig, ensemble_endpoint,
                   simulate_trajectory, stationary_estimate)
 from .sip import final_state_counts, mc_absorption, sip_rates
@@ -38,7 +39,7 @@ __all__ = [
     "ToolkitError", "ParameterError", "DomainError", "NumericalBlowup",
     "SimulationCap", "RejectionStall", "SingularSystem", "ConfigError",
     "RouteMismatch", "SiteError",
-    "model_parts", "apply_generator", "intertwining_residual",
+    "Workspace", "model_parts", "apply_generator", "intertwining_residual",
     "SdeConfig", "simulate_trajectory", "stationary_estimate",
     "ensemble_endpoint",
     "sip_rates", "mc_absorption", "final_state_counts",

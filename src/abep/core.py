@@ -97,23 +97,18 @@ def as_state(x, n_sites: int | None = None, allow_negative: bool = False) -> np.
 
 
 def as_particles(xi, n_sites: int | None = None) -> np.ndarray:
-    """Coerce to an integer occupation vector over sites 0..N+1."""
+    """Coerce to an int64 occupation vector over sites 0..N+1: every count a
+    whole number >= 0 below 2**63 (2.0 is; 2.5, nan, inf, 1e20, True are not)."""
     arr = _array(xi, "particle configuration")
-    if not np.issubdtype(arr.dtype, np.integer):
-        rounded = np.rint(_array(arr, "particle configuration", float))
-        if not (np.isfinite(rounded).all() and np.array_equal(arr, rounded)):
-            raise ParameterError("particle counts must be finite integers")
-        arr = rounded.astype(np.int64)
-    else:
-        arr = arr.astype(np.int64)
+    if not (_whole(arr) and ((arr >= 0) & (arr < 2.0**63)).all()):
+        raise ParameterError("particle counts must be whole numbers in [0, 2**63)")
+    arr = arr.astype(np.int64)
     if arr.ndim != 1:
         raise ParameterError("particle configuration must be one-dimensional")
     if n_sites is not None and arr.shape[0] != n_sites + 2:
         raise ParameterError(
             f"expected {n_sites + 2} entries (sites 0..N+1), got {arr.shape[0]}"
         )
-    if np.any(arr < 0):
-        raise ParameterError("particle counts must be non-negative")
     return arr
 
 

@@ -37,9 +37,9 @@ _endpoint_cache: dict = {}
 
 
 def pochhammer(a: float, k: int) -> float:
-    """Rising factorial a (a+1) ... (a+k-1); 1 for k = 0."""
+    """Rising factorial a (a+1) ... (a+k-1) for a whole number k >= 0."""
     out = 1.0
-    for j in range(int(k)):
+    for j in range(_count(k, "k", 0)):
         out *= a + j
     return out
 
@@ -50,11 +50,12 @@ def laguerre_d(zeta, k: int, alpha: float, t: float):
     (-t)^k * sum_{j=0}^{k} (-1)^j C(k, j) (zeta/t)^j / (alpha)_j, a
     polynomial in zeta proportional to a generalized Laguerre polynomial.
     Zero mean under the Gamma(alpha, scale t) law for every k >= 1.
-    Vectorized in zeta.
+    Vectorized in zeta.  ParameterError unless k is a whole number >= 0
+    and 0 < t < inf.
     """
-    if t <= 0:
-        raise ParameterError(f"orthogonal parameter t must be > 0, got {t}")
-    k = int(k)
+    if not (0 < t < math.inf):
+        raise ParameterError(f"orthogonal parameter t must be finite and > 0, got {t}")
+    k = _count(k, "k", 0)
     y = np.asarray(zeta, dtype=float) / t
     acc = np.zeros_like(y)
     for j in range(k + 1):

@@ -59,9 +59,7 @@ class Workspace:
     It builds once every view of x and of its own buffers that model_parts
     reads or writes for the model, and that a step reads (the 'abep' set
     holds the 'bep' one), and binds p's constants as 0-d float64 arrays:
-    the same doubles, cheaper ufunc calls.  A model_parts call given the
-    workspace writes every part into it and allocates nothing; the parts it
-    returns are views of these buffers, so the next call overwrites them.
+    the same doubles, cheaper ufunc calls.
     """
 
     def __init__(self, x: np.ndarray, p: SystemParams, model: str):
@@ -105,30 +103,22 @@ class Workspace:
         self.v_head, self.v_last, self.u_last = v[:-1], v[-1:], u[-1:]
 
 
-def model_parts(x: np.ndarray, p: SystemParams, model: str,
-                ws: Workspace | None = None):
-    """Coefficient parts of 'bep' or 'abep' on site-major states.
+def model_parts(ws: Workspace):
+    """Coefficient parts of ws.model at the site-major states ws.x.
 
-    x holds one site per row: (N,) for one configuration or (N, R) for R
+    ws.x holds one site per row: (N,) for one configuration or (N, R) for R
     chains, ideally C-contiguous so every row is a contiguous vector.
     Returns (drift like x, amplitudes (N+1, ...) with one row per noise
     direction, right direction v like x, or None for the static e_N of the
-    symmetric model).  With sigma = 0 'abep' is 'bep'.  The parts are
-    written into ws when one is given, a Workspace bound to this x, p and
-    model (ParameterError otherwise); without one each call binds a fresh
-    workspace and returns arrays of its own.
+    symmetric model).  With sigma = 0 'abep' is 'bep'.  Every part is
+    written into ws, with no allocation: the parts are views of its
+    buffers, so the next call on ws overwrites them.
     """
-    if ws is None:
-        ws = Workspace(x, p, model)
-    elif ws.x is not x or ws.p is not p or ws.model != model:
-        raise ParameterError(
-            "the workspace is bound to another state array, parameters or "
-            f"model ({ws.model!r})")
     a = ws.alpha
     drift, amps, r1, r2 = ws.drift, ws.amps, ws.r1, ws.r2
     head, tail, first, last = ws.head, ws.tail, ws.first, ws.last
     drift.fill(0.0)
-    if model == "bep" or p.sigma == 0:
+    if ws.model == "bep" or ws.p.sigma == 0:
         c = ws.u_head                      # bond coefficient on e_{i+1} - e_i
         np.subtract(ws.x_head, ws.x_tail, c)
         np.multiply(c, a, c)
@@ -153,7 +143,7 @@ def model_parts(x: np.ndarray, p: SystemParams, model: str,
     np.multiply(ee, s, ee)
     np.exp(ee, ee)
     # ep = e^{s x_i} - 1 and em = 1 - e^{-s x_i}, one expm1 for both
-    np.multiply(x, s, ep)
+    np.multiply(ws.x, s, ep)
     np.negative(ep, em)
     np.expm1(ws.em_ep, ws.em_ep)
     np.negative(em, em)
@@ -207,7 +197,7 @@ def _stencil(x: np.ndarray, p: SystemParams, model: str, h: float):
     n = p.n_sites
     if x.shape != (n,):
         raise ParameterError(f"expected one state of shape ({n},), got {x.shape}")
-    drift, amps, v = model_parts(x, p, model)
+    drift, amps, v = model_parts(Workspace(x, p, model))
     dirs = np.zeros((2 * n + 1, n))
     dirs[:n] = np.eye(n)
     dirs[n:2 * n - 1] = np.eye(n - 1, n, 1) - np.eye(n - 1, n)

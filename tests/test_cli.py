@@ -322,7 +322,9 @@ def _assert_usage_error(argv, capsys, check=True):
 @pytest.mark.parametrize("flags", [["--runs", "0"], ["--runs", "-5"],
                                    ["--dt", "0"], ["--t", "-1"], ["--runs", "1"],
                                    ["--dt", "0.3", "--t", "0.5"],
-                                   ["--dt", "1", "--t", "0.4"]])
+                                   ["--dt", "1", "--t", "0.4"],
+                                   ["--dual", "orthogonal", "--t-orth", "nan"],
+                                   ["--dual", "orthogonal", "--t-orth", "inf"]])
 def test_verify_duality_bad_arguments_are_usage_errors(flags, capsys):
     _assert_usage_error(["verify-duality", "--n", "2", *flags], capsys)
 

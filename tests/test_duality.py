@@ -20,6 +20,16 @@ def test_pochhammer_small_cases():
     assert pochhammer(2.0, 1) == 2.0
     assert pochhammer(2.0, 3) == 2.0 * 3.0 * 4.0
     assert pochhammer(0.5, 2) == pytest.approx(0.75)
+    assert pochhammer(2.0, 2.0) == pochhammer(2.0, 2)
+
+
+@pytest.mark.parametrize("k", [2.7, -3, np.nan, np.inf, True])
+def test_pochhammer_and_laguerre_reject_bad_degree(k):
+    # a degree is a whole number >= 0: 2.7 would truncate to 2, -3 give 1
+    with pytest.raises(ParameterError, match="k must be a whole number"):
+        pochhammer(2.0, k)
+    with pytest.raises(ParameterError, match="k must be a whole number"):
+        laguerre_d(np.array([1.0]), k, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("k", range(6))
@@ -34,8 +44,9 @@ def test_laguerre_d_matches_scipy(k, alpha):
 
 
 def test_laguerre_d_rejects_bad_temperature():
-    with pytest.raises(ParameterError):
-        laguerre_d(np.array([1.0]), 2, 1.0, 0.0)
+    for t in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ParameterError):
+            laguerre_d(np.array([1.0]), 2, 1.0, t)
 
 
 @pytest.mark.parametrize("k", range(1, 6))

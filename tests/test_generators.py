@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from abep import (SystemParams, apply_generator, generator_duality_residual,
-                  intertwining_residual, map_g, model_parts, sip_generator_apply)
+from abep import (SystemParams, Workspace, apply_generator,
+                  generator_duality_residual, intertwining_residual, map_g,
+                  model_parts, sip_generator_apply)
 from abep.cli import random_polynomials
 from abep.core import as_state
 from abep.duality import _select_dfun
@@ -21,7 +22,7 @@ def _coordinate(k):
 def _per_point_coefficients(x, p, model):
     """Drift and (amplitude, direction) pairs at one state, from model_parts."""
     n = p.n_sites
-    drift, amps, v = model_parts(as_state(x, n), p, model)
+    drift, amps, v = model_parts(Workspace(as_state(x, n), p, model))
     dirs = []
     for i in range(n - 1):
         d = np.zeros(n)
@@ -167,7 +168,7 @@ def test_symmetric_carre_du_champ_on_squares():
 def test_noise_direction_count_and_layout():
     p = SystemParams(4, 0.0, 1.0, 1.0, 1.0)
     z = RNG.uniform(0.1, 1.0, 4)
-    _, amps, v = model_parts(z, p, "bep")
+    _, amps, v = model_parts(Workspace(z, p, "bep"))
     assert amps.size == 5
     # every coefficient is nonzero here: rows are z, then z + h d for the
     # 4 drift and 5 noise directions, then z - h d
@@ -183,8 +184,8 @@ def test_noise_direction_count_and_layout():
 def test_asymmetric_reduces_to_symmetric_at_sigma_zero():
     p = SystemParams(3, 0.0, 1.2, 1.0, 2.0)
     x = RNG.uniform(0.1, 1.5, 3)
-    ca = model_parts(x, p, "abep")
-    cb = model_parts(x, p, "bep")
+    ca = model_parts(Workspace(x, p, "abep"))
+    cb = model_parts(Workspace(x, p, "bep"))
     assert np.allclose(ca[0], cb[0])
     assert ca[1] == pytest.approx(cb[1])
     assert ca[2] is None and cb[2] is None
@@ -194,8 +195,8 @@ def test_asymmetric_drift_small_sigma_limit():
     x = RNG.uniform(0.2, 1.0, 3)
     p0 = SystemParams(3, 1e-7, 1.1, 0.7, 1.4)
     p1 = SystemParams(3, 0.0, 1.1, 0.7, 1.4)
-    drift_a = model_parts(x, p0, "abep")[0]
-    drift_b = model_parts(x, p1, "bep")[0]
+    drift_a = model_parts(Workspace(x, p0, "abep"))[0]
+    drift_b = model_parts(Workspace(x, p1, "bep"))[0]
     assert np.max(np.abs(drift_a - drift_b)) < 1e-5
 
 
@@ -230,35 +231,35 @@ def test_model_parts_dispatch():
     # site-major: one row per site, one column per chain (N = 3, R = 5)
     p = SystemParams(3, 0.3, 1.0, 1.0, 1.0)
     x = np.linspace(0.1, 1.5, 15).reshape(3, 5)
-    drift, amps, v = model_parts(x, p, "abep")
+    drift, amps, v = model_parts(Workspace(x, p, "abep"))
     assert drift.shape == v.shape == (3, 5)
     assert amps.shape == (4, 5)      # rows: two bonds, left, right
-    drift_b, amps_b, v_b = model_parts(x, p, "bep")
+    drift_b, amps_b, v_b = model_parts(Workspace(x, p, "bep"))
     assert drift_b.shape == (3, 5) and amps_b.shape == (4, 5)
     assert v_b is None
     with pytest.raises(ParameterError, match="unknown model"):
-        model_parts(x, p, "nope")
+        Workspace(x, p, "nope")
     # a chain-major (R, N) batch is refused, not misread
     with pytest.raises(ParameterError, match="site rows"):
-        model_parts(x.T, p, "abep")
+        Workspace(x.T, p, "abep")
 
 
 def test_amplitudes_are_nonnegative_on_domain():
     p = SystemParams(3, 0.4, 1.0, 1.0, 2.0)
     for _ in range(50):
         x = RNG.uniform(0.0, 2.0, 3)
-        _, amps, _ = model_parts(x, p, "abep")
+        _, amps, _ = model_parts(Workspace(x, p, "abep"))
         assert np.all(amps >= 0.0)
 
 
 @pytest.mark.parametrize("model", ["bep", "abep"])
 def test_model_parts_without_workspace_share_no_memory(model):
-    # parts from separate calls stay valid side by side (b0 - b patterns);
-    # only a workspace passed in on purpose is reused
+    # parts from separate workspaces stay valid side by side (b0 - b
+    # patterns); only the workspace a call is given is written
     p = SystemParams(3, 0.3, 1.0, 1.0, 2.0)
-    first = model_parts(np.array([0.2, 0.5, 0.9]), p, model)
+    first = model_parts(Workspace(np.array([0.2, 0.5, 0.9]), p, model))
     kept = [None if a is None else a.copy() for a in first]
-    second = model_parts(np.array([1.1, 0.4, 0.3]), p, model)
+    second = model_parts(Workspace(np.array([1.1, 0.4, 0.3]), p, model))
     for a in first:
         for b in second:
             if a is not None and b is not None:

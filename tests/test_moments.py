@@ -9,10 +9,11 @@ import pytest
 from scipy import integrate
 
 import abep.moments
-from abep import (SystemParams, map_g, model_parts, one_point_moment,
-                  one_point_routes, partial_energies, reversible_cdf_1d,
-                  reversible_log_density, reversible_mass, reversible_moment,
-                  reversible_sampler, two_particle_closed_form, two_particle_solve,
+from abep import (SystemParams, Workspace, map_g, model_parts,
+                  one_point_moment, one_point_routes, partial_energies,
+                  reversible_cdf_1d, reversible_log_density, reversible_mass,
+                  reversible_moment, reversible_sampler,
+                  two_particle_closed_form, two_particle_solve,
                   two_point_closed_form, two_point_moment, two_point_report)
 from abep.cli import run
 from abep.errors import ParameterError, RejectionStall, RouteMismatch
@@ -101,8 +102,9 @@ def test_one_point_default_is_the_simulated_stationary_mean(n, alpha, capsys):
     # the bep drift is affine in z, so its zero is the exact stationary
     # mean, and E[exp(-sigma E_m(x))] = 1 - sigma * sum_{i >= m} E[z_i]
     p = SystemParams(n, 0.05, alpha, 0.5, 1.5)
-    b0 = model_parts(np.zeros(n), p, "bep")[0]
-    a = np.stack([model_parts(e, p, "bep")[0] - b0 for e in np.eye(n)], axis=1)
+    b0 = model_parts(Workspace(np.zeros(n), p, "bep"))[0]
+    a = np.stack([model_parts(Workspace(e, p, "bep"))[0] - b0 for e in np.eye(n)],
+                 axis=1)
     z_hat = np.linalg.solve(a, -b0)
     assert run(["moments", "--n", str(n), "--sigma", "0.05", "--alpha",
                 repr(alpha), "--tl", "0.5", "--tr", "1.5", "--no-mc",

@@ -8,7 +8,7 @@ import pytest
 from abep import (SdeConfig, SystemParams, ensemble_endpoint,
                   one_point_moment, simulate_trajectory, stationary_estimate)
 from abep.errors import NumericalBlowup, ParameterError
-from abep.generators import Workspace, model_parts
+from abep.generators import Workspace
 from abep.sde import _step_batch
 
 RNG = np.random.default_rng(777)
@@ -63,6 +63,13 @@ def test_em_step_zero_noise_is_euler():
     dict(dt=0.3, t_end=1.0, thinning=0.6),
     dict(dt=0.1, t_end=1.0, thinning=0.25),
     dict(dt=0.1, t_end=1.0, thinning=0.2, burn_in=0.15),
+    # nan and inf are no whole number of steps dt
+    dict(dt=math.nan, t_end=1.0, thinning=0.1),
+    dict(dt=0.01, t_end=math.inf, thinning=0.1),
+    dict(dt=0.01, t_end=math.nan, thinning=0.1),
+    dict(dt=0.01, t_end=1.0, thinning=math.nan),
+    dict(dt=0.01, t_end=1.0, thinning=0.1, burn_in=math.nan),
+    dict(dt=0.01, t_end=1.0, thinning=0.1, burn_in=math.inf),
 ])
 def test_config_validation(bad):
     with pytest.raises(ParameterError):
@@ -359,19 +366,6 @@ def test_bound_workspace_steps_equal_fresh_workspace_steps(model, n):
         fresh = _fresh_step(fresh, p, 1e-2, gauss, model)
         assert x.tobytes() == fresh.tobytes()
     assert np.all(np.isfinite(x)) and x.std() > 0.0
-
-
-def test_workspace_bound_elsewhere_is_refused():
-    p = SystemParams(2, 0.1, 2.0, 0.5, 1.5)
-    x = np.full((2, 4), 0.5)
-    other_p = SystemParams(2, 0.3, 0.7, 1.2, 0.4)
-    # a workspace serves the one state array, parameters and model it was
-    # built with, and holds the views of that model only
-    for ws in [Workspace(x.copy(), p, "abep"), Workspace(x, other_p, "abep"),
-               Workspace(x, p, "bep")]:
-        with pytest.raises(ParameterError, match="bound to another"):
-            model_parts(x, p, "abep", ws)
-    assert np.all(x == 0.5)
 
 
 def _sha256(a) -> str:

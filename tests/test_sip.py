@@ -255,7 +255,8 @@ def test_event_cap_counts_events_per_run():
 # counts a tolerance would round to integers must still be rejected
 @pytest.mark.parametrize("xi0", [[0, 1, 1], [0, -1, 2, 0], [0, 0.5, 1, 0],
                                  [[0, 1, 1, 0]], [0, 1.000001, 0, 0],
-                                 [0, 100000.4, 0, 0], [0, np.inf, 0, 0]])
+                                 [0, 100000.4, 0, 0], [0, np.inf, 0, 0],
+                                 [0, 1e20, 0, 0], [False, True, False, False]])
 def test_batched_calls_reject_bad_config(xi0):
     p = SystemParams(2, 0.0, 1.0, 1.0, 1.0)
     with pytest.raises(ParameterError):
