@@ -22,6 +22,7 @@ or arrays of sites.  scipy.sparse is imported at the first solve.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement
 
@@ -30,8 +31,6 @@ import numpy as np
 from .core import SystemParams, _whole
 from .errors import SingularSystem, SiteError
 from .sip import _edge_rate, _hop_rates
-
-_exit_cache: dict = {}
 
 
 @dataclass(frozen=True)
@@ -79,16 +78,14 @@ def _generator(n: int, k: int, alpha: float, edge: str):
     return states, sparse.csr_matrix((rates, (r, cols)), shape=(len(states),) * 2)
 
 
+@functools.cache
 def _exit_table(n: int, k: int, alpha: float, edge: str):
     """Absorption law of k walkers from every state with a walker in 1..N.
 
     Returns (rows, outcomes, h): rows[s] is the row of h for the sorted
     walker sites s, and h[row, c] is the probability of ending with
-    outcomes[c] = (left count, right count).
+    outcomes[c] = (left count, right count).  Cached per argument tuple.
     """
-    key = (n, k, float(alpha), edge)
-    if key in _exit_cache:
-        return _exit_cache[key]
     from scipy import sparse
     from scipy.sparse.linalg import splu
 
@@ -110,8 +107,7 @@ def _exit_table(n: int, k: int, alpha: float, edge: str):
     rows = np.full((n + 2,) * k, -1)
     rows[tuple(states[live].T)] = np.arange(np.count_nonzero(live))
     outcomes = [(c, k - c) for c in (states[~live] == 0).sum(axis=1).tolist()]
-    _exit_cache[key] = (rows, outcomes, h)
-    return _exit_cache[key]
+    return rows, outcomes, h
 
 
 def _sites(n: int, *sites):

@@ -44,6 +44,13 @@ def pochhammer(a: float, k: int) -> float:
     return out
 
 
+def _orthogonal_t(t: float) -> float:
+    """t itself; ParameterError unless 0 < t < inf."""
+    if not (0 < t < math.inf):
+        raise ParameterError(f"orthogonal parameter t must be finite and > 0, got {t}")
+    return t
+
+
 def laguerre_d(zeta, k: int, alpha: float, t: float):
     """Single-site orthogonal factor of degree k.
 
@@ -53,8 +60,7 @@ def laguerre_d(zeta, k: int, alpha: float, t: float):
     Vectorized in zeta.  ParameterError unless k is a whole number >= 0
     and 0 < t < inf.
     """
-    if not (0 < t < math.inf):
-        raise ParameterError(f"orthogonal parameter t must be finite and > 0, got {t}")
+    t = _orthogonal_t(t)
     k = _count(k, "k", 0)
     y = np.asarray(zeta, dtype=float) / t
     acc = np.zeros_like(y)
@@ -77,7 +83,9 @@ def classical_D(z, xi, p: SystemParams):
 
 
 def orthogonal_D(z, xi, p: SystemParams, t: float):
-    """Laguerre-product duality function with free parameter t > 0."""
+    """Laguerre-product duality function with free parameter 0 < t < inf,
+    checked for every xi."""
+    t = _orthogonal_t(t)
     occ = as_particles(xi, p.n_sites)
     arr = as_state(z, p.n_sites, allow_negative=True)
     base = (p.t_left - t) ** int(occ[0]) * (p.t_right - t) ** int(occ[-1])
@@ -109,21 +117,18 @@ def sip_generator_apply(fun, xi, p: SystemParams) -> float:
 
 
 def _select_dfun(model: str, dfun: str, p: SystemParams, t_orth):
-    if t_orth is None:
-        t_orth = 0.5 * (p.t_left + p.t_right)
-    if model == "bep":
-        if dfun == "classical":
-            return lambda state, xi: classical_D(state, xi, p)
-        if dfun == "orthogonal":
-            return lambda state, xi: orthogonal_D(state, xi, p, t_orth)
-    elif model == "abep":
-        if dfun == "classical":
-            return lambda state, xi: classical_D_sigma(state, xi, p)
-        if dfun == "orthogonal":
-            return lambda state, xi: orthogonal_D_sigma(state, xi, p, t_orth)
-    else:
+    """state, xi -> D(state, xi) for model and dfun; an orthogonal t_orth
+    (default (T_l + T_r) / 2) is checked here, before any evaluation."""
+    if model not in ("bep", "abep"):
         raise ParameterError(f"unknown model {model!r}")
-    raise ParameterError(f"unknown duality function {dfun!r}")
+    if dfun == "classical":
+        fun = classical_D if model == "bep" else classical_D_sigma
+        return lambda state, xi: fun(state, xi, p)
+    if dfun != "orthogonal":
+        raise ParameterError(f"unknown duality function {dfun!r}")
+    t = _orthogonal_t(0.5 * (p.t_left + p.t_right) if t_orth is None else t_orth)
+    fun = orthogonal_D if model == "bep" else orthogonal_D_sigma
+    return lambda state, xi: fun(state, xi, p, t)
 
 
 def generator_duality_residual(x, xi, p: SystemParams, model: str = "bep",

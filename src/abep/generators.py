@@ -59,7 +59,11 @@ class Workspace:
     It builds once every view of x and of its own buffers that model_parts
     reads or writes for the model, and that a step reads (the 'abep' set
     holds the 'bep' one), and binds p's constants as 0-d float64 arrays:
-    the same doubles, cheaper ufunc calls.
+    the same doubles, cheaper ufunc calls.  The drift is a difference of
+    fluxes, b_i = F_{i-1} - F_i, read from one zeroed (N+1, ...) buffer:
+    row 0 the inflow into site 1, rows 1..N-1 the bonds, row N the outflow
+    from site N (0 for 'abep', whose right reservoir moves every site
+    along v).
     """
 
     def __init__(self, x: np.ndarray, p: SystemParams, model: str):
@@ -74,33 +78,31 @@ class Workspace:
         (self.sigma, self.sigma2, self.alpha, self.t_left, self.t_right,
          self.t_left_alpha, self.t_right_alpha) = [
             np.array(c, float) for c in (s, s * s, a, tl, tr, tl * a, tr * a)]
-        block = np.empty((6, n, *rest))
-        drift, ee, em, ep, v, u = block
-        self.drift, self.ee, self.em = drift, ee, em
-        self.ep, self.v, self.u = ep, v, u
+        block = np.empty((5, n, *rest))
+        self.drift, self.em, self.ep, self.v, self.u = block
         self.amps = amps = np.empty((n + 1, *rest))   # rows: bonds, left, right
+        flux = np.zeros((n + 1, *rest))
         self.r1, self.r2 = np.empty((2, 1, *rest))   # one-row scratch
-        # named views: a ufunc with out= on one skips the write-back of
-        # `drift[:-1] -= c`, and building them here keeps slicing out of
-        # the steps
-        self.head, self.tail = drift[:-1], drift[1:]
-        self.first, self.last = drift[:1], drift[-1:]
+        # named views, built here to keep slicing out of the steps
+        self.flux_in, self.flux_out = flux[:-1], flux[1:]
+        self.inflow, self.bond_flux, self.outflow = flux[:1], flux[1:-1], flux[-1:]
         self.bonds, self.left, self.right = amps[:-2], amps[-2:-1], amps[-1:]
         self.x_head, self.x_tail = x[:-1], x[1:]
         self.x_first, self.x_last = x[:1], x[-1:]
-        self.u_head = u[:-1]
         if model != "abep":
             return
-        self.em_ep = block[2:4]                  # em and ep as one block
-        ee_rows = [ee[i:i + 1] for i in range(n)]
+        self.em_ep = block[1:3]                  # em and ep as one block
+        self.u_head = self.u[:-1]
+        ee_pad = np.zeros((n + 1, *rest))        # e^{s E_l} over one zero row
+        self.ee, self.ee_next = ee_pad[:-1], ee_pad[1:]
+        ee_rows = [self.ee[i:i + 1] for i in range(n)]
         # E_l = x_l + E_{l+1}: one (E_{l+1}, x_l, E_l) triple per site, N-1 down
         self.sums = [(ee_rows[i + 1], x[i:i + 1], ee_rows[i])
                      for i in range(n - 2, -1, -1)]
         self.ee_first, self.ee_last = ee_rows[0], ee_rows[-1]
-        self.ee_head, self.ee_tail = ee[:-1], ee[1:]
-        self.em_head, self.em_last = em[:-1], em[-1:]
-        self.ep_tail, self.ep_first = ep[1:], ep[:1]
-        self.v_head, self.v_last, self.u_last = v[:-1], v[-1:], u[-1:]
+        self.em_head, self.em_last = self.em[:-1], self.em[-1:]
+        self.ep_tail, self.ep_first = self.ep[1:], self.ep[:1]
+        self.v_last = self.v[-1:]
 
 
 def model_parts(ws: Workspace):
@@ -116,18 +118,13 @@ def model_parts(ws: Workspace):
     """
     a = ws.alpha
     drift, amps, r1, r2 = ws.drift, ws.amps, ws.r1, ws.r2
-    head, tail, first, last = ws.head, ws.tail, ws.first, ws.last
-    drift.fill(0.0)
     if ws.model == "bep" or ws.p.sigma == 0:
-        c = ws.u_head                      # bond coefficient on e_{i+1} - e_i
+        c = ws.bond_flux                   # bond coefficient on e_{i+1} - e_i
         np.subtract(ws.x_head, ws.x_tail, c)
         np.multiply(c, a, c)
-        np.subtract(head, c, head)
-        np.add(tail, c, tail)
-        np.subtract(ws.t_left_alpha, ws.x_first, r1)
-        np.add(first, r1, first)
-        np.subtract(ws.t_right_alpha, ws.x_last, r1)
-        np.add(last, r1, last)
+        np.subtract(ws.t_left_alpha, ws.x_first, ws.inflow)
+        np.subtract(ws.x_last, ws.t_right_alpha, ws.outflow)
+        np.subtract(ws.flux_in, ws.flux_out, drift)
         np.multiply(ws.x_head, ws.x_tail, ws.bonds)
         np.multiply(ws.x_first, ws.t_left, ws.left)
         np.multiply(ws.x_last, ws.t_right, ws.right)
@@ -148,26 +145,25 @@ def model_parts(ws: Workspace):
     np.expm1(ws.em_ep, ws.em_ep)
     np.negative(em, em)
 
-    # bulk bonds; u and v are scratch until the right reservoir
-    prod, c = ws.u_head, ws.v_head
+    # bulk bonds; u is scratch until the right reservoir
+    prod, c = ws.u_head, ws.bond_flux
     np.multiply(ws.em_head, ws.ep_tail, prod)
     np.divide(prod, ws.sigma2, ws.bonds)
     np.subtract(ws.em_head, ws.ep_tail, c)
     np.multiply(c, a, c)
     np.add(prod, c, c)
     np.divide(c, s, c)
-    np.subtract(head, c, head)
-    np.add(tail, c, tail)
 
-    # left reservoir (site 1 only), with r1 = T_l e^{s E_1}
-    np.multiply(ws.ee_first, ws.t_left, r1)
-    np.multiply(r1, ws.ep_first, ws.left)
+    # left reservoir (site 1 only): the inflow row starts as T_l e^{s E_1}
+    inflow = ws.inflow
+    np.multiply(ws.ee_first, ws.t_left, inflow)
+    np.multiply(inflow, ws.ep_first, ws.left)
     np.divide(ws.left, s, ws.left)
     np.add(ws.ep_first, a, r2)
-    r1 *= r2
+    inflow *= r2
     np.divide(ws.ep_first, s, r2)
-    r1 -= r2
-    np.add(first, r1, first)
+    inflow -= r2
+    np.subtract(ws.flux_in, ws.flux_out, drift)
 
     # right reservoir: rank-one direction across the whole chain
     np.multiply(ee, em, v)
@@ -176,9 +172,8 @@ def model_parts(ws: Workspace):
     np.multiply(r2, ws.t_right, ws.right)
     np.subtract(ws.t_right_alpha, r2, r1)   # alpha T_r - g_N; T_r alpha is the same double
     np.multiply(ee, ee, ee)                 # e^{2 s E_l}
-    np.subtract(ws.ee_head, ws.ee_tail, ws.u_head)
-    np.multiply(ws.u_head, s, ws.u_head)
-    np.multiply(ws.ee_last, s, ws.u_last)
+    np.subtract(ee, ws.ee_next, u)
+    np.multiply(u, s, u)
     np.multiply(v, r1, em)
     drift += em                             # (alpha T_r - g_N) v
     np.multiply(u, ws.right, u)

@@ -267,14 +267,13 @@ def reversible_sampler(p: SystemParams, n_samples: int, seed=0,
     while got < n_samples:
         z = rng.gamma(p.alpha, t, size=(chunk, n))
         proposed += chunk
-        if s > 0.0:
-            z = z[s * z.sum(axis=1) < 1.0 - DOMAIN_TOL]
+        z = z[s * z.sum(axis=1) < 1.0 - DOMAIN_TOL]
         accepted += len(z)
         take = min(len(z), n_samples - got)
         if take:
             kept[got:got + take] = z[:take]
             got += take
-    x = map_g_inv(kept, p) if s > 0.0 else kept
+    x = map_g_inv(kept, p)
     if with_stats:
         stats = {"proposed": proposed, "accepted": accepted,
                  "acceptance_rate": accepted / proposed}

@@ -324,7 +324,9 @@ def _assert_usage_error(argv, capsys, check=True):
                                    ["--dt", "0.3", "--t", "0.5"],
                                    ["--dt", "1", "--t", "0.4"],
                                    ["--dual", "orthogonal", "--t-orth", "nan"],
-                                   ["--dual", "orthogonal", "--t-orth", "inf"]])
+                                   ["--dual", "orthogonal", "--t-orth", "inf"],
+                                   ["--dual", "orthogonal", "--xi0", "0,0",
+                                    "--t-orth", "nan"]])
 def test_verify_duality_bad_arguments_are_usage_errors(flags, capsys):
     _assert_usage_error(["verify-duality", "--n", "2", *flags], capsys)
 

@@ -49,6 +49,17 @@ def test_laguerre_d_rejects_bad_temperature():
             laguerre_d(np.array([1.0]), 2, 1.0, t)
 
 
+@pytest.mark.parametrize("xi", [[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]])
+@pytest.mark.parametrize("t", [0.0, -1.0, np.nan, np.inf])
+def test_orthogonal_d_rejects_bad_temperature_without_bulk_particles(xi, t):
+    # no occupied bulk site, so no Laguerre factor: t is still checked
+    p = SystemParams(2, 0.1, 1.0, 0.5, 1.5)
+    with pytest.raises(ParameterError, match="orthogonal parameter t"):
+        orthogonal_D([0.5, 0.5], np.array(xi), p, t)
+    with pytest.raises(ParameterError, match="orthogonal parameter t"):
+        orthogonal_D_sigma([0.5, 0.5], np.array(xi), p, t)
+
+
 @pytest.mark.parametrize("k", range(1, 6))
 def test_laguerre_d_zero_mean_under_gamma(k):
     """Each polynomial is orthogonal to constants under the matching Gamma."""
@@ -260,6 +271,14 @@ def test_semigroup_check_memo_key_holds_every_ensemble_argument(simulations, cha
     assert len(duality._endpoint_cache) == 1
     assert _memo_check() == base
     assert len(simulations) == 3
+
+
+@pytest.mark.parametrize("t_orth", [0.0, -1.0, np.nan, np.inf])
+def test_semigroup_check_bad_orthogonal_t_simulates_nothing(simulations, t_orth):
+    for xi0 in [(0, 0, 0, 0), (0, 1, 0, 0)]:
+        with pytest.raises(ParameterError, match="orthogonal parameter t"):
+            _memo_check(xi0, "orthogonal", t_orth=t_orth)
+    assert len(simulations) == 0
 
 
 def test_semigroup_check_memo_is_read_only(simulations):

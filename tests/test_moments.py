@@ -381,6 +381,17 @@ def test_sampler_pinned_bytes():
         "133b91e3e4dee249d931d0f58fc17d197bf742e6aa9fafc10b385df63ec5d019"
 
 
+@pytest.mark.usefixtures("pinned_exp")
+def test_sampler_pinned_bytes_sigma_zero():
+    # sigma = 0 keeps every proposal, and g is the identity
+    p = SystemParams(2, 0.0, 1.0, 1.0, 1.0)
+    x, stats = reversible_sampler(p, 5_000, seed=0, with_stats=True)
+    assert stats == {"proposed": 10_000, "accepted": 10_000, "acceptance_rate": 1.0}
+    digest = hashlib.sha256(repr(stats).encode() + x.tobytes()).hexdigest()
+    assert digest == \
+        "5fcd0d83169653e4a6c114dd6c8c800031e8d50e2c10fdf07d0f3415d1e30443"
+
+
 def test_sampler_respects_domain():
     p = SystemParams(2, 0.4, 1.0, 0.9, 0.9)
     xs = reversible_sampler(p, 5_000, seed=2)

@@ -449,3 +449,24 @@ def test_pinned_bytes_bep_endpoint_partial_noise_chunk():
     assert final.shape == (10_000, 2)
     assert _sha256(final) == \
         "06ffbb511579fea3ca37aef543beac0cc049ae75248928787101ca23103180b1"
+
+
+# Two more, recorded before the drift became a difference of fluxes: N = 1
+# bep, where both reservoir terms land on the one site, and abep at
+# sigma = 0, which takes the bep branch.
+
+
+def test_pinned_bytes_bep_one_site_endpoint():
+    p = SystemParams(1, 0.0, 2.0, 0.5, 1.0)
+    final = ensemble_endpoint(np.full(1, 0.5), p, "bep", 1e-2, 0.5, 1000, seed=11)
+    assert final.shape == (1000, 1)
+    assert _sha256(final) == \
+        "fcefefe4379b91d738df797bb09fbd598f5e42230ade414c6e8705cff9b0da1c"
+
+
+def test_pinned_bytes_abep_sigma_zero_endpoint():
+    p = SystemParams(2, 0.0, 2.0, 0.5, 1.0)
+    final = ensemble_endpoint(np.full(2, 0.5), p, "abep", 1e-2, 0.5, 1000, seed=11)
+    assert final.shape == (1000, 2)
+    assert _sha256(final) == \
+        "6bb454934c1e1b43983caede62f0c7cbc5f2604b91648b6fca174a7b7d330022"
