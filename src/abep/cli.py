@@ -26,7 +26,7 @@ import numpy as np
 
 from .absorption import (single_absorption_solve, single_right_closed,
                          two_particle_closed_form, two_particle_solve)
-from .core import SystemParams
+from .core import SystemParams, _mean_se, _z
 from .duality import semigroup_duality_check
 from .errors import ConfigError, NumericalBlowup, ToolkitError
 from .generators import intertwining_residual
@@ -179,6 +179,8 @@ def _read_config(path, sub, valid):
             raise ConfigError(
                 f"{path}:{lineno}: empty key or value in {line!r}")
         key = key.replace("_", "-")
+        if key == "config":
+            raise ConfigError(f"{path}:{lineno}: nested config file {value!r}")
         if f"--{key}" not in valid:
             raise ConfigError(
                 f"{path}:{lineno}: unknown key {key!r} for subcommand {sub!r}")
@@ -409,23 +411,17 @@ def _cmd_reversible_check(args):
                                         with_stats=True)
     header = ["name", "expected", "observed", "se", "z_score"]
     rows = []
-    failed = False
     for m in range(1, args.n + 1):
-        obs = np.exp(-args.sigma * samples[:, m - 1:].sum(axis=1))
-        mean = float(obs.mean())
-        se = float(obs.std(ddof=1) / math.sqrt(len(obs)))
+        mean, se = _mean_se(np.exp(-args.sigma * samples[:, m - 1:].sum(axis=1)))
         closed = reversible_moment(m, p)
-        z = abs(mean - closed) / se if se > 0 else (0.0 if mean == closed else math.inf)
-        rows.append((f"moment_m{m}", closed, mean, se, z))
-        failed = failed or not (z < args.z_max)
+        rows.append((f"moment_m{m}", closed, mean, se, _z(mean, closed, se)))
     rate, predicted = stats["acceptance_rate"], reversible_mass(p)
     # binomial error at the predicted rate: at the observed one it is zero
     # whenever every proposal was accepted
     rate_se = math.sqrt(max(predicted * (1.0 - predicted), 1e-300) / stats["proposed"])
-    z = abs(rate - predicted) / rate_se
-    failed = failed or not (z < args.z_max)
-    rows.append(("acceptance_rate", predicted, rate, rate_se, z))
-    return header, rows, failed
+    rows.append(("acceptance_rate", predicted, rate, rate_se,
+                 _z(rate, predicted, rate_se)))
+    return header, rows, not all(row[-1] < args.z_max for row in rows)
 
 
 _HANDLERS = {

@@ -75,6 +75,16 @@ def _count(n, name: str, least: int = 1) -> int:
     return int(n)
 
 
+def _mean_se(vals) -> tuple[float, float]:
+    """(mean, sample deviation (ddof=1) / sqrt(n)) of a 1-D array of n values."""
+    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(len(vals)))
+
+
+def _z(a: float, b: float, se: float) -> float:
+    """|a - b| / se; at se = 0, 0 if a == b and inf otherwise; nan for a nan se."""
+    return abs(a - b) / se if se != 0 else (0.0 if a == b else np.inf)
+
+
 def as_state(x, n_sites: int | None = None, allow_negative: bool = False) -> np.ndarray:
     """Coerce to a float array of site energies and validate it.
 

@@ -8,8 +8,9 @@ particle configuration (sites 0..N+1) and T a free positive parameter:
 
 where (alpha)_k is the rising factorial and d(zeta, k) is a rescaled
 generalized Laguerre polynomial of degree k, evaluated by its terminating
-hypergeometric sum.  The asymmetric variants compose with the energy
-transform: they evaluate the same products at g(x).
+hypergeometric sum; classical is the same site product at T = 0.  The
+asymmetric variants compose with the energy transform: they evaluate the
+same products at g(x).
 
 Duality holds at the generator level, L_cont D(., xi)(x) = L_part D(x, .)(xi),
 and consequently for the semigroups, E_x D(X_t, xi) = E_xi D(x, Xi_t).  Both
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SystemParams, _count, as_particles, as_state, map_g
+from .core import SystemParams, _count, _mean_se, _z, as_particles, as_state, map_g
 from .errors import ParameterError
 from .generators import apply_generator
 from .sde import DEFAULT_CAP, ensemble_endpoint, whole_steps
@@ -69,32 +70,30 @@ def laguerre_d(zeta, k: int, alpha: float, t: float):
     return (-t) ** k * acc
 
 
-def classical_D(z, xi, p: SystemParams):
-    """Product duality function; broadcasts over leading axes of z."""
+def _site_product(z, xi, p: SystemParams, t: float, factor):
+    """(T_l - t)^{xi_0} (T_r - t)^{xi_{N+1}}, then val = factor(val, z_i, xi_i) at
+    each occupied bulk site i in turn; broadcasts over leading axes of z."""
     occ = as_particles(xi, p.n_sites)
     arr = as_state(z, p.n_sites, allow_negative=True)
-    out = float(p.t_left) ** int(occ[0]) * float(p.t_right) ** int(occ[-1])
-    val = np.full(arr.shape[:-1], out, dtype=float)
-    for i in range(p.n_sites):
-        k = int(occ[i + 1])
-        if k:
-            val = val * arr[..., i] ** k / pochhammer(p.alpha, k)
+    base = (p.t_left - t) ** int(occ[0]) * (p.t_right - t) ** int(occ[-1])
+    val = np.full(arr.shape[:-1], base, dtype=float)
+    for i in np.flatnonzero(occ[1:-1]):
+        val = factor(val, arr[..., i], int(occ[i + 1]))
     return val if val.ndim else float(val)
+
+
+def classical_D(z, xi, p: SystemParams):
+    """Product duality function; broadcasts over leading axes of z."""
+    return _site_product(z, xi, p, 0.0,
+                         lambda val, zi, k: val * zi**k / pochhammer(p.alpha, k))
 
 
 def orthogonal_D(z, xi, p: SystemParams, t: float):
     """Laguerre-product duality function with free parameter 0 < t < inf,
     checked for every xi."""
     t = _orthogonal_t(t)
-    occ = as_particles(xi, p.n_sites)
-    arr = as_state(z, p.n_sites, allow_negative=True)
-    base = (p.t_left - t) ** int(occ[0]) * (p.t_right - t) ** int(occ[-1])
-    val = np.full(arr.shape[:-1], base, dtype=float)
-    for i in range(p.n_sites):
-        k = int(occ[i + 1])
-        if k:
-            val = val * laguerre_d(arr[..., i], k, p.alpha, t)
-    return val if val.ndim else float(val)
+    return _site_product(z, xi, p, t,
+                         lambda val, zi, k: val * laguerre_d(zi, k, p.alpha, t))
 
 
 def classical_D_sigma(x, xi, p: SystemParams):
@@ -117,11 +116,13 @@ def sip_generator_apply(fun, xi, p: SystemParams) -> float:
 
 
 def _select_dfun(model: str, dfun: str, p: SystemParams, t_orth):
-    """state, xi -> D(state, xi) for model and dfun; an orthogonal t_orth
-    (default (T_l + T_r) / 2) is checked here, before any evaluation."""
+    """state, xi -> D(state, xi) for model and dfun; t_orth, orthogonal only
+    (default (T_l + T_r) / 2), is checked here, before any evaluation."""
     if model not in ("bep", "abep"):
         raise ParameterError(f"unknown model {model!r}")
     if dfun == "classical":
+        if t_orth is not None:
+            raise ParameterError(f"t_orth applies only to orthogonal, got {t_orth}")
         fun = classical_D if model == "bep" else classical_D_sigma
         return lambda state, xi: fun(state, xi, p)
     if dfun != "orthogonal":
@@ -168,8 +169,8 @@ def semigroup_duality_check(x0, xi0, t_horizon: float, p: SystemParams,
     The left side propagates diffusion chains from x0 with the
     Euler-Maruyama scheme; the right side runs the particle system from the
     one configuration xi0 to the same horizon.  Returns both means with
-    standard errors, each the sample deviation (ddof=1) over sqrt(n_runs),
-    and the two-sided z-score as a DualityCheck.
+    standard errors, one estimator for both sides, and the two-sided
+    z-score as a DualityCheck.
 
     Consecutive calls that differ only in xi0, dfun or t_orth share one
     diffusion ensemble: the last one is kept read-only, keyed by x0, p,
@@ -178,6 +179,7 @@ def semigroup_duality_check(x0, xi0, t_horizon: float, p: SystemParams,
     ParameterError unless n_runs is a whole number >= 2 (a standard error
     needs two runs), dt > 0 and t_horizon is 0 or a whole number of steps
     dt within 1e-9 relative: the diffusion side takes round(t_horizon / dt).
+    A t_orth given with dfun="classical" is a ParameterError too.
     """
     _count(n_runs, "n_runs", 2)
     whole_steps(t_horizon, dt, "t_horizon")
@@ -196,23 +198,12 @@ def semigroup_duality_check(x0, xi0, t_horizon: float, p: SystemParams,
         finals.flags.writeable = False
         _endpoint_cache.clear()
         _endpoint_cache[key] = finals
-    lhs_vals = np.asarray(dual(finals, occ0), dtype=float)
-    lhs = float(lhs_vals.mean())
-    lhs_se = float(lhs_vals.std(ddof=1) / math.sqrt(n_runs))
+    lhs, lhs_se = _mean_se(dual(finals, occ0))
 
     counts = final_state_counts(occ0, p, n_runs, t_horizon, seed=seed)
     runs, vals = zip(*[(c, float(dual(arr, np.array(config, dtype=np.int64))))
                        for config, c in sorted(counts.items())])
-    mean = 0.0
-    for c, v in zip(runs, vals):
-        mean += c / n_runs * v
-    # the lhs estimator on the expanded values: c runs end with value v
-    ss = sum(c * (v - mean) ** 2 for c, v in zip(runs, vals))
-    rhs_se = math.sqrt(ss / (n_runs - 1)) / math.sqrt(n_runs)
-
-    denom = math.hypot(lhs_se, rhs_se)
-    if denom == 0.0:
-        z = 0.0 if lhs == mean else math.inf
-    else:
-        z = abs(lhs - mean) / denom
-    return DualityCheck(lhs, lhs_se, mean, rhs_se, z)
+    # the lhs estimator on the per-run values: c runs end with value v
+    rhs, rhs_se = _mean_se(np.repeat(vals, runs))
+    z = _z(lhs, rhs, math.hypot(lhs_se, rhs_se))
+    return DualityCheck(lhs, lhs_se, rhs, rhs_se, z)

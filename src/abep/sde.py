@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SystemParams, _count, _eval_observable, _observables, as_state
+from .core import (SystemParams, _count, _eval_observable, _mean_se, _observables,
+                   as_state)
 from .errors import NumericalBlowup, ParameterError
 from .generators import Workspace, model_parts
 from .rng import as_generator, stream
@@ -223,8 +224,7 @@ def stationary_estimate(p: SystemParams, cfg: SdeConfig, model: str, observable,
     for f in observables:
         vals = _eval_observable(f, flat).reshape(m, r)
         batch_means = np.concatenate([vals[g].mean(axis=0) for g in groups])
-        se = float(np.std(batch_means, ddof=1) / np.sqrt(batch_means.size))
-        out.append((float(vals.mean()), se))
+        out.append((float(vals.mean()), _mean_se(batch_means)[1]))
     return out[0] if single else out
 
 

@@ -261,6 +261,15 @@ def test_config_unknown_key(tmp_path, capsys):
     assert ":2:" in err and "bogus" in err
 
 
+def test_config_refuses_a_nested_config(tmp_path, capsys):
+    # the file would otherwise be accepted and its config line ignored
+    cfg = tmp_path / "outer.cfg"
+    cfg.write_text("n = 3\ni = 1\nconfig = /nonexistent.cfg\n")
+    assert run(["absorption", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}:3:" in err and "nested config" in err
+
+
 def test_config_malformed_line(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("just a line without equals\n")
@@ -326,7 +335,8 @@ def _assert_usage_error(argv, capsys, check=True):
                                    ["--dual", "orthogonal", "--t-orth", "nan"],
                                    ["--dual", "orthogonal", "--t-orth", "inf"],
                                    ["--dual", "orthogonal", "--xi0", "0,0",
-                                    "--t-orth", "nan"]])
+                                    "--t-orth", "nan"],
+                                   ["--t-orth", "0.7"], ["--t-orth", "nan"]])
 def test_verify_duality_bad_arguments_are_usage_errors(flags, capsys):
     _assert_usage_error(["verify-duality", "--n", "2", *flags], capsys)
 

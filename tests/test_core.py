@@ -3,6 +3,7 @@ import pytest
 
 from abep import (DOMAIN_TOL, DomainError, SystemParams, as_particles, as_state,
                   map_g, map_g_inv, partial_energies)
+from abep.core import _z
 from abep.errors import ParameterError
 
 RNG = np.random.default_rng(20240817)
@@ -105,3 +106,11 @@ def test_ragged_input_is_a_parameter_error():
         as_state([[0.1, 0.2], [0.3]], 2)
     with pytest.raises(ParameterError, match="rectangular"):
         as_particles([[0, 1], [0]])
+
+
+@pytest.mark.parametrize("a, b, se, z", [(1.0, 1.0, 0.0, 0.0),
+                                         (1.0, 2.0, 0.0, np.inf),
+                                         (1.0, 1.0, np.nan, np.nan)])
+def test_z_rule_at_zero_and_nan_standard_error(a, b, se, z):
+    # a nan se gives a nan z, which fails every `z < z_max` check
+    assert np.array_equal(_z(a, b, se), z, equal_nan=True)

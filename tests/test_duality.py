@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -117,6 +118,43 @@ def test_orthogonal_boundary_factors():
     assert val == pytest.approx((2.0 - t) ** 2 * (3.0 - t))
 
 
+def _classical_loop(z, occ, p):
+    # reference: classical_D as a per-site loop of its own
+    val = np.full(z.shape[:-1], float(p.t_left) ** int(occ[0])
+                  * float(p.t_right) ** int(occ[-1]))
+    for i in range(p.n_sites):
+        k = int(occ[i + 1])
+        if k:
+            val = val * z[..., i] ** k / pochhammer(p.alpha, k)
+    return val
+
+
+def _orthogonal_loop(z, occ, p, t):
+    # reference: orthogonal_D as a per-site loop of its own
+    val = np.full(z.shape[:-1], (p.t_left - t) ** int(occ[0])
+                  * (p.t_right - t) ** int(occ[-1]))
+    for i in range(p.n_sites):
+        k = int(occ[i + 1])
+        if k:
+            val = val * laguerre_d(z[..., i], k, p.alpha, t)
+    return val
+
+
+@pytest.mark.parametrize("alpha", [0.7, 2.3])
+@pytest.mark.parametrize("t", [0.4, 1.3])
+def test_duality_functions_equal_the_per_site_loops_bit_for_bit(alpha, t):
+    # every occupation with at most 3 particles per site, the reservoirs
+    # included; == on the bits, not approximately
+    p = SystemParams(3, 0.0, alpha, 0.5, 1.5)
+    z = np.random.default_rng(11).uniform(0.0, 3.0, (7, 3))
+    for occ in itertools.product(range(4), repeat=5):
+        occ = np.array(occ)
+        for zz in (z, z[0]):
+            assert (classical_D(zz, occ, p) == _classical_loop(zz, occ, p)).all()
+            assert (orthogonal_D(zz, occ, p, t)
+                    == _orthogonal_loop(zz, occ, p, t)).all()
+
+
 def test_sip_generator_apply_exact():
     p = SystemParams(2, 0.0, 1.0, 1.0, 1.0)
     xi = np.array([0, 1, 1, 0])
@@ -169,13 +207,11 @@ def test_semigroup_check_rhs_se_is_the_sample_deviation(n_runs):
     p = SystemParams(2, 0.0, 2.0, 0.5, 1.5)
     x0, xi0, t = np.array([0.8, 0.5]), np.array([0, 1, 1, 0]), 0.5
     chk = semigroup_duality_check(x0, xi0, t, p, n_runs=n_runs, seed=3, dt=0.01)
-    counts = final_state_counts(xi0, p, n_runs, t, seed=3)
-    vals = np.repeat([classical_D(x0, xi, p) for xi in counts],
-                     list(counts.values()))
-    assert len(counts) > 1
-    assert chk.rhs_se == pytest.approx(np.std(vals, ddof=1) / math.sqrt(n_runs),
-                                       rel=1e-12)
-    assert chk.rhs == pytest.approx(vals.mean(), rel=1e-12)
+    configs, runs = zip(*sorted(final_state_counts(xi0, p, n_runs, t, seed=3).items()))
+    vals = np.repeat([classical_D(x0, xi, p) for xi in configs], runs)
+    assert len(configs) > 1
+    assert chk.rhs_se == np.std(vals, ddof=1) / math.sqrt(n_runs)
+    assert chk.rhs == vals.mean()
 
 
 @pytest.mark.parametrize("t", [0.0, 0.2])
@@ -279,6 +315,17 @@ def test_semigroup_check_bad_orthogonal_t_simulates_nothing(simulations, t_orth)
         with pytest.raises(ParameterError, match="orthogonal parameter t"):
             _memo_check(xi0, "orthogonal", t_orth=t_orth)
     assert len(simulations) == 0
+
+
+@pytest.mark.parametrize("t_orth", [0.7, np.nan])
+def test_classical_refuses_t_orth_before_any_simulation(simulations, t_orth):
+    # t_orth belongs to the orthogonal family: classical would ignore it
+    with pytest.raises(ParameterError, match="t_orth applies only to orthogonal"):
+        _memo_check(dfun="classical", t_orth=t_orth)
+    assert len(simulations) == 0
+    with pytest.raises(ParameterError, match="t_orth applies only to orthogonal"):
+        generator_duality_residual(np.array([0.5, 0.5]), np.array([0, 1, 0, 0]),
+                                   MEMO_P, dfun="classical", t_orth=t_orth)
 
 
 def test_semigroup_check_memo_is_read_only(simulations):
