@@ -72,10 +72,16 @@ def laguerre_d(zeta, k: int, alpha: float, t: float):
 
 def _site_product(z, xi, p: SystemParams, t: float, factor):
     """(T_l - t)^{xi_0} (T_r - t)^{xi_{N+1}}, then val = factor(val, z_i, xi_i) at
-    each occupied bulk site i in turn; broadcasts over leading axes of z."""
+    each occupied bulk site i in turn; broadcasts over leading axes of z.
+    ParameterError when a boundary power leaves the float range."""
     occ = as_particles(xi, p.n_sites)
     arr = as_state(z, p.n_sites, allow_negative=True)
-    base = (p.t_left - t) ** int(occ[0]) * (p.t_right - t) ** int(occ[-1])
+    try:
+        base = (p.t_left - t) ** int(occ[0]) * (p.t_right - t) ** int(occ[-1])
+    except OverflowError:
+        raise ParameterError(
+            f"boundary factor (T_l - t)^{occ[0]} (T_r - t)^{occ[-1]} leaves the "
+            f"float range at T_l = {p.t_left}, T_r = {p.t_right}, t = {t}") from None
     val = np.full(arr.shape[:-1], base, dtype=float)
     for i in np.flatnonzero(occ[1:-1]):
         val = factor(val, arr[..., i], int(occ[i + 1]))

@@ -5,10 +5,16 @@ One step reads
     x' = x + b(x) dt + sum_k sqrt(2 a_k(x) dt) eta_k v_k,
 
 followed by a componentwise clamp at zero, with (b, a_k, v_k) the drift and
-rank-one diffusion factors from :mod:`abep.generators` and eta independent
-standard Gaussians (one per noise direction, ordered bonds, left, right).
+rank-one diffusion factors from :mod:`abep.generators` and eta_k independent
+increments, one per noise direction (ordered bonds, left, right).
 Amplitudes are clamped at zero before the square root since round-off can
 push them slightly negative at the boundary of the state space.
+
+The increments depend on the route: simulate_trajectory, whose output is
+the path, draws standard Gaussians; ensemble_endpoint and
+stationary_estimate, whose outputs are expectations, draw fair signs +-1,
+the simplified weak Euler scheme (Kloeden and Platen 1992, section 14.1),
+which keeps weak order 1 and costs one random bit per increment.
 
 Chains are propagated in vectorized batches held site-major: R chains step
 as one (N, R) C-contiguous array, one site per row, so every coefficient is
@@ -118,12 +124,37 @@ def _step_batch(ws: Workspace, dt: np.ndarray, noise_scale: np.ndarray,
     return x
 
 
+def _sign_noise(rng: np.random.Generator):
+    """The signs of the simplified weak Euler scheme as a draw function:
+    draw(out) fills out with the next out.size signs of the stream.
+
+    The stream is the bits of rng's raw 64-bit words, each read little-endian
+    from bit 0, with bit 1 as +1.0 and bit 0 as -1.0.  The bits a draw leaves
+    over start the next one, so the signs depend neither on how the draws
+    are cut nor on the host byte order.
+    """
+    left = np.empty(0, np.uint8)
+
+    def draw(out: np.ndarray):
+        nonlocal left
+        words = rng.bit_generator.random_raw(-(-(out.size - len(left)) // 64))
+        bits = np.concatenate((left, np.unpackbits(
+            words.astype("<u8", copy=False).view(np.uint8), bitorder="little")))
+        left = bits[out.size:]
+        np.multiply(bits[:out.size].reshape(out.shape), 2.0, out=out)
+        np.subtract(out, 1.0, out=out)
+
+    return draw
+
+
 def _run_chains(start: np.ndarray, n_chains: int, p: SystemParams, model: str,
-                dt: float, n_steps: int, rng: np.random.Generator, cap: float,
+                dt: float, n_steps: int, draw, cap: float,
                 emit: range = range(0)):
     """Propagate n_chains chains all started at the state start, (N,); the
     batch is stepped site-major.
 
+    draw(out) fills out, a (c, N+1, R) float array, with the noise of the
+    next c steps; step j reads out[j] as its (N+1, R) rows.
     Returns the final states, chain-major (R, N), and the snapshots, one
     (len(emit), R, N) array whose row i holds the states after step emit[i].
     ParameterError, before any step, unless n_chains is a whole number >= 1,
@@ -136,16 +167,14 @@ def _run_chains(start: np.ndarray, n_chains: int, p: SystemParams, model: str,
             f"cap must be greater than every component of the start state, got {cap}")
     x = np.repeat(start[:, None], r, axis=1)
     # one workspace per ensemble, bound to x, so no step allocates: x is
-    # stepped in place, and the noise comes in chunks, drawn (c, R, N+1)
-    # whatever the layout and stepped as (N+1, R) rows; the normal stream is
-    # identical for any chunking
+    # stepped in place, and the noise comes in chunks of whole steps, the
+    # same stream however the chunks fall
     ws = Workspace(x, p, model)
     dt_c, noise_scale = np.array(dt, float), np.array(math.sqrt(2.0 * dt))
     k = len(start) + 1                      # noise rows
     snaps = np.empty((len(emit), r, k - 1))
-    chunk = max(1, min(4096, 65536 // max(1, r * k)))
-    draws = np.empty((chunk, r, k))
-    gauss = np.empty((chunk, k, r))
+    chunk = max(1, min(4096, 65536 // (r * k)))
+    noise = np.empty((chunk, k, r))
     step = 0
     # a diverging chain overflows inside the coefficient evaluation before
     # the cap trips; the guard below turns the resulting inf/nan into a
@@ -153,10 +182,9 @@ def _run_chains(start: np.ndarray, n_chains: int, p: SystemParams, model: str,
     with np.errstate(over="ignore", invalid="ignore"):
         while step < n_steps:
             c = min(chunk, n_steps - step)
-            rng.standard_normal(size=(c, r, k), out=draws[:c])
-            np.copyto(gauss[:c], draws[:c].transpose(0, 2, 1))
+            draw(noise[:c])
             for j in range(c):
-                _step_batch(ws, dt_c, noise_scale, gauss[j])
+                _step_batch(ws, dt_c, noise_scale, noise[j])
                 step += 1
                 m = np.maximum.reduce(x, None)
                 # the inverted comparison also trips on nan and inf, which a
@@ -173,7 +201,8 @@ def _run_chains(start: np.ndarray, n_chains: int, p: SystemParams, model: str,
 
 def simulate_trajectory(x0, p: SystemParams, cfg: SdeConfig, model: str = "bep",
                         cap: float = DEFAULT_CAP):
-    """Integrate one trajectory, emitting thinned states after burn-in.
+    """Integrate one trajectory with Gaussian increments, emitting thinned
+    states after burn-in.
 
     Returns a list of (time, configuration) pairs, one per step of
     cfg.steps(): burn_in + j * thinning for j >= 1, in whole steps dt, up to
@@ -182,7 +211,10 @@ def simulate_trajectory(x0, p: SystemParams, cfg: SdeConfig, model: str = "bep",
     arr = as_state(x0, p.n_sites)
     n_steps, emit = cfg.steps()
     rng = stream(cfg.seed, f"trajectory-{model}")
-    _, snaps = _run_chains(arr, 1, p, model, cfg.dt, n_steps, rng, cap, emit)
+    # one chain: the (c, N+1, 1) noise block is c steps of N+1 normals
+    _, snaps = _run_chains(arr, 1, p, model, cfg.dt, n_steps,
+                           lambda out: rng.standard_normal(out.shape, out=out),
+                           cap, emit)
     return [(idx * cfg.dt, snap[0]) for idx, snap in zip(emit, snaps)]
 
 
@@ -190,7 +222,8 @@ def stationary_estimate(p: SystemParams, cfg: SdeConfig, model: str, observable,
                         n_chains: int = 1, x0=None, cap: float = DEFAULT_CAP):
     """Long-run mean of one or several observables with batch-means errors.
 
-    Runs n_chains independent chains from x0 (default: the zero state) and
+    Runs n_chains independent chains from x0 (default: the zero state),
+    stepped with sign noise (the simplified weak Euler scheme), and
     averages the states of every chain at the steps simulate_trajectory
     emits: len(cfg.steps()[1]) * n_chains samples.  The standard error comes
     from the spread of per-chain batch means, N_BATCHES per chain or one per
@@ -215,8 +248,8 @@ def stationary_estimate(p: SystemParams, cfg: SdeConfig, model: str, observable,
             f"need two batch means for a standard error, got {n_means}: "
             "increase t_end or n_chains, or reduce burn_in or thinning")
     rng = stream(cfg.seed, f"stationary-{model}")
-    _, snaps = _run_chains(start, n_chains, p, model, cfg.dt, n_steps, rng,
-                           cap, emit)
+    _, snaps = _run_chains(start, n_chains, p, model, cfg.dt, n_steps,
+                           _sign_noise(rng), cap, emit)
     m, r, n = snaps.shape
     flat = snaps.reshape(m * r, n)
     groups = np.array_split(np.arange(m), min(N_BATCHES, m))
@@ -230,7 +263,9 @@ def stationary_estimate(p: SystemParams, cfg: SdeConfig, model: str, observable,
 
 def ensemble_endpoint(x0, p: SystemParams, model: str, dt: float, t: float,
                       n_chains: int, seed, cap: float = DEFAULT_CAP) -> np.ndarray:
-    """Final states of n_chains independent chains all started at x0.
+    """Final states of n_chains independent chains all started at x0,
+    stepped with sign noise (the simplified weak Euler scheme): samples of
+    a law whose expectations approximate the diffusion's to weak order 1.
 
     ParameterError unless t is 0 or a whole number of steps dt, n_chains is
     a whole number >= 1 and model is 'bep' or 'abep', also at t = 0.
@@ -238,5 +273,6 @@ def ensemble_endpoint(x0, p: SystemParams, model: str, dt: float, t: float,
     arr = as_state(x0, p.n_sites)
     n_steps = whole_steps(t, dt)
     rng = as_generator(seed, f"endpoint-{model}")
-    final, _ = _run_chains(arr, n_chains, p, model, dt, n_steps, rng, cap)
+    final, _ = _run_chains(arr, n_chains, p, model, dt, n_steps,
+                           _sign_noise(rng), cap)
     return final

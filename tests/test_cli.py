@@ -529,6 +529,8 @@ def test_dual_exact_pinned_bytes(argv, digest, capsys):
 
 # Recorded before the snapshots moved into one preallocated array: the
 # benchmark's dense trajectory and the Monte Carlo columns of moments --check.
+# The moments digest was re-recorded when the ensemble routes moved to sign
+# noise; the trajectory keeps its Gaussian bytes.
 @pytest.mark.usefixtures("pinned_exp")
 @pytest.mark.parametrize("argv, digest", [
     (["simulate", "--model", "abep", "--n", "3", "--sigma", "0.02", "--alpha", "2.0",
@@ -538,7 +540,7 @@ def test_dual_exact_pinned_bytes(argv, digest, capsys):
     (["moments", "--n", "2", "--sigma", "0.02", "--alpha", "2", "--tl", "0.5", "--tr",
       "1.5", "--mc-dt", "0.01", "--mc-t-end", "20", "--mc-burn-in", "5", "--mc-chains",
       "8", "--seed", "0", "--check", "--no-header"],
-     "7314a5e27e57ec66d22fcbc3454857786b72aebee5584a38ea191a1ddeaacc97")],
+     "7983f0516d6b33f80d1bd2c46bb62c374e718e0ac250a8754211a3e2434038ca")],
     ids=["simulate-dense", "moments-mc"])
 def test_diffusion_pinned_bytes(argv, digest, capsys):
     assert run(argv) == 0

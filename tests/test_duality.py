@@ -118,6 +118,22 @@ def test_orthogonal_boundary_factors():
     assert val == pytest.approx((2.0 - t) ** 2 * (3.0 - t))
 
 
+@pytest.mark.parametrize("xi", [[400, 0, 0, 0], [0, 0, 1, 400]])
+def test_boundary_factor_out_of_range_is_a_parameter_error(xi):
+    # 10^400 and 9.5^400 pass the float range: float ** int raises
+    # OverflowError, which is no ToolkitError
+    p = SystemParams(2, 0.0, 1.0, 10.0, 10.0)
+    z = [0.5, 0.5]
+    with pytest.raises(ParameterError, match=r"boundary factor .* float range"):
+        classical_D(z, xi, p)
+    with pytest.raises(ParameterError, match=r"boundary factor .* float range"):
+        orthogonal_D(z, xi, p, 0.5)
+    # in range, and down to 0 by underflow, the factor is the plain power
+    assert classical_D(z, [300, 0, 0, 0], p) == 10.0 ** 300
+    assert orthogonal_D(z, [0, 0, 0, 2000], SystemParams(2, 0.0, 1.0, 1.0, 1.0),
+                        0.5) == 0.0
+
+
 def _classical_loop(z, occ, p):
     # reference: classical_D as a per-site loop of its own
     val = np.full(z.shape[:-1], float(p.t_left) ** int(occ[0])

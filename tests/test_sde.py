@@ -9,7 +9,7 @@ from abep import (SdeConfig, SystemParams, ensemble_endpoint,
                   one_point_moment, simulate_trajectory, stationary_estimate)
 from abep.errors import NumericalBlowup, ParameterError
 from abep.generators import Workspace
-from abep.sde import _step_batch
+from abep.sde import _sign_noise, _step_batch
 
 RNG = np.random.default_rng(777)
 
@@ -368,6 +368,75 @@ def test_bound_workspace_steps_equal_fresh_workspace_steps(model, n):
     assert np.all(np.isfinite(x)) and x.std() > 0.0
 
 
+def _raw_signs(seed, n):
+    """The first n signs of the stream: the bits of the generator's raw
+    words read little-endian, bit 1 as +1.0 and bit 0 as -1.0."""
+    words = np.random.default_rng(seed).bit_generator.random_raw(-(-n // 64))
+    bits = np.unpackbits(words.astype("<u8").view(np.uint8), bitorder="little")
+    return 2.0 * bits[:n] - 1.0
+
+
+def test_sign_noise_block_holds_only_signs():
+    block = np.full((2, 3, 10_000), np.nan)
+    _sign_noise(np.random.default_rng(4))(block)
+    assert set(np.unique(block)) == {-1.0, 1.0}
+    # fair signs: 60,000 of them sum to O(245)
+    assert abs(block.sum()) < 5 * math.sqrt(block.size)
+
+
+def test_sign_noise_is_the_raw_bit_stream_however_cut():
+    # draws that end inside a word carry the rest of it to the next one
+    sizes = [(1, 3, 7), (2, 3, 1), (64,), (1, 1, 1), (5, 2, 13)]
+    draw = _sign_noise(np.random.default_rng(21))
+    got = []
+    for shape in sizes:
+        out = np.empty(shape)
+        draw(out)
+        got.append(out.ravel())
+    got = np.concatenate(got)
+    assert got.tobytes() == _raw_signs(21, len(got)).tobytes()
+    # bit b of word w is sign 64 w + b, whatever the host byte order
+    words = np.random.default_rng(21).bit_generator.random_raw(3)
+    shifts = (words[:, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
+    assert np.array_equal(got[:192], 2.0 * shifts.ravel() - 1.0)
+
+
+def test_partial_chunk_run_equals_steps_from_unpacked_signs():
+    # 51 steps at R = 10^4 and N = 2: 25 chunks of two steps and one of one,
+    # and every chunk ends half way through a raw word
+    p = SystemParams(2, 0.0, 2.0, 0.5, 1.0)
+    r, k, n_steps = 10_000, 3, 51
+    final = ensemble_endpoint(np.full(2, 0.5), p, "bep", 1e-2, 0.51, r,
+                              seed=np.random.default_rng(11))
+    signs = _raw_signs(11, n_steps * k * r).reshape(n_steps, k, r)
+    x = np.full((2, r), 0.5)
+    ws = Workspace(x, p, "bep")
+    dt, scale = _step_constants(1e-2)
+    for j in range(n_steps):
+        _step_batch(ws, dt, scale, signs[j])
+    assert final.tobytes() == x.T.copy().tobytes()
+
+
+def test_sign_noise_mean_follows_the_euler_mean_recursion():
+    # the bep drift is affine, b(z) = A z + c, and the noise has mean 0, so
+    # the Euler-Maruyama mean obeys m' = m + dt (A m + c) exactly while the
+    # clamp is idle.  It is idle here: by AM-GM sqrt(2 z_i z_j dt) <=
+    # alpha z_j dt + z_i / (2 alpha) and sqrt(2 T z_i dt) <= alpha T dt +
+    # z_i / (2 alpha), so with |eta| = 1 and at most two noise terms per
+    # site one step keeps z_i above (1 - 4 dt - 1 / alpha) z_i = 0.46 z_i
+    alpha, tl, tr, dt, n_steps, r = 2.0, 0.5, 1.5, 1e-2, 30, 10_000
+    p = SystemParams(3, 0.0, alpha, tl, tr)
+    lap = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
+    a = -alpha * lap - np.diag([1.0, 0.0, 1.0])
+    c = np.array([alpha * tl, 0.0, alpha * tr])
+    m = np.ones(3)
+    for _ in range(n_steps):
+        m = m + dt * (a @ m + c)
+    final = ensemble_endpoint(np.ones(3), p, "bep", dt, n_steps * dt, r, seed=2)
+    z = (final.mean(axis=0) - m) / (final.std(axis=0, ddof=1) / math.sqrt(r))
+    assert np.all(np.abs(z) < 4.0), z
+
+
 def _sha256(a) -> str:
     return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
 
@@ -375,7 +444,8 @@ def _sha256(a) -> str:
 # The digests below pin the integrator's output bytes, so a kernel change
 # cannot move them silently.  Beyond the kernel, the abep ones depend on the
 # rounding of exp and expm1 (the pinned_exp probe); the bep run uses only
-# +, *, sqrt.
+# +, *, sqrt.  The trajectory pins fix the Gaussian stream, the endpoint and
+# estimate pins the sign stream of the ensemble routes.
 
 
 @pytest.mark.usefixtures("pinned_exp")
@@ -394,7 +464,7 @@ def test_pinned_bytes_abep_endpoint():
     final = ensemble_endpoint(np.full(2, 0.5), p, "abep", 1e-2, 0.5, 10_000, seed=11)
     assert final.shape == (10_000, 2) and final.flags.c_contiguous
     assert _sha256(final) == \
-        "a2c1fd0da20708170c15a837541426835b081f597820f6f307edb25e9816da06"
+        "c460bc15be54a682a01a9a9fc5bcad2c1a7c6e6c5a3ada0988d9930a7c7db6e5"
 
 
 def test_pinned_bytes_bep_endpoint():
@@ -402,7 +472,7 @@ def test_pinned_bytes_bep_endpoint():
     final = ensemble_endpoint(np.full(2, 0.5), p, "bep", 1e-2, 0.5, 10_000, seed=11)
     assert final.shape == (10_000, 2) and final.flags.c_contiguous
     assert _sha256(final) == \
-        "85468a1d67b1bb17e33476b8333d9bdae7ab85ba4c813697bf635cc0b1ba83be"
+        "cbbc4ec49ef66441d1306610738565e2e771457ce94e4e1668dc8974e18be9a9"
 
 
 @pytest.mark.usefixtures("pinned_exp")
@@ -414,7 +484,7 @@ def test_pinned_bytes_abep_moments_estimate():
            for m in (1, 2, 3)]
     est = stationary_estimate(p, cfg, "abep", obs, n_chains=8)
     assert _sha256(est) == \
-        "698266646f6c281494960bf1d944e9d8901c4e6a6f67115ef19b9dd7ab3d1437"
+        "43067a0408427d184bea09cbc1e1c54c91cd662c824d4ddd81f4bed778fc56d8"
 
 
 # Three kernel paths the digests above do not reach, recorded before the
@@ -429,7 +499,7 @@ def test_pinned_bytes_abep_one_site_endpoint():
     final = ensemble_endpoint(np.full(1, 0.5), p, "abep", 1e-2, 0.5, 1000, seed=11)
     assert final.shape == (1000, 1)
     assert _sha256(final) == \
-        "f36e890bffa84da46ce4bb0394cd7997e0d43ab815bf63f7d2ab996c714e18d4"
+        "6219711279a532995d8dc8a86d1dfe19b9af20941bb34a4eef2f1ce20586d339"
 
 
 def test_pinned_bytes_bep_trajectory():
@@ -444,11 +514,12 @@ def test_pinned_bytes_bep_trajectory():
 def test_pinned_bytes_bep_endpoint_partial_noise_chunk():
     p = SystemParams(2, 0.0, 2.0, 0.5, 1.0)
     # 10^4 chains of 3 noise rows draw 2 steps per chunk: 25 full chunks
-    # and a last chunk of one step
+    # and a last chunk of one step; each chunk's 60,000 signs end half way
+    # through a raw word, whose other half starts the next chunk
     final = ensemble_endpoint(np.full(2, 0.5), p, "bep", 1e-2, 0.51, 10_000, seed=11)
     assert final.shape == (10_000, 2)
     assert _sha256(final) == \
-        "06ffbb511579fea3ca37aef543beac0cc049ae75248928787101ca23103180b1"
+        "f16345f3c921ab979da856710cd60581687c06419a8947d446521c6e4ce7a1a8"
 
 
 # Two more, recorded before the drift became a difference of fluxes: N = 1
@@ -461,7 +532,7 @@ def test_pinned_bytes_bep_one_site_endpoint():
     final = ensemble_endpoint(np.full(1, 0.5), p, "bep", 1e-2, 0.5, 1000, seed=11)
     assert final.shape == (1000, 1)
     assert _sha256(final) == \
-        "fcefefe4379b91d738df797bb09fbd598f5e42230ade414c6e8705cff9b0da1c"
+        "97b8ef17beac64c1d15ef6e004c939fb516630a11c81002e96e0addaa110c846"
 
 
 def test_pinned_bytes_abep_sigma_zero_endpoint():
@@ -469,4 +540,4 @@ def test_pinned_bytes_abep_sigma_zero_endpoint():
     final = ensemble_endpoint(np.full(2, 0.5), p, "abep", 1e-2, 0.5, 1000, seed=11)
     assert final.shape == (1000, 2)
     assert _sha256(final) == \
-        "6bb454934c1e1b43983caede62f0c7cbc5f2604b91648b6fca174a7b7d330022"
+        "488eb50ccffc6266ca277914c62f872c45a5c07e0e1f10c3d00ee42f26f54629"
