@@ -38,9 +38,13 @@ These coefficients make the conjugation by the energy transform exact: the
 asymmetric generator applied to f o g equals the symmetric generator of f
 evaluated at g(x), which is what intertwining_residual measures.
 
-apply_generator and intertwining_residual apply L by central differences
-on one stencil per state: a test function f must accept a (K, N) batch of
-stencil points and return K values.
+apply_generator and intertwining_residual apply L by central differences.
+intertwining_residual takes one state (N,) or a stack (S, N), and builds
+the stencils of the whole stack in one batch: one model_parts per model,
+one map_g of every abep stencil point, and one call of each test function
+f on every stencil point of the stack with a nonzero weight, in state
+order.  f must accept a (K, N) batch of points and return K values.
+apply_generator is the same batch at one state.
 """
 from __future__ import annotations
 
@@ -181,29 +185,30 @@ def model_parts(ws: Workspace):
     return drift, amps, v
 
 
-def _stencil(x: np.ndarray, p: SystemParams, model: str, h: float):
-    """Central-difference stencil of L at one state x of shape (N,).
+def _stencil(xs: np.ndarray, p: SystemParams, model: str, h: float):
+    """Central-difference stencils of L at a stack of states xs, (S, N).
 
-    Returns (points, weights, n_drift): points stacks x, then x + h d_k for
-    every direction d_k with a nonzero weight, then x - h d_k in the same
-    order.  The directions are e_i weighted by the drift b_i (n_drift of
-    them come first), then the noise directions weighted by a_k.
+    Returns (points, rows, weights).  weights (S, M) holds the weights of
+    the M = 2N+1 directions d_k: e_i weighted by the drift b_i, then the
+    noise directions weighted by a_k.  rows (S, 1 + 2M) marks, per state
+    x, x itself, then x + h d_k for every d_k with a nonzero weight, then
+    x - h d_k in the same order; points (K, N) holds the marked points,
+    state by state, the only points f is evaluated at.
     """
-    n = p.n_sites
-    if x.shape != (n,):
-        raise ParameterError(f"expected one state of shape ({n},), got {x.shape}")
-    drift, amps, v = model_parts(Workspace(x, p, model))
-    dirs = np.zeros((2 * n + 1, n))
-    dirs[:n] = np.eye(n)
-    dirs[n:2 * n - 1] = np.eye(n - 1, n, 1) - np.eye(n - 1, n)
-    dirs[2 * n - 1, 0] = dirs[2 * n, -1] = 1.0    # left e_1, right e_N
+    s, n = xs.shape
+    drift, amps, v = model_parts(Workspace(np.ascontiguousarray(xs.T), p, model))
+    dirs = np.zeros((s, 2 * n + 1, n))
+    dirs[:, :n] = np.eye(n)
+    dirs[:, n:2 * n - 1] = np.eye(n - 1, n, 1) - np.eye(n - 1, n)
+    dirs[:, 2 * n - 1, 0] = dirs[:, 2 * n, -1] = 1.0    # left e_1, right e_N
     if v is not None:
-        dirs[2 * n] = v                             # the abep right direction
-    weights = np.concatenate([drift, amps])
+        dirs[:, 2 * n] = v.T                            # the abep right direction
+    weights = np.concatenate([drift, amps]).T
     keep = weights != 0.0
-    step = h * dirs[keep]
-    return (np.concatenate([x[None], x + step, x - step]), weights[keep],
-            int(np.count_nonzero(keep[:n])))
+    step = h * dirs
+    x = xs[:, None]
+    rows = np.concatenate([np.ones((s, 1), bool), keep, keep], axis=1)
+    return np.concatenate([x, x + step, x - step], axis=1)[rows], rows, weights
 
 
 def _step_size(fd_step) -> float:
@@ -215,14 +220,22 @@ def _step_size(fd_step) -> float:
     return h
 
 
-def _combine(vals: np.ndarray, weights: np.ndarray, d: int, h: float) -> float:
-    """L f at the stencil centre from f on the stencil points (d drift terms)."""
-    m = weights.size
-    f0, fp, fm = vals[0], vals[1:m + 1], vals[m + 1:]
-    terms = np.concatenate([weights[:d] * (fp[:d] - fm[:d]) / (2.0 * h),
-                            weights[d:] * (fp[d:] - 2.0 * f0 + fm[d:]) / (h * h)])
-    out = 0.0
-    for t in terms.tolist():    # left to right: np.sum pairs terms up
+def _combine(vals: np.ndarray, rows: np.ndarray, weights: np.ndarray,
+             h: float) -> np.ndarray:
+    """L f at each stencil centre, (S,), from f on the stencil points of
+    _stencil (vals) and its rows and weights."""
+    m = weights.shape[1]
+    n = m // 2                                  # drift directions first
+    full = np.zeros(rows.shape)
+    full[rows] = vals
+    f0, fp, fm = full[:, :1], full[:, 1:m + 1], full[:, m + 1:]
+    terms = np.concatenate(
+        [weights[:, :n] * (fp[:, :n] - fm[:, :n]) / (2.0 * h),
+         weights[:, n:] * (fp[:, n:] - 2.0 * f0 + fm[:, n:]) / (h * h)], axis=1)
+    # an unmarked term is +0.0, which the sum from +0.0 adds exactly
+    terms = np.where(rows[:, 1:m + 1], terms, 0.0)
+    out = np.zeros(len(terms))
+    for t in terms.T:           # left to right: np.sum pairs terms up
         out += t
     return out
 
@@ -237,25 +250,37 @@ def apply_generator(x, p: SystemParams, model: str, f, fd_step: float) -> float:
     """
     x = as_state(x, p.n_sites)
     h = _step_size(fd_step)
-    pts, weights, n_drift = _stencil(x, p, model, h)
-    return _combine(_eval_observable(f, pts), weights, n_drift, h)
+    if x.shape != (p.n_sites,):
+        raise ParameterError(
+            f"expected one state of shape ({p.n_sites},), got {x.shape}")
+    pts, rows, weights = _stencil(x[None], p, model, h)
+    return float(_combine(_eval_observable(f, pts), rows, weights, h)[0])
 
 
 def intertwining_residual(x, p: SystemParams, f, fd_step: float):
     """|L_asym (f o g)(x) - (L_sym f)(g(x))| by finite differences.
 
-    f is one callable or a sequence of them, each called on (K, N) batches
-    as in apply_generator.  The stencils and their images under g are built
-    once per state; a sequence gives a list with one residual per callable,
-    each bit-identical to a call with that callable alone.
+    x is one state (N,) or a non-empty stack of states (S, N).  f is one
+    callable or a sequence of them, each called once on a (K, N) batch
+    holding the stencil points of every state, as in apply_generator.  The
+    stencils and their images under g are built once for the whole stack.
+    A callable gives a float for one state and an (S,) array for a stack;
+    a sequence gives a list with one such entry per callable.  Every
+    residual is bit-identical to a call with that state and callable alone.
     """
     single, fs = _observables(f)
     x = as_state(x, p.n_sites)
     h = _step_size(fd_step)
-    pts_x, w_x, d_x = _stencil(x, p, "abep", h)
+    if not (x.ndim == 1 or x.ndim == 2 and len(x)):
+        raise ParameterError(
+            f"expected one state (N,) or a non-empty stack (S, N), got {x.shape}")
+    xs = x.reshape(-1, p.n_sites)
+    pts_x, rows_x, w_x = _stencil(xs, p, "abep", h)
     g_pts = map_g(pts_x, p)
-    pts_z, w_z, d_z = _stencil(map_g(x, p), p, "bep", h)
-    out = [abs(_combine(_eval_observable(fi, g_pts), w_x, d_x, h)
-               - _combine(_eval_observable(fi, pts_z), w_z, d_z, h))
+    pts_z, rows_z, w_z = _stencil(map_g(xs, p), p, "bep", h)
+    out = [np.abs(_combine(_eval_observable(fi, g_pts), rows_x, w_x, h)
+                  - _combine(_eval_observable(fi, pts_z), rows_z, w_z, h))
            for fi in fs]
+    if x.ndim == 1:
+        out = [float(r[0]) for r in out]
     return out[0] if single else out

@@ -7,8 +7,11 @@ One step reads
 followed by a componentwise clamp at zero, with (b, a_k, v_k) the drift and
 rank-one diffusion factors from :mod:`abep.generators` and eta_k independent
 increments, one per noise direction (ordered bonds, left, right).
-Amplitudes are clamped at zero before the square root since round-off can
-push them slightly negative at the boundary of the state space.
+The square root of the amplitudes needs no clamp: every state a step
+reads is finite (the cap check stops a run at nan or inf) and >= 0 (the
+clamp), so every amplitude is a product of non-negative factors: x_i x_{i+1}
+and T x for 'bep'; T, e^{s E}, 1 - e^{-s x} and e^{s x} - 1 over powers of
+s for 'abep'.
 
 The increments depend on the route: simulate_trajectory, whose output is
 the path, draws standard Gaussians; ensemble_endpoint and
@@ -103,8 +106,6 @@ def _step_batch(ws: Workspace, dt: np.ndarray, noise_scale: np.ndarray,
         raise IndexError(f"need {len(x) + 1} noise rows, got {len(gauss)}")
     drift, amps, v = model_parts(ws)
     # amps becomes the noise terms sqrt(2 a_k dt) eta_k, one row per direction
-    # (np.maximum takes out= by keyword: numpy 2.4 deprecates a positional one)
-    np.maximum(amps, _ZERO, out=amps)
     np.sqrt(amps, amps)
     np.multiply(amps, noise_scale, amps)
     np.multiply(amps, gauss, amps)
@@ -120,6 +121,7 @@ def _step_batch(ws: Workspace, dt: np.ndarray, noise_scale: np.ndarray,
     else:
         np.multiply(v, ws.right, v)
         x += v
+    # (np.maximum takes out= by keyword: numpy 2.4 deprecates a positional one)
     np.maximum(x, _ZERO, out=x)
     return x
 

@@ -100,6 +100,23 @@ def test_absorption_unit_pair_check_fails_on_broken_mean_rule(monkeypatch, capsy
     assert float(_table(capsys)[1][-1]) == pytest.approx(0.01)
 
 
+@pytest.mark.parametrize("argv", [["--i", "2"], ["--i", "1", "--j", "2"]])
+def test_absorption_check_fails_on_a_later_nan(argv, monkeypatch, capsys):
+    # a nan after a close value is the row's worst difference, not skipped
+    def single(i, p, edge="unit"):
+        return 1.0 - abep.cli.single_right_closed(i, p.n_sites, p.alpha, edge), math.nan
+
+    def pair(i, j, p, edge="unit"):
+        r = abep.cli.two_particle_closed_form(i, j, p)
+        return AbsorptionResult(r.p_both_left, r.p_both_right, math.nan)
+
+    monkeypatch.setattr(abep.cli, "single_absorption_solve", single)
+    monkeypatch.setattr(abep.cli, "two_particle_solve", pair)
+    assert run(["absorption", "--n", "3", "--edge", "walk", *argv,
+                "--check", "--no-header"]) == 1
+    assert _table(capsys)[1][-1] == "nan"
+
+
 def test_absorption_out_of_range_is_a_usage_error(capsys):
     assert run(["absorption", "--n", "3", "--i", "7", "--no-header"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -308,6 +325,17 @@ def test_verify_intertwining_small_run(capsys):
     assert rows[0] == ["state", "max_residual"]
     assert len(rows) == 6
     assert all(float(r[1]) < 1e-4 for r in rows[1:])
+
+
+def test_verify_intertwining_nan_residual_fails_its_row(capsys):
+    # the residuals are [0.0, nan, nan] (the first polynomial is constant):
+    # the row's worst is nan, not the 0.0 that comes first
+    with np.errstate(all="ignore"):
+        rc = run(["verify-intertwining", "--n", "2", "--states", "1",
+                  "--funcs", "3", "--degree", "1", "--fd-step", "1e300",
+                  "--seed", "0", "--check", "--no-header"])
+    assert rc == 1
+    assert _table(capsys)[1] == ["0", "nan"]
 
 
 def test_verify_intertwining_needs_a_state(capsys):

@@ -104,6 +104,50 @@ def test_batched_intertwining_matches_per_point_loop():
         assert [intertwining_residual(x, p, f, 1e-4) for f in polys] == want
 
 
+def test_stacked_intertwining_equals_the_single_state_calls():
+    cases = list(_reference_cases())
+    for p, _ in cases:
+        n = p.n_sites
+        extra = RNG.uniform(0.0, 2.0, (3, n))
+        extra[0, n // 2] = 0.0
+        xs = np.vstack([x for q, x in cases if q.n_sites == n] + [extra])
+        polys = random_polynomials(RNG, n, 4, 3)
+        # bit for bit, one callable and a list
+        want = [[intertwining_residual(x, p, f, 1e-4) for x in xs] for f in polys]
+        assert intertwining_residual(xs, p, polys[0], 1e-4).tolist() == want[0]
+        assert [r.tolist() for r in intertwining_residual(xs, p, polys, 1e-4)] \
+            == want
+        assert intertwining_residual(xs[:1], p, polys, 1e-4)[0].tolist() == \
+            [intertwining_residual(xs[0], p, polys[0], 1e-4)]
+
+
+def test_stacked_intertwining_shows_f_the_single_state_points():
+    # f sees the rows the per-state calls show it, in state order: first
+    # the g images of the abep stencils, then the bep stencils at g(x)
+    p = SystemParams(3, 0.2, 2.0, 0.5, 1.5)
+    xs = np.array([[0.7, 0.0, 1.2], [0.0, 0.4, 1.2], [0.3, 1.1, 0.9]])
+    seen = []
+
+    def f(v):
+        seen.append(v.copy())
+        return v[:, 0] * v[:, 1] - v[:, 2]
+
+    for x in xs:
+        intertwining_residual(x, p, f, 1e-4)
+    single, seen[:] = seen[:], []
+    intertwining_residual(xs, p, f, 1e-4)
+    assert len(seen) == 2
+    for side in (0, 1):
+        assert np.array_equal(seen[side], np.vstack(single[side::2]))
+
+
+def test_stack_shapes_are_typed_errors():
+    p = SystemParams(2, 0.2, 1.0, 1.0, 2.0)
+    for bad in (np.ones((2, 2, 2)), np.ones((3, 3)), np.ones((0, 2))):
+        with pytest.raises(ParameterError):
+            intertwining_residual(bad, p, _coordinate(0), 1e-4)
+
+
 @pytest.mark.parametrize("model", ["bep", "abep"])
 @pytest.mark.parametrize("dfun", ["classical", "orthogonal"])
 def test_batched_duality_residual_matches_per_point_loop(model, dfun):
@@ -172,7 +216,8 @@ def test_noise_direction_count_and_layout():
     assert amps.size == 5
     # every coefficient is nonzero here: rows are z, then z + h d for the
     # 4 drift and 5 noise directions, then z - h d
-    pts, weights, n_drift = _stencil(z, p, "bep", 1e-3)
+    pts, rows, weights = _stencil(z[None], p, "bep", 1e-3)
+    weights, n_drift = weights[0], np.count_nonzero(rows[0, 1:5])
     assert pts.shape == (19, 4) and weights.size == 9 and n_drift == 4
     steps = pts[1:10] - z
     assert np.count_nonzero(steps[n_drift]) == 2        # first bond
@@ -250,6 +295,18 @@ def test_amplitudes_are_nonnegative_on_domain():
         x = RNG.uniform(0.0, 2.0, 3)
         _, amps, _ = model_parts(Workspace(x, p, "abep"))
         assert np.all(amps >= 0.0)
+
+
+@pytest.mark.parametrize("model", ["bep", "abep"])
+@pytest.mark.parametrize("sigma", [0.0, 0.02, 0.3, 2.0])
+def test_amplitudes_are_nonnegative_with_zero_sites(model, sigma):
+    # every amplitude is a product of non-negative factors, so the
+    # Euler-Maruyama step takes its square root without a clamp
+    p = SystemParams(4, sigma, 1.3, 0.7, 1.6)
+    x = RNG.uniform(0.0, 3.0, (4, 200))
+    x[RNG.random((4, 200)) < 0.3] = 0.0
+    _, amps, _ = model_parts(Workspace(x, p, model))
+    assert not (amps < 0.0).any() and np.isfinite(amps).all()
 
 
 @pytest.mark.parametrize("model", ["bep", "abep"])
