@@ -183,6 +183,45 @@ def test_singular_system_raised_when_factorisation_fails(k):
         _exit_table(3, k, 0.0, "walk")
 
 
+def test_singular_system_raised_when_the_solve_misses(monkeypatch):
+    # the unpivoted factor is checked by its residual, not trusted
+    import scipy.sparse.linalg
+
+    class NanFactor:
+        def solve(self, b):
+            return np.full(b.shape, np.nan)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda a, **kw: NanFactor())
+    with pytest.raises(SingularSystem, match="residual nan"):
+        _exit_table.__wrapped__(4, 2, 2.0, "unit")
+
+
+@pytest.mark.parametrize("edge", ["walk", "unit"])
+@pytest.mark.parametrize("alpha", [0.3, 1.0, 2.5])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_exit_table_is_the_dense_solve(k, alpha, edge):
+    for n in range(1, 7):
+        states, q = _generator(n, k, alpha, edge)
+        q = q.toarray()
+        live = ((states >= 1) & (states <= n)).any(axis=1)
+        a = np.diag(q[live].sum(axis=1)) - q[np.ix_(live, live)]
+        dense = np.linalg.solve(a, q[np.ix_(live, ~live)])
+        assert np.abs(_exit_table(n, k, alpha, edge)[2] - dense).max() <= 1e-13
+
+
+@pytest.mark.parametrize("edge", ["walk", "unit"])
+@pytest.mark.parametrize("alpha", [1e-6, 1e6])
+def test_pair_table_at_extreme_alpha(alpha, edge):
+    # the unpivoted LU stays accurate where one table's rates span six decades
+    n = 80
+    i, j = np.triu_indices(n)
+    res = two_particle_solve(i + 1, j + 1, params(n, alpha), edge=edge)
+    assert np.abs(res.total - 1.0).max() <= 1e-9
+    want = (single_right_closed(i + 1, n, alpha, edge)
+            + single_right_closed(j + 1, n, alpha, edge))
+    assert np.abs(2 * res.p_both_right + res.p_split - want).max() <= 1e-9
+
+
 @pytest.mark.parametrize("edge", ["walk", "unit"])
 def test_pair_mean_rule_at_large_n(edge):
     # the expected number absorbed right is linear in the walkers (the
