@@ -147,7 +147,8 @@ def _value(x):
 def _exit_probs(sites, p: SystemParams, edge: str, *outcomes):
     """Probabilities of the outcomes for walkers at sites ordered within 1..N."""
     sites = _sites(p.n_sites, *sites)
-    rows, cols, h = _exit_table(p.n_sites, len(sites), p.alpha, edge)
+    # a float alpha: 2 and 2.0 share one table, and an int builds no int64 rates
+    rows, cols, h = _exit_table(p.n_sites, len(sites), float(p.alpha), edge)
     return [_value(h[rows[sites], cols.index(o)]) for o in outcomes]
 
 

@@ -107,10 +107,10 @@ def build_parser():
     _system_flags(sp, sigma_default=0.1)
     sp.add_argument("--states", type=int, default=100)
     sp.add_argument("--funcs", type=int, default=5,
-                    help="random polynomial test functions per state")
+                    help="random test polynomials, shared by every state")
     sp.add_argument("--degree", type=int, default=3)
-    sp.add_argument("--fd-step", type=float, default=1e-4)
-    sp.add_argument("--tol", type=float, default=1e-4)
+    sp.add_argument("--tol", type=float, default=1e-10,
+                    help="round-off bound: both generators are applied exactly")
     _common_flags(sp)
 
     sp = subs.add_parser("absorption",
@@ -258,28 +258,18 @@ def _emit(header, rows, args):
         sys.stdout.write(text)
 
 
-def _make_poly(coeffs, exps):
-    def f(pts):
-        arr = np.asarray(pts, dtype=float)
-        vals = np.zeros(arr.shape[0])
-        for c, e in zip(coeffs, exps):
-            vals = vals + c * np.multiply.reduce(arr ** e, axis=1)
-        return vals
-    return f
-
-
 def random_polynomials(rng, n_sites, count, degree):
-    """Random multivariate polynomials with integer exponents, degree-capped;
-    each maps a (K, n_sites) batch of points to K values."""
+    """count random polynomials of n_sites variables, each (coeffs (T,), exps
+    (T, n_sites)) with 1 to 3 terms of total degree at most degree."""
     polys = []
+    flat = np.full(n_sites, 1.0 / n_sites)
     for _ in range(count):
         n_terms = int(rng.integers(1, 4))
         coeffs = rng.uniform(-1.0, 1.0, size=n_terms)
-        exps = np.zeros((n_terms, n_sites), dtype=int)
-        for k in range(n_terms):
-            total = int(rng.integers(0, degree + 1))
-            exps[k] = rng.multinomial(total, np.full(n_sites, 1.0 / n_sites))
-        polys.append(_make_poly(coeffs, exps))
+        # per term: its total degree, then the split of that degree over sites
+        exps = np.array([rng.multinomial(int(rng.integers(0, degree + 1)), flat)
+                         for _ in range(n_terms)])
+        polys.append((coeffs, exps))
     return polys
 
 
@@ -322,13 +312,15 @@ def _cmd_verify_intertwining(args):
         raise ConfigError("--funcs must be at least 1")
     if args.degree < 0:
         raise ConfigError("--degree must be at least 0")
+    if not 0.0 < args.tol < math.inf:
+        raise ConfigError(f"--tol must be a positive finite number, got {args.tol}")
     p = SystemParams(args.n, args.sigma, args.alpha, args.tl, args.tr)
     rng = stream(args.seed, "verify-intertwining")
     states = rng.uniform(0.0, 2.0, size=(args.states, args.n))
     polys = random_polynomials(rng, args.n, args.funcs, args.degree)
     header = ["state", "max_residual"]
     # np.max, not max: a nan residual is the row's worst and fails it
-    worst = np.max(intertwining_residual(states, p, polys, args.fd_step), axis=0)
+    worst = np.max(intertwining_residual(states, p, polys), axis=0)
     return header, list(enumerate(worst.tolist())), not (worst < args.tol).all()
 
 

@@ -88,9 +88,9 @@ def _z(a: float, b: float, se: float) -> float:
 def as_state(x, n_sites: int | None = None, allow_negative: bool = False) -> np.ndarray:
     """Coerce to a float array of site energies and validate it.
 
-    allow_negative=True skips the sign check; the transform formulas extend
-    smoothly to slightly negative energies, which finite-difference drivers
-    probing x - h*e_i rely on.
+    allow_negative=True skips the sign check, for the transforms and the
+    duality functions: their formulas hold at any finite real point, such as
+    a numerical-derivative step x - h*e_i below an empty site.
     """
     arr = _array(x, "energy configuration", float)
     if arr.ndim < 1:

@@ -14,9 +14,9 @@ same products at g(x).
 
 Duality holds at the generator level, L_cont D(., xi)(x) = L_part D(x, .)(xi),
 and consequently for the semigroups, E_x D(X_t, xi) = E_xi D(x, Xi_t).  Both
-statements are checked numerically here: the generator residual with finite
-differences on the continuous side and exact rate sums on the discrete side,
-the semigroup identity by a two-sided Monte Carlo z-score.
+statements are checked here: the generator residual exactly (D(., xi) is a
+polynomial in z) against exact rate sums on the discrete side, the
+semigroup identity by a two-sided Monte Carlo z-score.
 """
 from __future__ import annotations
 
@@ -52,6 +52,11 @@ def _orthogonal_t(t: float) -> float:
     return t
 
 
+def _weight(k: int, j: int, alpha: float) -> float:
+    """C(k, j) / (alpha)_j: the z^j weight of the degree-k site factor."""
+    return math.comb(k, j) / pochhammer(alpha, j)
+
+
 def laguerre_d(zeta, k: int, alpha: float, t: float):
     """Single-site orthogonal factor of degree k.
 
@@ -66,7 +71,7 @@ def laguerre_d(zeta, k: int, alpha: float, t: float):
     y = np.asarray(zeta, dtype=float) / t
     acc = np.zeros_like(y)
     for j in range(k + 1):
-        acc = acc + ((-1.0) ** j * math.comb(k, j) / pochhammer(alpha, j)) * y**j
+        acc = acc + ((-1.0) ** j * _weight(k, j, alpha)) * y**j
     return (-t) ** k * acc
 
 
@@ -121,35 +126,49 @@ def sip_generator_apply(fun, xi, p: SystemParams) -> float:
     return out
 
 
+def _dual_poly(xi, p: SystemParams, t: float):
+    """D(., xi) as (coeffs, exps) in z: the boundary factor times prod_i
+    sum_{j <= xi_i} C(xi_i, j) (-t)^{xi_i - j} z_i^j / (alpha)_j."""
+    occ = as_particles(xi, p.n_sites)
+    # the boundary factor: the site product with every site factor 1
+    base = _site_product(np.zeros(p.n_sites), occ, p, t, lambda val, zi, k: val)
+    coeffs, exps = np.array([base]), np.zeros((1, p.n_sites), np.int64)
+    for i in np.flatnonzero(occ[1:-1]):
+        k = int(occ[i + 1])
+        w = [_weight(k, j, p.alpha) * (-t) ** (k - j) for j in range(k + 1)]
+        coeffs, exps = np.outer(coeffs, w).ravel(), np.repeat(exps, k + 1, axis=0)
+        exps[:, i] = np.tile(np.arange(k + 1), len(exps) // (k + 1))
+    return coeffs, exps
+
+
 def _select_dfun(model: str, dfun: str, p: SystemParams, t_orth):
-    """state, xi -> D(state, xi) for model and dfun; t_orth, orthogonal only
-    (default (T_l + T_r) / 2), is checked here, before any evaluation."""
+    """(state, xi -> D(state, xi), t), t = 0 for classical; t_orth, orthogonal
+    only (default (T_l + T_r) / 2), is checked here, before any evaluation."""
     if model not in ("bep", "abep"):
         raise ParameterError(f"unknown model {model!r}")
     if dfun == "classical":
         if t_orth is not None:
             raise ParameterError(f"t_orth applies only to orthogonal, got {t_orth}")
         fun = classical_D if model == "bep" else classical_D_sigma
-        return lambda state, xi: fun(state, xi, p)
+        return (lambda state, xi: fun(state, xi, p)), 0.0
     if dfun != "orthogonal":
         raise ParameterError(f"unknown duality function {dfun!r}")
     t = _orthogonal_t(0.5 * (p.t_left + p.t_right) if t_orth is None else t_orth)
     fun = orthogonal_D if model == "bep" else orthogonal_D_sigma
-    return lambda state, xi: fun(state, xi, p, t)
+    return (lambda state, xi: fun(state, xi, p, t)), t
 
 
 def generator_duality_residual(x, xi, p: SystemParams, model: str = "bep",
-                               dfun: str = "classical", fd_step: float = 1e-4,
-                               t_orth=None) -> float:
+                               dfun: str = "classical", t_orth=None) -> float:
     """|continuous-side application - discrete-side application| at (x, xi).
 
-    The continuous side applies the model generator to state -> D(state, xi)
-    by central finite differences; the discrete side sums the exact
+    The continuous side applies the model generator exactly to D(., xi),
+    a polynomial in z = g(x); the discrete side sums the exact
     rate-weighted differences over all particle jumps.
     """
     arr = as_state(x, p.n_sites)
-    dual = _select_dfun(model, dfun, p, t_orth)
-    cont = apply_generator(arr, p, model, lambda y: dual(y, xi), fd_step)
+    dual, t = _select_dfun(model, dfun, p, t_orth)
+    cont = apply_generator(arr, p, model, _dual_poly(xi, p, t))
     disc = sip_generator_apply(lambda c: dual(arr, c), xi, p)
     return abs(cont - disc)
 
@@ -191,7 +210,7 @@ def semigroup_duality_check(x0, xi0, t_horizon: float, p: SystemParams,
     whole_steps(t_horizon, dt, "t_horizon")
     arr = as_state(x0, p.n_sites)
     occ0 = as_particles(xi0, p.n_sites)
-    dual = _select_dfun(model, dfun, p, t_orth)
+    dual, _ = _select_dfun(model, dfun, p, t_orth)
     if t_horizon == 0:
         v = float(dual(arr, occ0))
         return DualityCheck(v, 0.0, v, 0.0, 0.0)

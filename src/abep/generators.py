@@ -34,23 +34,24 @@ Asymmetric model on coordinates x, with E_l the partial energies:
         u_N = s e^{2 s E_N}  (the transport correction of the moving
         direction).
 
-These coefficients make the conjugation by the energy transform exact: the
-asymmetric generator applied to f o g equals the symmetric generator of f
-evaluated at g(x), which is what intertwining_residual measures.
+These coefficients make the conjugation by the energy transform exact,
+L_abep (f o g) = (L_bep f) o g, which intertwining_residual measures.
+Neither generator has a zeroth-order term, so for a polynomial f of
+z = g(x) the chain rule applies each one exactly:
 
-apply_generator and intertwining_residual apply L by central differences.
-intertwining_residual takes one state (N,) or a stack (S, N), and builds
-the stencils of the whole stack in one batch: one model_parts per model,
-one map_g of every abep stencil point, and one call of each test function
-f on every stencil point of the stack with a nonzero weight, in state
-order.  f must accept a (K, N) batch of points and return K values.
-apply_generator is the same batch at one state.
+    L (f o g)(x) = grad f(z) . (J b + sum_k a_k D^2 g[v_k, v_k])
+                   + sum_k a_k (J v_k)' hess f(z) (J v_k),
+
+with J the Jacobian of g, the identity for 'bep' and sigma = 0.  With
+u_i = e^{-s E_i(x)}, delta_i = E_i(d) and u_{N+1} = 1, delta_{N+1} = 0,
+the 2-jet of g along d is (J d)_i = delta_i u_i - delta_{i+1} u_{i+1} and
+D^2 g[d, d]_i = s (delta_{i+1}^2 u_{i+1} - delta_i^2 u_i).
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .core import SystemParams, _eval_observable, _observables, as_state, map_g
+from .core import SystemParams, _whole, as_state, map_g, partial_energies
 from .errors import ParameterError
 
 
@@ -185,105 +186,88 @@ def model_parts(ws: Workspace):
     return drift, amps, v
 
 
-def _stencil(xs: np.ndarray, p: SystemParams, model: str, h: float):
-    """Central-difference stencils of L at a stack of states xs, (S, N).
-
-    Returns (points, rows, weights).  weights (S, M) holds the weights of
-    the M = 2N+1 directions d_k: e_i weighted by the drift b_i, then the
-    noise directions weighted by a_k.  rows (S, 1 + 2M) marks, per state
-    x, x itself, then x + h d_k for every d_k with a nonzero weight, then
-    x - h d_k in the same order; points (K, N) holds the marked points,
-    state by state, the only points f is evaluated at.
-    """
+def _carry(xs: np.ndarray, p: SystemParams, model: str):
+    """(z, b~, a, v~) of model at the states xs (S, N): z = g(xs), the drift
+    b~ (S, N), amplitudes a (S, N+1) and directions v~ (S, N+1, N) with
+    L (f o g)(x) = grad f(z) . b~ + sum_k a_k v~_k' hess f(z) v~_k."""
     s, n = xs.shape
     drift, amps, v = model_parts(Workspace(np.ascontiguousarray(xs.T), p, model))
-    dirs = np.zeros((s, 2 * n + 1, n))
-    dirs[:, :n] = np.eye(n)
-    dirs[:, n:2 * n - 1] = np.eye(n - 1, n, 1) - np.eye(n - 1, n)
-    dirs[:, 2 * n - 1, 0] = dirs[:, 2 * n, -1] = 1.0    # left e_1, right e_N
+    dirs = np.zeros((s, n + 1, n))
+    dirs[:, :n - 1] = np.eye(n - 1, n, 1) - np.eye(n - 1, n)   # bonds e_{i+1} - e_i
+    dirs[:, n - 1, 0] = dirs[:, n, -1] = 1.0                   # left e_1, right e_N
     if v is not None:
-        dirs[:, 2 * n] = v.T                            # the abep right direction
-    weights = np.concatenate([drift, amps]).T
-    keep = weights != 0.0
-    step = h * dirs
-    x = xs[:, None]
-    rows = np.concatenate([np.ones((s, 1), bool), keep, keep], axis=1)
-    return np.concatenate([x, x + step, x - step], axis=1)[rows], rows, weights
+        dirs[:, n] = v.T                                       # the abep right direction
+    if model == "bep" or p.sigma == 0:
+        return xs, drift.T, amps.T, dirs
+    # the 2-jet of g along b and every v_k: J d and D^2 g[d, d]
+    d = partial_energies(np.concatenate([drift.T[:, None], dirs], axis=1))
+    w = d * np.exp(-p.sigma * partial_energies(xs))[:, None]
+    jd, curv = -np.diff(w, axis=-1), p.sigma * np.diff(w[:, 1:] * d[:, 1:], axis=-1)
+    b = jd[:, 0] + (amps.T[..., None] * curv).sum(axis=1)   # J b + sum_k a_k curv_k
+    return map_g(xs, p), b, amps.T, jd[:, 1:]
 
 
-def _step_size(fd_step) -> float:
-    """fd_step as a float; ParameterError unless it is positive and finite."""
-    h = float(fd_step)
-    if not (0.0 < h < np.inf):
-        raise ParameterError(
-            f"fd_step must be a positive finite number, got {fd_step!r}")
-    return h
+def _poly(poly, n: int):
+    """The polynomial sum_t c_t z^{e_t} as (coeffs (T,) float, exps (T, n)
+    int64); ParameterError unless poly is such a pair, exponents whole >= 0."""
+    try:
+        coeffs, exps = (np.asarray(a) for a in poly)
+        if (coeffs.ndim == 1 and exps.shape == (len(coeffs), n) and _whole(exps)
+                and ((exps >= 0) & (exps < np.inf)).all()):
+            return coeffs.astype(float), exps.astype(np.int64)
+    except (TypeError, ValueError):
+        pass
+    raise ParameterError(f"a polynomial is (coeffs (T,), exps (T, {n})) with "
+                         f"whole exponents >= 0, got {poly!r}")
 
 
-def _combine(vals: np.ndarray, rows: np.ndarray, weights: np.ndarray,
-             h: float) -> np.ndarray:
-    """L f at each stencil centre, (S,), from f on the stencil points of
-    _stencil (vals) and its rows and weights."""
-    m = weights.shape[1]
-    n = m // 2                                  # drift directions first
-    full = np.zeros(rows.shape)
-    full[rows] = vals
-    f0, fp, fm = full[:, :1], full[:, 1:m + 1], full[:, m + 1:]
-    terms = np.concatenate(
-        [weights[:, :n] * (fp[:, :n] - fm[:, :n]) / (2.0 * h),
-         weights[:, n:] * (fp[:, n:] - 2.0 * f0 + fm[:, n:]) / (h * h)], axis=1)
-    # an unmarked term is +0.0, which the sum from +0.0 adds exactly
-    terms = np.where(rows[:, 1:m + 1], terms, 0.0)
-    out = np.zeros(len(terms))
-    for t in terms.T:           # left to right: np.sum pairs terms up
-        out += t
-    return out
+def _poly_jet(z: np.ndarray, coeffs: np.ndarray, exps: np.ndarray):
+    """Gradient (S, N) and Hessian (S, N, N) of sum_t c_t z^{e_t} at z (S, N)."""
+    eye = np.eye(z.shape[-1], dtype=np.int64)
+    e1 = exps[:, None] - eye                 # exponents of d_i z^e, (T, N, N)
+    c1 = coeffs[:, None] * exps              # c e_i, (T, N)
+    # an exponent below 0 has a zero coefficient: clipped, z_i = 0 stays finite
+    m1 = np.prod(z[:, None, None] ** np.maximum(e1, 0), axis=-1)
+    m2 = np.prod(z[:, None, None, None] ** np.maximum(e1[:, :, None] - eye, 0), axis=-1)
+    return (c1 * m1).sum(axis=1), (c1[..., None] * e1 * m2).sum(axis=1)
 
 
-def apply_generator(x, p: SystemParams, model: str, f, fd_step: float) -> float:
-    """Apply L = b . grad + sum_k a_k (v_k . grad)^2 of 'bep' or 'abep' to f
-    at one state x, numerically.
+def _apply(parts, jet) -> np.ndarray:
+    """L (f o g) at each state, (S,), from _carry's parts and f's jet at z."""
+    (_, b, a, v), (grad, hess) = parts, jet
+    quad = np.einsum("ski,sij,skj->sk", v, hess, v)        # v_k' hess f v_k
+    return (grad * b).sum(axis=-1) + (a * quad).sum(axis=-1)
 
-    Central finite differences of order fd_step**2; directional second
-    derivatives use f(x + h v) - 2 f(x) + f(x - h v).  f is called once,
-    on a (K, N) batch holding every stencil point, and must return K values.
-    """
+
+def apply_generator(x, p: SystemParams, model: str, poly) -> float:
+    """L of 'bep' or 'abep' applied exactly to f o g at one state x, for the
+    polynomial f = poly = (coeffs, exps) of z = g(x); g is the identity for
+    'bep' and sigma = 0."""
     x = as_state(x, p.n_sites)
-    h = _step_size(fd_step)
     if x.shape != (p.n_sites,):
         raise ParameterError(
             f"expected one state of shape ({p.n_sites},), got {x.shape}")
-    pts, rows, weights = _stencil(x[None], p, model, h)
-    return float(_combine(_eval_observable(f, pts), rows, weights, h)[0])
+    poly = _poly(poly, p.n_sites)
+    parts = _carry(x[None], p, model)
+    return float(_apply(parts, _poly_jet(parts[0], *poly))[0])
 
 
-def intertwining_residual(x, p: SystemParams, f, fd_step: float):
-    """|L_asym (f o g)(x) - (L_sym f)(g(x))| by finite differences.
+def intertwining_residual(x, p: SystemParams, polys):
+    """|L_abep (f o g)(x) - (L_bep f)(g(x))| for each polynomial f in polys.
 
-    x is one state (N,) or a non-empty stack of states (S, N).  f is one
-    callable or a sequence of them, each called once on a (K, N) batch
-    holding the stencil points of every state, as in apply_generator.  The
-    stencils and their images under g are built once for the whole stack.
-    A callable gives a float for one state and an (S,) array for a stack;
-    a sequence gives a list with one such entry per callable.  Every
-    residual is bit-identical to a call with that state and callable alone.
+    x is one state (N,) or a non-empty stack (S, N); polys is a non-empty
+    sequence of (coeffs, exps), and both sides contract one jet of each f
+    at z = g(x).  Returns one entry per polynomial: a float for one state,
+    an (S,) array for a stack, each bit-identical to a call with that state
+    and that polynomial alone.
     """
-    single, fs = _observables(f)
     x = as_state(x, p.n_sites)
-    h = _step_size(fd_step)
-    if not (x.ndim == 1 or x.ndim == 2 and len(x)):
-        raise ParameterError(
-            f"expected one state (N,) or a non-empty stack (S, N), got {x.shape}")
-    xs = x.reshape(-1, p.n_sites)
-    # a step that leaves the float range gives an inf or nan residual, and
-    # the caller's check reads it, so the warnings add nothing
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        pts_x, rows_x, w_x = _stencil(xs, p, "abep", h)
-        g_pts = map_g(pts_x, p)
-        pts_z, rows_z, w_z = _stencil(map_g(xs, p), p, "bep", h)
-        out = [np.abs(_combine(_eval_observable(fi, g_pts), rows_x, w_x, h)
-                      - _combine(_eval_observable(fi, pts_z), rows_z, w_z, h))
-               for fi in fs]
-    if x.ndim == 1:
-        out = [float(r[0]) for r in out]
-    return out[0] if single else out
+    polys = [_poly(f, p.n_sites) for f in polys]
+    if not (polys and (x.ndim == 1 or x.ndim == 2 and len(x))):
+        raise ParameterError("expected one state (N,) or a non-empty stack (S, N) and at "
+                             f"least one polynomial, got {x.shape} and {len(polys)}")
+    asym = _carry(x.reshape(-1, p.n_sites), p, "abep")
+    sym = _carry(asym[0], p, "bep")
+    jets = [_poly_jet(asym[0], *f) for f in polys]
+    out = [np.abs(_apply(asym, jet) - _apply(sym, jet)) for jet in jets]
+    return [float(r[0]) for r in out] if x.ndim == 1 else out

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -301,3 +302,15 @@ def test_array_sites_equal_scalar_calls(edge):
     for route in routes:
         assert list(zip(*route(i, j).as_tuple())) == \
             [route(int(a), int(b)).as_tuple() for a, b in zip(i, j)]
+
+
+def test_integer_alpha_shares_the_float_table():
+    # an int alpha once built an int64 rate matrix, and scipy warned when
+    # casting it; 2 and 2.0 now read one cached table
+    _exit_table.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        as_int = two_particle_solve(2, 4, SystemParams(5, 0, 2, 1, 1))
+        as_float = two_particle_solve(2, 4, SystemParams(5, 0.0, 2.0, 1.0, 1.0))
+    assert as_int.as_tuple() == as_float.as_tuple()
+    assert _exit_table.cache_info().currsize == 1

@@ -36,7 +36,7 @@ def test_acceptance_intertwining_on_random_polynomials():
         p = SystemParams(3, sigma, 1.0, 1.0, 2.0)
         polys = random_polynomials(rng, 3, 5, 3)
         # one stacked call: every state and polynomial of this sigma
-        worst = max(worst, np.max(intertwining_residual(states, p, polys, 1e-4)))
+        worst = max(worst, np.max(intertwining_residual(states, p, polys)))
     elapsed = time.perf_counter() - t0
     print(f"intertwining: worst residual {worst:.3e} in {elapsed:.1f}s")
     assert worst < 1e-4

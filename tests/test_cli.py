@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import abep.cli
+import abep.generators
 import abep.moments
 from abep import (AbsorptionResult, SdeConfig, SystemParams, one_point_moment,
                   reversible_mass, stationary_estimate, two_particle_solve,
@@ -328,19 +329,53 @@ def test_verify_intertwining_small_run(capsys):
     assert all(float(r[1]) < 1e-4 for r in rows[1:])
 
 
-def test_verify_intertwining_nan_residual_fails_its_row(capsys):
-    # the residuals are [0.0, nan, nan] (the first polynomial is constant):
-    # the row's worst is nan, not the 0.0 that comes first.  The stencil
-    # leaves the float range without a warning: the check gives the verdict
+def test_verify_intertwining_nan_residual_fails_its_row(monkeypatch, capsys):
+    # a nan coefficient at the second state only: its row is nan, behind a
+    # finite first row, and fails the check without a warning
+    parts = abep.generators.model_parts
+
+    def nan_parts(ws):
+        drift, amps, v = parts(ws)
+        if ws.model == "abep":
+            drift[0, 1] = np.nan
+        return drift, amps, v
+
+    monkeypatch.setattr(abep.generators, "model_parts", nan_parts)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rc = run(["verify-intertwining", "--n", "2", "--states", "1",
-                  "--funcs", "3", "--degree", "1", "--fd-step", "1e300",
-                  "--seed", "0", "--check", "--no-header"])
+        rc = run(["verify-intertwining", "--n", "2", "--states", "2",
+                  "--funcs", "3", "--degree", "1", "--seed", "0", "--check",
+                  "--no-header"])
     assert rc == 1
     out, err = capsys.readouterr()
-    assert out.splitlines()[1] == "0,nan"
+    first, second = out.splitlines()[1:]
+    assert float(first.split(",")[1]) < 1e-10 and second == "1,nan"
     assert err == ""
+
+
+def _scaled_transport(monkeypatch, factor):
+    """Scale the abep transport term T_r g_N u of model_parts by factor."""
+    parts = abep.generators.model_parts
+
+    def scaled(ws):
+        drift, amps, v = parts(ws)
+        if ws.model == "abep" and ws.p.sigma != 0:
+            drift += (factor - 1.0) * ws.u      # ws.u holds T_r g_N u here
+        return drift, amps, v
+
+    monkeypatch.setattr(abep.generators, "model_parts", scaled)
+
+
+@pytest.mark.parametrize("n, sigma", [(3, 0.1), (8, 0.3)])
+def test_verify_intertwining_sees_a_1e_7_coefficient_error(monkeypatch, n, sigma):
+    # a relative error of 1e-7 in one drift term stands far above the
+    # round-off default --tol; the exact route passes without it
+    argv = ["verify-intertwining", "--n", str(n), "--sigma", str(sigma),
+            "--alpha", "2", "--tl", "0.5", "--tr", "1.5", "--states", "40",
+            "--check", "--no-header", "--out", os.devnull]
+    assert run(argv) == 0
+    _scaled_transport(monkeypatch, 1.0 + 1e-7)
+    assert run(argv) == 1
 
 
 def test_verify_intertwining_needs_a_state(capsys):
@@ -432,10 +467,17 @@ def test_counts_that_leave_nothing_to_estimate_are_usage_errors(argv, flag, caps
     assert captured.err.startswith(f"error: {flag}") and captured.out == ""
 
 
-@pytest.mark.parametrize("flags", [["--degree", "-1"], ["--fd-step", "0"],
-                                   ["--fd-step=-1e-4"], ["--fd-step", "nan"]])
+@pytest.mark.parametrize("flags", [["--degree", "-1"], ["--tol", "0"],
+                                   ["--tol=-1e-4"], ["--tol", "nan"]])
 def test_verify_intertwining_bad_arguments_are_usage_errors(flags, capsys):
+    # a --tol at or below 0, or nan, fails every row whatever the residuals
     _assert_usage_error(["verify-intertwining", "--n", "2", *flags], capsys)
+
+
+def test_verify_intertwining_has_no_step_size(capsys):
+    # the generators are applied exactly: --fd-step is an unknown flag
+    assert run(["verify-intertwining", "--n", "2", "--fd-step", "1e-4"]) == 2
+    assert "unrecognized arguments: --fd-step" in capsys.readouterr().err
 
 
 def _fresh_python(*args):
@@ -531,6 +573,9 @@ def test_reversible_check_truncation_regime_matches_truncated_law(capsys):
     assert abs(observed - untruncated) > 3.0 * float(row[3])
 
 
+# Re-recorded when both generators came to be applied exactly (worst
+# residual 4.4e-15, from 3.9e-7 by central differences); the states and
+# polynomials drawn are the same.
 @pytest.mark.usefixtures("pinned_exp")
 def test_verify_intertwining_pinned_bytes(capsys):
     rc = run(["verify-intertwining", "--n", "3", "--sigma", "0.1", "--alpha",
@@ -539,7 +584,7 @@ def test_verify_intertwining_pinned_bytes(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == \
-        "fcd370a1121c9d708e1f39fa855ab0827e41bd617362d0b2b9db9f07ce578346"
+        "83853743807379b6ad726fb0f02976af4cb2198f739078466960f16fe110737f"
 
 
 # Recorded with the per-pair two-point assembly and the per-transition

@@ -193,8 +193,7 @@ def test_generator_duality_residuals(model, dfun):
     for _ in range(5):
         x = RNG.uniform(0.1, 1.5, 2)
         for xi in configs:
-            res = generator_duality_residual(x, xi, p, model=model,
-                                             dfun=dfun, fd_step=1e-4)
+            res = generator_duality_residual(x, xi, p, model=model, dfun=dfun)
             assert res < 1e-4
 
 

@@ -4,20 +4,29 @@ import pytest
 from abep import (SystemParams, Workspace, apply_generator,
                   generator_duality_residual, intertwining_residual, map_g,
                   model_parts, sip_generator_apply)
+from abep import generators
 from abep.cli import random_polynomials
 from abep.core import as_state
 from abep.duality import _select_dfun
 from abep.errors import ParameterError
-from abep.generators import _stencil
 
 RNG = np.random.default_rng(915)
 
 
-def _coordinate(k):
-    return lambda v: v[:, k]
+def _coordinate(k, n):
+    """z_k as a polynomial (coeffs, exps) of n variables."""
+    return np.array([1.0]), np.eye(n, dtype=int)[k:k + 1]
 
 
-# ---- the per-point loop the batched stencil replaced, kept as its reference
+def _value(poly, z):
+    """sum_t c_t z^{e_t} at one point z: the polynomial as a plain function."""
+    coeffs, exps = poly
+    return float(sum(c * np.prod(np.asarray(z, dtype=float) ** e)
+                     for c, e in zip(coeffs, exps)))
+
+
+# ---- a finite-difference generator, one call of f per stencil point: the
+# independent oracle of the exact one
 
 def _per_point_coefficients(x, p, model):
     """Drift and (amplitude, direction) pairs at one state, from model_parts."""
@@ -42,7 +51,8 @@ def _per_point_coefficients(x, p, model):
 
 
 def _apply_per_point(x, p, model, f, fd_step):
-    """L f at x with one call of f per stencil point; f takes one state."""
+    """L f at x by central differences, with one call of f per stencil point;
+    f takes one state."""
     drift, noise_dirs = _per_point_coefficients(x, p, model)
     x = np.asarray(x, dtype=float)
     h = float(fd_step)
@@ -63,17 +73,10 @@ def _apply_per_point(x, p, model, f, fd_step):
     return float(out)
 
 
-def _intertwining_per_point(x, p, f, fd_step):
-    x = as_state(x, p.n_sites)
-    z = map_g(x, p)
-    lhs = _apply_per_point(x, p, "abep", lambda y: f(map_g(y, p)), fd_step)
-    rhs = _apply_per_point(z, p, "bep", f, fd_step)
-    return abs(lhs - rhs)
-
-
-def _one_point(f):
-    """A batch function as the per-point loop called it, on one state."""
-    return lambda y: float(f(y[None, :])[0])
+def _per_point(x, p, model, poly):
+    """The oracle on f o g, g the identity for 'bep', as apply_generator."""
+    g = (lambda y: y) if model == "bep" else (lambda y: map_g(y, p))
+    return _apply_per_point(x, p, model, lambda y: _value(poly, g(y)), 1e-4)
 
 
 def _reference_cases():
@@ -87,21 +90,28 @@ def _reference_cases():
 
 
 @pytest.mark.parametrize("model", ["bep", "abep"])
-def test_batched_stencil_matches_per_point_loop(model):
+def test_exact_generator_matches_per_point_loop(model):
+    # the finite-difference oracle agrees to its truncation, O(h^2) with
+    # h = 1e-4 plus round-off over h^2
     for p, x in _reference_cases():
-        polys = random_polynomials(RNG, p.n_sites, 4, 3)
-        for f in polys + [_coordinate(0), _coordinate(p.n_sites - 1)]:
-            # bit for bit, not approximately
-            assert apply_generator(x, p, model, f, 1e-4) == \
-                _apply_per_point(x, p, model, _one_point(f), 1e-4)
+        n = p.n_sites
+        polys = random_polynomials(RNG, n, 4, 3)
+        for f in polys + [_coordinate(0, n), _coordinate(n - 1, n)]:
+            assert apply_generator(x, p, model, f) == \
+                pytest.approx(_per_point(x, p, model, f), rel=1e-6, abs=1e-6)
 
 
 def test_batched_intertwining_matches_per_point_loop():
+    # one call for every polynomial; both generators exact, so the residual
+    # is round-off, and each side is the oracle's to its truncation
     for p, x in _reference_cases():
         polys = random_polynomials(RNG, p.n_sites, 4, 3)
-        want = [_intertwining_per_point(x, p, _one_point(f), 1e-4) for f in polys]
-        assert intertwining_residual(x, p, polys, 1e-4) == want
-        assert [intertwining_residual(x, p, f, 1e-4) for f in polys] == want
+        res = intertwining_residual(x, p, polys)
+        assert res == [intertwining_residual(x, p, [f])[0] for f in polys]
+        assert max(res) < 1e-13
+        z = map_g(x, p)
+        for f in polys:
+            assert abs(_per_point(x, p, "abep", f) - _per_point(z, p, "bep", f)) < 1e-6
 
 
 def test_stacked_intertwining_equals_the_single_state_calls():
@@ -112,118 +122,130 @@ def test_stacked_intertwining_equals_the_single_state_calls():
         extra[0, n // 2] = 0.0
         xs = np.vstack([x for q, x in cases if q.n_sites == n] + [extra])
         polys = random_polynomials(RNG, n, 4, 3)
-        # bit for bit, one callable and a list
-        want = [[intertwining_residual(x, p, f, 1e-4) for x in xs] for f in polys]
-        assert intertwining_residual(xs, p, polys[0], 1e-4).tolist() == want[0]
-        assert [r.tolist() for r in intertwining_residual(xs, p, polys, 1e-4)] \
-            == want
-        assert intertwining_residual(xs[:1], p, polys, 1e-4)[0].tolist() == \
-            [intertwining_residual(xs[0], p, polys[0], 1e-4)]
+        # bit for bit, one polynomial and a list
+        want = [[intertwining_residual(x, p, [f])[0] for x in xs] for f in polys]
+        assert intertwining_residual(xs, p, polys[:1])[0].tolist() == want[0]
+        assert [r.tolist() for r in intertwining_residual(xs, p, polys)] == want
+        assert intertwining_residual(xs[:1], p, polys)[0].tolist() == \
+            [intertwining_residual(xs[0], p, polys[:1])[0]]
 
 
-def test_stacked_intertwining_shows_f_the_single_state_points():
-    # f sees the rows the per-state calls show it, in state order: first
-    # the g images of the abep stencils, then the bep stencils at g(x)
+def test_stacked_intertwining_shows_f_the_single_state_points(monkeypatch):
+    # one jet per polynomial, taken at the points z = g(x) the per-state
+    # calls take it at, in state order; both sides contract that one jet
     p = SystemParams(3, 0.2, 2.0, 0.5, 1.5)
     xs = np.array([[0.7, 0.0, 1.2], [0.0, 0.4, 1.2], [0.3, 1.1, 0.9]])
+    polys = random_polynomials(RNG, 3, 2, 3)
     seen = []
-
-    def f(v):
-        seen.append(v.copy())
-        return v[:, 0] * v[:, 1] - v[:, 2]
-
+    jet = generators._poly_jet
+    monkeypatch.setattr(generators, "_poly_jet",
+                        lambda z, *f: seen.append(z.copy()) or jet(z, *f))
     for x in xs:
-        intertwining_residual(x, p, f, 1e-4)
+        intertwining_residual(x, p, polys)
     single, seen[:] = seen[:], []
-    intertwining_residual(xs, p, f, 1e-4)
-    assert len(seen) == 2
-    for side in (0, 1):
-        assert np.array_equal(seen[side], np.vstack(single[side::2]))
+    intertwining_residual(xs, p, polys)
+    assert len(seen) == len(polys)
+    for k, z in enumerate(seen):
+        assert np.array_equal(z, np.vstack(single[k::len(polys)]))
+        assert np.array_equal(z, map_g(xs, p))
 
 
 def test_stack_shapes_are_typed_errors():
     p = SystemParams(2, 0.2, 1.0, 1.0, 2.0)
     for bad in (np.ones((2, 2, 2)), np.ones((3, 3)), np.ones((0, 2))):
         with pytest.raises(ParameterError):
-            intertwining_residual(bad, p, _coordinate(0), 1e-4)
+            intertwining_residual(bad, p, [_coordinate(0, 2)])
 
 
 @pytest.mark.parametrize("model", ["bep", "abep"])
 @pytest.mark.parametrize("dfun", ["classical", "orthogonal"])
 def test_batched_duality_residual_matches_per_point_loop(model, dfun):
+    # the exact continuous side of D(., xi) as a polynomial agrees with the
+    # finite-difference oracle on D itself, and the residual is round-off
     p = SystemParams(2, 0.4, 1.7, 1.0, 2.0)
-    dual = _select_dfun(model, dfun, p, None)
+    dual = _select_dfun(model, dfun, p, None)[0]
     for xi in [(0, 1, 0, 0), (0, 1, 1, 0), (0, 2, 0, 0), (1, 1, 3, 1)]:
         xi = np.array(xi)
         x = RNG.uniform(0.1, 1.5, 2)
         cont = _apply_per_point(x, p, model, lambda y: dual(y, xi), 1e-4)
         disc = sip_generator_apply(lambda c: dual(x, c), xi, p)
-        assert generator_duality_residual(x, xi, p, model=model, dfun=dfun) == \
-            abs(cont - disc)
+        res = generator_duality_residual(x, xi, p, model=model, dfun=dfun)
+        assert res < 1e-12 * max(1.0, abs(disc))
+        assert abs(cont - disc) == pytest.approx(res, abs=1e-6 * max(1.0, abs(disc)))
 
 
 def test_wrong_shapes_are_typed_errors():
     p = SystemParams(2, 0.2, 1.0, 1.0, 2.0)
     x = np.array([0.5, 0.8])
-    for bad in (lambda v: 1.0, lambda v: v, lambda v: v[:-1, 0]):
-        with pytest.raises(ParameterError, match="observable must map"):
-            apply_generator(x, p, "abep", bad, 1e-4)
-        with pytest.raises(ParameterError, match="observable must map"):
-            intertwining_residual(x, p, [_coordinate(0), bad], 1e-4)
-    with pytest.raises(ParameterError, match="callable"):
-        intertwining_residual(x, p, [], 1e-4)
+    good = _coordinate(0, 2)
+    for bad in ((np.ones(2), np.ones((1, 2))),          # one coefficient per row
+                (np.ones(1), np.ones((1, 3))),          # one exponent per site
+                (np.ones(1), np.array([[0.5, 1.0]])),   # whole exponents
+                (np.ones(1), np.array([[-1, 1]])),      # exponents >= 0
+                (np.ones(1), np.array([[np.inf, 1]])),
+                np.ones(3), None):                      # not a (coeffs, exps) pair
+        with pytest.raises(ParameterError, match="a polynomial is"):
+            apply_generator(x, p, "abep", bad)
+        with pytest.raises(ParameterError, match="a polynomial is"):
+            intertwining_residual(x, p, [good, bad])
+    with pytest.raises(ParameterError, match="at least one"):
+        intertwining_residual(x, p, [])
     # a batch of states is refused, not read as one state's site rows
     with pytest.raises(ParameterError, match="one state"):
-        apply_generator(np.ones((2, 2)), p, "bep", _coordinate(0), 1e-4)
+        apply_generator(np.ones((2, 2)), p, "bep", good)
 
 
 def test_symmetric_drift_on_interior_coordinate():
     """The generator acts on an interior coordinate as the discrete laplacian."""
     p = SystemParams(3, 0.0, 1.3, 1.0, 2.0)
     z = np.array([0.7, 0.4, 1.1])
-    val = apply_generator(z, p, "bep", _coordinate(1), 1e-5)
-    assert val == pytest.approx(1.3 * (z[0] - 2 * z[1] + z[2]), abs=1e-8)
+    val = apply_generator(z, p, "bep", _coordinate(1, 3))
+    assert val == pytest.approx(1.3 * (z[0] - 2 * z[1] + z[2]), abs=1e-14)
 
 
 def test_symmetric_drift_on_boundary_coordinates():
     p = SystemParams(2, 0.0, 1.5, 0.8, 2.0)
     z = np.array([0.9, 0.3])
-    left = apply_generator(z, p, "bep", _coordinate(0), 1e-5)
-    right = apply_generator(z, p, "bep", _coordinate(1), 1e-5)
+    left = apply_generator(z, p, "bep", _coordinate(0, 2))
+    right = apply_generator(z, p, "bep", _coordinate(1, 2))
     # reservoir injection alpha*T minus unit leak, plus the bulk exchange
-    assert left == pytest.approx(1.5 * 0.8 - z[0] + 1.5 * (z[1] - z[0]), abs=1e-8)
-    assert right == pytest.approx(1.5 * 2.0 - z[1] + 1.5 * (z[0] - z[1]), abs=1e-8)
+    assert left == pytest.approx(1.5 * 0.8 - z[0] + 1.5 * (z[1] - z[0]), abs=1e-14)
+    assert right == pytest.approx(1.5 * 2.0 - z[1] + 1.5 * (z[0] - z[1]), abs=1e-14)
 
 
 def test_symmetric_carre_du_champ_on_squares():
     # second order part doubles the bond amplitude on (z_i - z_j)^2 terms
     p = SystemParams(2, 0.0, 1.0, 1.0, 1.0)
     z = np.array([0.6, 0.2])
-
-    def f(v):
-        return v[:, 0] ** 2
-
-    val = apply_generator(z, p, "bep", f, 1e-4)
+    val = apply_generator(z, p, "bep", (np.array([1.0]), np.array([[2, 0]])))
     drift = (1.0 * 1.0 - z[0] + (z[1] - z[0])) * 2 * z[0]
     diff = 2.0 * (z[0] * z[1] + 1.0 * z[0])
-    assert val == pytest.approx(drift + diff, rel=1e-6)
+    assert val == pytest.approx(drift + diff, rel=1e-14)
 
 
 def test_noise_direction_count_and_layout():
-    p = SystemParams(4, 0.0, 1.0, 1.0, 1.0)
-    z = RNG.uniform(0.1, 1.0, 4)
-    _, amps, v = model_parts(Workspace(z, p, "bep"))
-    assert amps.size == 5
-    # every coefficient is nonzero here: rows are z, then z + h d for the
-    # 4 drift and 5 noise directions, then z - h d
-    pts, rows, weights = _stencil(z[None], p, "bep", 1e-3)
-    weights, n_drift = weights[0], np.count_nonzero(rows[0, 1:5])
-    assert pts.shape == (19, 4) and weights.size == 9 and n_drift == 4
-    steps = pts[1:10] - z
-    assert np.count_nonzero(steps[n_drift]) == 2        # first bond
-    assert np.argmax(np.abs(steps[7])) == 0              # left reservoir
-    assert steps[8][-1] != 0.0                           # right reservoir
-    assert v is None
+    n = 4
+    p = SystemParams(n, 0.3, 1.0, 1.0, 1.0)
+    x = RNG.uniform(0.1, 1.0, (2, n))
+    _, amps, v = model_parts(Workspace(x[0], p, "bep"))
+    assert amps.size == n + 1 and v is None
+    # rows: the N-1 bonds e_{i+1} - e_i, left e_1, right e_N (or v), each
+    # carried by J, the identity for 'bep'
+    for model in ("bep", "abep"):
+        z, drift, amps, dirs = generators._carry(x, p, model)
+        assert drift.shape == (2, n) and amps.shape == (2, n + 1)
+        assert dirs.shape == (2, n + 1, n)
+    z, _, _, dirs = generators._carry(x, p, "bep")
+    assert np.array_equal(z, x)
+    assert np.array_equal(dirs[0, 0], [-1.0, 1.0, 0.0, 0.0])     # first bond
+    assert np.array_equal(dirs[1, n - 1], np.eye(n)[0])           # left reservoir
+    assert np.array_equal(dirs[1, n], np.eye(n)[-1])              # right reservoir
+    # for 'abep', J d is the derivative of g along d: a central difference
+    _, _, dirs = generators._carry(x, p, "abep")[1:]
+    _, _, v = model_parts(Workspace(x[0], p, "abep"))
+    for k, d in ((0, np.eye(n)[1] - np.eye(n)[0]), (n - 1, np.eye(n)[0]), (n, v)):
+        fd = (map_g(x[0] + 1e-6 * d, p) - map_g(x[0] - 1e-6 * d, p)) / 2e-6
+        assert dirs[0, k] == pytest.approx(fd, abs=1e-8)
 
 
 def test_asymmetric_reduces_to_symmetric_at_sigma_zero():
@@ -250,12 +272,11 @@ def test_intertwining_on_polynomials(sigma):
     """Conjugating by the energy transform maps one generator to the other."""
     p = SystemParams(3, sigma, 1.0, 1.0, 2.0)
 
-    def f(v):
-        return v[:, 0] ** 2 + 0.5 * v[:, 1] * v[:, 2] - v[:, 2]
-
+    # z_1^2 + z_2 z_3 / 2 - z_3
+    f = (np.array([1.0, 0.5, -1.0]), np.array([[2, 0, 0], [0, 1, 1], [0, 0, 1]]))
     for _ in range(10):
         x = RNG.uniform(0.0, 2.0, 3)
-        assert intertwining_residual(x, p, f, 1e-4) < 1e-4
+        assert intertwining_residual(x, p, [f])[0] < 1e-4
 
 
 def test_intertwining_nontrivial_without_transform():
@@ -263,12 +284,10 @@ def test_intertwining_nontrivial_without_transform():
     # otherwise the previous test is vacuous
     p = SystemParams(2, 0.6, 1.0, 1.0, 2.0)
 
-    def f(v):
-        return v[:, 0] ** 2
-
+    f = (np.array([1.0]), np.array([[2, 0]]))                 # z_1^2
     x = np.array([1.3, 0.9])
-    lhs = apply_generator(x, p, "abep", lambda v: f(map_g(v, p)), 1e-4)
-    wrong = apply_generator(x, p, "bep", f, 1e-4)
+    lhs = apply_generator(x, p, "abep", f)                    # L_abep (f o g)(x)
+    wrong = apply_generator(x, p, "bep", f)                   # (L_bep f)(x)
     assert abs(lhs - wrong) > 1e-3
 
 
