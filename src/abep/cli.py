@@ -236,6 +236,13 @@ def _parse_vector(text, n, what, dtype=float):
     return np.asarray(vals, dtype=dtype)
 
 
+def _check_tol(tol: float) -> None:
+    """The one --tol rule: at or below 0, or nan, every row would fail
+    whatever its gap, and at inf every row would pass."""
+    if not 0.0 < tol < math.inf:
+        raise ConfigError(f"--tol must be a positive finite number, got {tol}")
+
+
 def _fmt(value):
     if isinstance(value, float):
         return f"{value:.17g}"
@@ -312,8 +319,7 @@ def _cmd_verify_intertwining(args):
         raise ConfigError("--funcs must be at least 1")
     if args.degree < 0:
         raise ConfigError("--degree must be at least 0")
-    if not 0.0 < args.tol < math.inf:
-        raise ConfigError(f"--tol must be a positive finite number, got {args.tol}")
+    _check_tol(args.tol)
     p = SystemParams(args.n, args.sigma, args.alpha, args.tl, args.tr)
     rng = stream(args.seed, "verify-intertwining")
     states = rng.uniform(0.0, 2.0, size=(args.states, args.n))
@@ -325,6 +331,7 @@ def _cmd_verify_intertwining(args):
 
 
 def _cmd_absorption(args):
+    _check_tol(args.tol)
     p = SystemParams(args.n, 0.0, args.alpha, 1.0, 1.0)
     if args.j is None:
         pl_s, pr_s = single_absorption_solve(args.i, p, edge=args.edge)
@@ -355,6 +362,7 @@ def _cmd_absorption(args):
 
 
 def _cmd_moments(args):
+    _check_tol(args.tol)
     p = SystemParams(args.n, args.sigma, args.alpha, args.tl, args.tr)
     if args.two_point:
         header = ["m", "n", "assembly", "closed_form_display", "difference"]

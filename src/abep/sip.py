@@ -11,8 +11,10 @@ boundary bookkeeping; the rate law, _hop_rates, serves the "walk" one
 All runs of one call advance together by Gillespie's direct method
 (Gillespie, J. Phys. Chem. 81, 1977), applied to a batch: each round takes
 one event in every run that is still active, with its waiting time and its
-move drawn from the run's row of one array rate table.  Runs are occupation
+move drawn from the run's column of one rate table.  Runs are occupation
 vectors, so any configuration is simulated without enumerating states.
+The batch is site-major, one run per column, so rate tables are built in
+whole rows; the layout moves no uniform and no output byte.
 """
 from __future__ import annotations
 
@@ -51,32 +53,40 @@ def _hop_rates(k, k_target, into_edge, alpha: float, edge: str) -> np.ndarray:
 
 
 def _rate_table(occ, alpha: float, edge: str = "unit") -> np.ndarray:
-    """Jump rates of every configuration: (R, 2N) from (R, N+2) occupations.
+    """Jump rates of every configuration: (2N, R) from site-major (N+2, R)
+    occupations, one run per column.
 
-    Column 2(i-1) is the jump i -> i-1 and column 2i-1 the jump i -> i+1
-    from bulk site i.  A jump from an empty site has rate 0.
+    Row 2(i-1) is the jump i -> i-1 and row 2i-1 the jump i -> i+1 from bulk
+    site i.  A jump from an empty site has rate 0.
     """
-    k = occ[:, 1:-1]
-    rates = np.empty(k.shape + (2,))
-    rates[:, :, 0] = _hop_rates(k, occ[:, :-2], np.s_[:, 0], alpha, edge)
-    rates[:, :, 1] = _hop_rates(k, occ[:, 2:], np.s_[:, -1], alpha, edge)
-    return rates.reshape(len(occ), -1)
+    occ = occ.astype(float)     # the casts the rate law would make, once
+    k = occ[1:-1]
+    rates = np.empty((len(k), 2, occ.shape[1]))
+    rates[:, 0] = _hop_rates(k, occ[:-2], 0, alpha, edge)
+    rates[:, 1] = _hop_rates(k, occ[2:], -1, alpha, edge)
+    return rates.reshape(-1, occ.shape[1])
 
 
-def _jump(occ, rows, col) -> None:
-    """Move one particle in each given row, by rate-table column, in place."""
-    src = col // 2 + 1
-    occ[rows, src] -= 1
-    occ[rows, src + 2 * (col % 2) - 1] += 1
+def _jump(occ, row) -> None:
+    """Move one particle in each column of the C-contiguous site-major
+    occupations occ, by rate-table row, in place."""
+    if not occ.flags.c_contiguous:      # the flat copy would take the jumps
+        raise ValueError("occupations must be C-contiguous")
+    width = occ.shape[1]
+    flat = occ.reshape(-1)
+    # row 2(i-1) + d moves a particle from site i to site i - 1 + 2d
+    left = (row >> 1) * width + np.arange(width)
+    np.subtract.at(flat, left + width, 1)
+    np.add.at(flat, left + (row & 1) * (2 * width), 1)
 
 
 def sip_rates(xi, p: SystemParams):
     """All possible single jumps from xi as (target configuration, rate)."""
-    occ = as_particles(xi, p.n_sites)[None]
-    cols = np.flatnonzero(np.repeat(occ[0, 1:-1] > 0, 2))
-    targets = np.repeat(occ, len(cols), axis=0)
-    _jump(targets, np.arange(len(cols)), cols)
-    return list(zip(targets, _rate_table(occ, p.alpha)[0, cols].tolist()))
+    occ = as_particles(xi, p.n_sites)[:, None]
+    rows = np.flatnonzero(np.repeat(occ[1:-1, 0] > 0, 2))
+    targets = np.repeat(occ, len(rows), axis=1)
+    _jump(targets, rows)
+    return list(zip(targets.T, _rate_table(occ, p.alpha)[rows, 0].tolist()))
 
 
 def _simulate(occ0, p: SystemParams, n_runs: int, rng: np.random.Generator,
@@ -86,41 +96,56 @@ def _simulate(occ0, p: SystemParams, n_runs: int, rng: np.random.Generator,
     Returns the (n_runs, N+2) final occupations and the (n_runs,) times at
     which the runs stopped: when their bulk empties or, if t_max is given,
     at that horizon.  Each round draws a (2, active) block of uniforms, the
-    first row for the waiting times and the second for the moves.
+    first row for the waiting times and the second for the moves, over the
+    active runs in ascending order.  They are one C-contiguous (N+2, active)
+    array with their clocks beside it, written out and compacted only in the
+    rounds in which runs absorb or pass the horizon.
     ParameterError unless n_runs is a whole number >= 1 and t_max None or >= 0.
     """
     n_runs = _count(n_runs, "n_runs")
     if not (t_max is None or t_max >= 0):
         raise ParameterError(f"need a time horizon >= 0, got {t_max}")
     n = p.n_sites
+    horizon = math.inf if t_max is None else t_max
     occ = np.tile(occ0, (n_runs, 1))
     t = np.zeros(n_runs)
-    active = np.flatnonzero(occ[:, 1:n + 1].any(axis=1))
+    runs = np.arange(n_runs if occ0[1:n + 1].any() else 0)
+    cur = np.repeat(occ0[:, None], runs.size, axis=1)
+    clock = np.zeros(runs.size)
     # every active run takes one event per round, so the round number is
     # the event count of each run still active
     events = 0
-    while active.size:
-        u = rng.random((2, active.size))
-        cum = np.cumsum(_rate_table(occ[active], p.alpha), axis=1)
-        total = cum[:, -1]
-        wait = -np.log(1.0 - u[0]) / total
-        if t_max is not None:
-            stop = t[active] + wait > t_max
-            t[active[stop]] = t_max
-            go = ~stop
-            active, u, cum, total, wait = (active[go], u[:, go], cum[go],
-                                           total[go], wait[go])
+    while runs.size:
+        u = rng.random((2, runs.size))
+        cum = np.cumsum(_rate_table(cur, p.alpha), axis=0)
+        total = cum[-1]
+        # the wait -log(1 - u) / total, subtracted: the same bits as added.
+        # A subnormal total rate overflows it to inf, its rounded value
+        with np.errstate(over="ignore"):
+            clock -= np.log(1.0 - u[0]) / total
+        # a run past the horizon stops before this event, as it stands
+        stop = clock > horizon
+        if stop.any():
+            halt = np.flatnonzero(stop)
+            occ[runs[halt]] = cur[:, halt].T
+            t[runs[halt]] = t_max
         events += 1
-        if events > max_events and active.size:
+        if events > max_events and not stop.all():
             raise SimulationCap(
                 f"run exceeded {max_events} events without absorbing")
-        t[active] += wait
-        col = (cum <= (u[1] * total)[:, None]).sum(axis=1)
+        row = (cum <= u[1] * total).sum(axis=0)
         # guard against pick == total round-off: take the last possible move
-        over = col == 2 * n
-        col[over] = (cum[over] < total[over, None]).sum(axis=1)
-        _jump(occ, active, col)
-        active = active[occ[active, 1:n + 1].any(axis=1)]
+        over = row == 2 * n
+        if over.any():
+            row[over] = (cum[:, over] < total[over]).sum(axis=0)
+        _jump(cur, row)
+        leave = stop | ~cur[1:n + 1].any(axis=0)
+        if leave.any():
+            done = np.flatnonzero(leave & ~stop)
+            occ[runs[done]] = cur[:, done].T
+            t[runs[done]] = clock[done]
+            keep = np.flatnonzero(~leave)
+            runs, clock, cur = runs[keep], clock[keep], cur.take(keep, axis=1)
     return occ, t
 
 

@@ -17,3 +17,18 @@ def pinned_exp():
     if hashlib.sha256(probe.tobytes()).hexdigest() != _ELEMENTARY:
         pytest.skip("exp/expm1 round differently from the build the digests "
                     "were taken with")
+
+
+# The stop times of the particle simulator go through np.log; their pins
+# were taken where this probe of log has the digest _LOG (same build).
+_LOG = "3bdf773549b9599ec59ce59674d1e94793c03fc17f7af5cad6e77b831750e6dc"
+
+
+@pytest.fixture
+def pinned_log():
+    """Skip the test unless log rounds as where its digests were taken."""
+    x = np.concatenate([np.geomspace(1e-300, 1.0, 2001), np.linspace(1e-3, 1.0, 2001)])
+    probe = np.ascontiguousarray(np.log(x), dtype="<f8")
+    if hashlib.sha256(probe.tobytes()).hexdigest() != _LOG:
+        pytest.skip("log rounds differently from the build the digests were "
+                    "taken with")

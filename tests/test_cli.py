@@ -468,10 +468,23 @@ def test_counts_that_leave_nothing_to_estimate_are_usage_errors(argv, flag, caps
 
 
 @pytest.mark.parametrize("flags", [["--degree", "-1"], ["--tol", "0"],
-                                   ["--tol=-1e-4"], ["--tol", "nan"]])
+                                   ["--tol=-1e-4"], ["--tol", "nan"],
+                                   ["--tol", "inf"]])
 def test_verify_intertwining_bad_arguments_are_usage_errors(flags, capsys):
-    # a --tol at or below 0, or nan, fails every row whatever the residuals
+    # a --tol at or below 0, or nan, fails every row whatever the residuals,
+    # and an infinite one passes every row
     _assert_usage_error(["verify-intertwining", "--n", "2", *flags], capsys)
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "0"])
+@pytest.mark.parametrize("argv", [["absorption", "--n", "5", "--alpha", "2", "--i", "2"],
+                                  ["moments", "--n", "2", "--no-mc"]])
+def test_tol_that_decides_every_row_is_a_usage_error(argv, tol, capsys):
+    # one --tol rule for every command that compares against it: nan or a
+    # bound at or below 0 would fail a check whose routes agree (exit 1),
+    # and inf would pass one whatever the gap
+    err = _assert_usage_error([*argv, f"--tol={tol}"], capsys)
+    assert err.startswith("error: --tol must be a positive finite number")
 
 
 def test_verify_intertwining_has_no_step_size(capsys):

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -11,7 +12,7 @@ from abep import SystemParams, final_state_counts, mc_absorption, sip_rates
 from abep.absorption import _exit_table, _generator
 from abep.errors import ParameterError, SimulationCap
 from abep.rng import stream
-from abep.sip import _edge_rate, _rate_table, _simulate
+from abep.sip import _edge_rate, _jump, _rate_table, _simulate
 
 RNG = np.random.default_rng(77)
 
@@ -157,14 +158,14 @@ def test_rate_table_matches_per_site_loop(edge):
             p = SystemParams(n, 0.0, alpha, 1.0, 1.0)
             for occ in _configurations(n, 3):
                 want = _moves_reference(occ.tolist(), n, alpha, edge)
-                table = _rate_table(occ[None], alpha, edge)
-                cols = np.flatnonzero(np.repeat(occ[1:-1] > 0, 2))
-                src = cols // 2 + 1
-                got = list(zip(src.tolist(), (src + 2 * (cols % 2) - 1).tolist(),
-                               table[0, cols].tolist()))
+                table = _rate_table(occ[:, None], alpha, edge)[:, 0]
+                rows = np.flatnonzero(np.repeat(occ[1:-1] > 0, 2))
+                src = rows // 2 + 1
+                got = list(zip(src.tolist(), (src + 2 * (rows % 2) - 1).tolist(),
+                               table[rows].tolist()))
                 # the same floats in the same order, not approximately
                 assert got == want
-                assert not table[0, np.setdiff1d(range(2 * n), cols)].any()
+                assert not table[np.setdiff1d(range(2 * n), rows)].any()
                 if edge == "unit":
                     rates = sip_rates(occ, p)
                     assert [r for _, r in rates] == [r for _, _, r in want]
@@ -235,6 +236,44 @@ def test_same_seed_same_counts():
     assert a == final_state_counts(xi0, p, 3000, 0.4, seed=21)
     assert a != final_state_counts(xi0, p, 3000, 0.4, seed=22)
     assert mc_absorption(xi0, p, 3000, seed=21) == mc_absorption(xi0, p, 3000, seed=21)
+
+
+def test_jump_refuses_a_strided_batch():
+    # a flat view of a strided batch would be a copy, and the jumps lost
+    batch = np.ones((4, 6), dtype=np.int64)[:, ::2]
+    with pytest.raises(ValueError, match="C-contiguous"):
+        _jump(batch, np.array([0, 1, 2]))
+    assert batch.tolist() == [[1] * 3] * 4
+
+
+class _FixedUniforms:
+    """A stand-in generator whose every uniform is u; counts its rounds."""
+
+    def __init__(self, u):
+        self.u, self.rounds = u, 0
+
+    def random(self, shape):
+        self.rounds += 1
+        return np.full(shape, self.u)
+
+
+def test_round_off_guard_takes_a_move_of_positive_rate():
+    # a lone walker at site 2 of N = 3 hops either way at the smallest
+    # subnormal rate, so u * total rounds up to total and every cumulative
+    # rate lies at or below it: their count, 2N, names no row, and the guard
+    # must take the hop 2 -> 3, the last row of positive rate.  The wait
+    # overflows to inf, its rounded value, without a RuntimeWarning
+    p = SystemParams(3, 0.0, 5e-324, 1.0, 1.0)
+    total = 2 * p.alpha
+    assert np.nextafter(1.0, 0.0) * total == total == 0.9 * total
+    rng = _FixedUniforms(0.9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        occ, t = _simulate(np.array([0, 0, 1, 0, 0]), p, 1, rng)
+    # the second round exits right from site 3 at rate 1
+    assert occ.tolist() == [[0, 0, 0, 0, 1]]
+    assert t.tolist() == [np.inf]
+    assert rng.rounds == 2
 
 
 def test_event_cap_counts_events_per_run():
@@ -312,3 +351,48 @@ def test_pinned_bytes_mc_absorption():
     freq = mc_absorption((0, 1, 1, 0), p, 5_000, seed=0)
     assert _digest(freq.items()) == \
         "a24a3ec8c39ec510e8590a7ad760c88335ba04f30657fc5f8720e55dabf6281b"
+
+
+# (N, alpha, start, n_runs, t_max): runs to absorption and to a horizon at
+# N = 1, 2, 5 and 40 with 1 to 6 walkers, a single run, a start with no bulk
+# walker and a zero horizon
+_RAW_CASES = [
+    (1, 1.0, (0, 3, 0), 400, None,
+     "976e410ca463489fb487b2bb7125dab673fa0c27dd8c57a2030591b32f6731ba"),
+    (1, 0.5, (0, 1, 0), 1, None,
+     "3b7b1245c8f02b3167cb36ba645ccfb371a7db720c958a113c99895c598a2357"),
+    (2, 2.0, (0, 1, 1, 0), 2000, None,
+     "416b090cd968858a5ee40c0689a133d48805a7881484f8b5bf20ab628b9508c2"),
+    (2, 2.0, (0, 1, 1, 0), 2000, 0.5,
+     "06fc7916d66f5ad191629ca0f7c0fd0af45d1a380d19300177e98d2dce1efff5"),
+    (5, 0.5, (0, 2, 0, 1, 0, 3, 0), 300, None,
+     "1a65f2759a95cc98b6e78cbc6960e333cf724888f0d99cb194aa56d66d274f0d"),
+    (5, 1.5, (1, 0, 4, 0, 0, 2, 0), 300, 0.3,
+     "3f5dd85ad8e544bebb53ad6eb7f9e1bc0bbf27e7319879c9b921b85597202c65"),
+    (5, 1.0, (0, 0, 1, 0, 0, 0, 0), 1, 2.0,
+     "bc3dfe9c7620a72c8a6deb2fdb4f71d4f7e8c39722f5528e338a5177531cb4e7"),
+    (40, 1.0, {20: 1}, 20, None,
+     "e0797b7e67a409e78d32249e1b02b24c1ff93a86878940ad40982263af88fdf7"),
+    (40, 0.7, {5: 1, 6: 1, 30: 2}, 50, 1.0,
+     "45b950c4eaef3bc6f0339013be18367b419ba08d6200f2870a75a9ede9694c0b"),
+    (3, 1.0, (2, 0, 0, 0, 1), 5, None,
+     "7725f04a3cd1d7db01d859b3c719e3b30e5415df6feba6d3205aa594f2354487"),
+    (3, 1.0, (0, 1, 0, 2, 0), 7, 0.0,
+     "97f17ff8d5a5bf79b26b373e62e77ac84bea8db9a42351dd9030105575a8a429"),
+]
+
+
+@pytest.mark.usefixtures("pinned_log")
+@pytest.mark.parametrize("n, alpha, start, runs, t_max, digest", _RAW_CASES)
+def test_pinned_bytes_simulate(n, alpha, start, runs, t_max, digest):
+    # the raw output: final occupations, stop times, and the next uniform of
+    # the stream, so the number of uniforms drawn is pinned too
+    if isinstance(start, dict):
+        start = [start.get(i, 0) for i in range(n + 2)]
+    rng = stream(0, "pin")
+    occ, t = _simulate(np.array(start, dtype=np.int64),
+                       SystemParams(n, 0.0, alpha, 1.0, 1.0), runs, rng, t_max)
+    assert occ.dtype == np.int64 and occ.shape == (runs, n + 2)
+    assert t.dtype == np.float64 and t.shape == (runs,)
+    raw = occ.tobytes() + t.tobytes() + rng.random(1).tobytes()
+    assert hashlib.sha256(raw).hexdigest() == digest
