@@ -20,7 +20,7 @@ from .sip import final_state_counts, mc_absorption, sip_rates
 from .duality import (DualityCheck, classical_D, classical_D_sigma,
                       generator_duality_residual, laguerre_d, orthogonal_D,
                       orthogonal_D_sigma, pochhammer,
-                      semigroup_duality_check, sip_generator_apply)
+                      semigroup_duality_check)
 from .absorption import (AbsorptionResult, single_absorption_solve,
                          single_right_closed, two_particle_closed_form,
                          two_particle_solve)
@@ -44,7 +44,7 @@ __all__ = [
     "ensemble_endpoint",
     "sip_rates", "mc_absorption", "final_state_counts",
     "pochhammer", "laguerre_d", "classical_D", "orthogonal_D",
-    "classical_D_sigma", "orthogonal_D_sigma", "sip_generator_apply",
+    "classical_D_sigma", "orthogonal_D_sigma",
     "generator_duality_residual", "DualityCheck", "semigroup_duality_check",
     "AbsorptionResult", "single_absorption_solve", "single_right_closed",
     "two_particle_solve", "two_particle_closed_form",

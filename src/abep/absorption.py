@@ -34,7 +34,7 @@ from itertools import chain, combinations_with_replacement
 
 import numpy as np
 
-from .core import SystemParams, _whole
+from .core import SystemParams, _value, _whole
 from .errors import SingularSystem, SiteError
 from .sip import _edge_rate, _hop_rates
 
@@ -136,12 +136,6 @@ def _sites(n: int, *sites):
         raise SiteError(f"sites {[s.tolist() for s in sites]} are not "
                         f"ordered within 1..{n}")
     return tuple(s.astype(np.int64, copy=False) for s in sites)
-
-
-def _value(x):
-    """A Python float for a single value, the array otherwise."""
-    x = np.asarray(x)
-    return float(x) if x.ndim == 0 else x
 
 
 def _exit_probs(sites, p: SystemParams, edge: str, *outcomes):

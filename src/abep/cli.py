@@ -36,14 +36,15 @@ from .rng import stream
 from .sde import DEFAULT_CAP, SdeConfig, simulate_trajectory, stationary_estimate
 
 
-def _common_flags(sub, with_check=True):
+def _common_flags(sub, with_check=True, with_seed=True):
     sub.add_argument("--out", default=None, metavar="PATH",
                      help="write the CSV here instead of stdout")
     sub.add_argument("--no-header", action="store_true",
                      help="omit the timestamp comment line")
     sub.add_argument("--config", default=None, metavar="PATH",
                      help="key=value file; explicit flags win")
-    sub.add_argument("--seed", type=int, default=0)
+    if with_seed:
+        sub.add_argument("--seed", type=int, default=0)
     if with_check:
         sub.add_argument("--check", action="store_true",
                          help="exit 1 when the consistency test fails")
@@ -124,7 +125,7 @@ def build_parser():
                          "(the simulated model) or walk (the only one with a "
                          "pair closed form)")
     sp.add_argument("--tol", type=float, default=1e-10)
-    _common_flags(sp)
+    _common_flags(sp, with_seed=False)      # exact solves draw nothing
 
     sp = subs.add_parser("moments", help="stationary moment cross-validation")
     _system_flags(sp, sigma_default=0.1)
@@ -387,7 +388,7 @@ def _cmd_moments(args):
             lambda states, _m=m: np.exp(-args.sigma * states[:, _m - 1:].sum(axis=1))
             for m in sites]
         try:
-            mc = stationary_estimate(p, cfg, model="abep", observable=observables,
+            mc = stationary_estimate(p, cfg, model="abep", observables=observables,
                                      n_chains=args.mc_chains, cap=args.cap)
         except NumericalBlowup as exc:
             print(f"note: Monte Carlo exploded ({exc}); emitting nan for every "

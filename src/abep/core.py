@@ -85,7 +85,13 @@ def _z(a: float, b: float, se: float) -> float:
     return abs(a - b) / se if se != 0 else (0.0 if a == b else np.inf)
 
 
-def as_state(x, n_sites: int | None = None, allow_negative: bool = False) -> np.ndarray:
+def _value(x):
+    """A Python float for a single value, the array otherwise."""
+    x = np.asarray(x)
+    return float(x) if x.ndim == 0 else x
+
+
+def as_state(x, n_sites: int, allow_negative: bool = False) -> np.ndarray:
     """Coerce to a float array of site energies and validate it.
 
     allow_negative=True skips the sign check, for the transforms and the
@@ -95,7 +101,7 @@ def as_state(x, n_sites: int | None = None, allow_negative: bool = False) -> np.
     arr = _array(x, "energy configuration", float)
     if arr.ndim < 1:
         raise ParameterError("energy configuration must have at least one axis")
-    if n_sites is not None and arr.shape[-1] != n_sites:
+    if arr.shape[-1] != n_sites:
         raise ParameterError(
             f"expected {n_sites} sites, got configuration of length {arr.shape[-1]}"
         )
@@ -106,7 +112,7 @@ def as_state(x, n_sites: int | None = None, allow_negative: bool = False) -> np.
     return arr
 
 
-def as_particles(xi, n_sites: int | None = None) -> np.ndarray:
+def as_particles(xi, n_sites: int) -> np.ndarray:
     """Coerce to an int64 occupation vector over sites 0..N+1: every count a
     whole number >= 0 below 2**63 (2.0 is; 2.5, nan, inf, 1e20, True are not)."""
     arr = _array(xi, "particle configuration")
@@ -115,7 +121,7 @@ def as_particles(xi, n_sites: int | None = None) -> np.ndarray:
     arr = arr.astype(np.int64)
     if arr.ndim != 1:
         raise ParameterError("particle configuration must be one-dimensional")
-    if n_sites is not None and arr.shape[0] != n_sites + 2:
+    if arr.shape[0] != n_sites + 2:
         raise ParameterError(
             f"expected {n_sites + 2} entries (sites 0..N+1), got {arr.shape[0]}"
         )
@@ -166,14 +172,14 @@ def map_g_inv(z, p: SystemParams) -> np.ndarray:
     return -np.log1p(-s * arr / (1.0 - s * e[..., 1:])) / s
 
 
-def _observables(observable):
-    """(single, list of callables) from one callable or a non-empty sequence."""
-    single = callable(observable)
-    observables = [observable] if single else list(observable)
-    if not observables or not all(callable(f) for f in observables):
-        raise ParameterError("observable must be a callable or a non-empty "
-                             "sequence of callables")
-    return single, observables
+def _observables(observables) -> list:
+    """observables as a list; ParameterError unless it is a non-empty list or
+    tuple of callables (a bare callable, a string or a number is not)."""
+    fs = list(observables) if isinstance(observables, (list, tuple)) else []
+    if not fs or not all(callable(f) for f in fs):
+        raise ParameterError("observables must be a non-empty list or tuple of "
+                             "callables")
+    return fs
 
 
 def _eval_observable(observable, states2d: np.ndarray) -> np.ndarray:

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SystemParams, _count, _mean_se, _z, as_particles, as_state, map_g
+from .core import (SystemParams, _count, _mean_se, _value, _z, as_particles, as_state,
+                   map_g)
 from .errors import ParameterError
 from .generators import apply_generator
 from .sde import DEFAULT_CAP, ensemble_endpoint, whole_steps
@@ -90,7 +91,7 @@ def _site_product(z, xi, p: SystemParams, t: float, factor):
     val = np.full(arr.shape[:-1], base, dtype=float)
     for i in np.flatnonzero(occ[1:-1]):
         val = factor(val, arr[..., i], int(occ[i + 1]))
-    return val if val.ndim else float(val)
+    return _value(val)
 
 
 def classical_D(z, xi, p: SystemParams):
@@ -115,15 +116,6 @@ def classical_D_sigma(x, xi, p: SystemParams):
 def orthogonal_D_sigma(x, xi, p: SystemParams, t: float):
     """Orthogonal function composed with the energy transform."""
     return orthogonal_D(map_g(x, p), xi, p, t)
-
-
-def sip_generator_apply(fun, xi, p: SystemParams) -> float:
-    """Apply the particle-system generator to a function of xi, exactly."""
-    base = float(fun(as_particles(xi, p.n_sites)))
-    out = 0.0
-    for target, rate in sip_rates(xi, p):
-        out += rate * (float(fun(target)) - base)
-    return out
 
 
 def _dual_poly(xi, p: SystemParams, t: float):
@@ -164,12 +156,14 @@ def generator_duality_residual(x, xi, p: SystemParams, model: str = "bep",
 
     The continuous side applies the model generator exactly to D(., xi),
     a polynomial in z = g(x); the discrete side sums the exact
-    rate-weighted differences over all particle jumps.
+    rate-weighted differences rate * (D(x, target) - D(x, xi)) over all
+    particle jumps xi -> target.
     """
     arr = as_state(x, p.n_sites)
     dual, t = _select_dfun(model, dfun, p, t_orth)
-    cont = apply_generator(arr, p, model, _dual_poly(xi, p, t))
-    disc = sip_generator_apply(lambda c: dual(arr, c), xi, p)
+    cont = float(apply_generator(arr[None], p, model, _dual_poly(xi, p, t))[0])
+    base = dual(arr, as_particles(xi, p.n_sites))
+    disc = sum(rate * (dual(arr, target) - base) for target, rate in sip_rates(xi, p))
     return abs(cont - disc)
 
 

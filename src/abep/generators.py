@@ -239,35 +239,37 @@ def _apply(parts, jet) -> np.ndarray:
     return (grad * b).sum(axis=-1) + (a * quad).sum(axis=-1)
 
 
-def apply_generator(x, p: SystemParams, model: str, poly) -> float:
-    """L of 'bep' or 'abep' applied exactly to f o g at one state x, for the
-    polynomial f = poly = (coeffs, exps) of z = g(x); g is the identity for
-    'bep' and sigma = 0."""
+def _stack(x, p: SystemParams) -> np.ndarray:
+    """x as states (S, N); ParameterError unless it is a non-empty stack."""
     x = as_state(x, p.n_sites)
-    if x.shape != (p.n_sites,):
+    if not (x.ndim == 2 and len(x)):
         raise ParameterError(
-            f"expected one state of shape ({p.n_sites},), got {x.shape}")
-    poly = _poly(poly, p.n_sites)
-    parts = _carry(x[None], p, model)
-    return float(_apply(parts, _poly_jet(parts[0], *poly))[0])
+            f"expected a non-empty stack of states (S, {p.n_sites}), got {x.shape}")
+    return x
 
 
-def intertwining_residual(x, p: SystemParams, polys):
+def apply_generator(x, p: SystemParams, model: str, poly) -> np.ndarray:
+    """L of 'bep' or 'abep' applied exactly to f o g at each state of the
+    stack x (S, N), for the polynomial f = poly = (coeffs, exps) of
+    z = g(x); g is the identity for 'bep' and sigma = 0.  Returns (S,)."""
+    x, poly = _stack(x, p), _poly(poly, p.n_sites)
+    parts = _carry(x, p, model)
+    return _apply(parts, _poly_jet(parts[0], *poly))
+
+
+def intertwining_residual(x, p: SystemParams, polys) -> list:
     """|L_abep (f o g)(x) - (L_bep f)(g(x))| for each polynomial f in polys.
 
-    x is one state (N,) or a non-empty stack (S, N); polys is a non-empty
-    sequence of (coeffs, exps), and both sides contract one jet of each f
-    at z = g(x).  Returns one entry per polynomial: a float for one state,
-    an (S,) array for a stack, each bit-identical to a call with that state
-    and that polynomial alone.
+    x is a non-empty stack of states (S, N); polys is a non-empty sequence
+    of (coeffs, exps), and both sides contract one jet of each f at
+    z = g(x).  Returns one (S,) array per polynomial, each bit-identical to
+    a call with that polynomial alone, and its row i to a call on x[i:i+1].
     """
-    x = as_state(x, p.n_sites)
+    x = _stack(x, p)
     polys = [_poly(f, p.n_sites) for f in polys]
-    if not (polys and (x.ndim == 1 or x.ndim == 2 and len(x))):
-        raise ParameterError("expected one state (N,) or a non-empty stack (S, N) and at "
-                             f"least one polynomial, got {x.shape} and {len(polys)}")
-    asym = _carry(x.reshape(-1, p.n_sites), p, "abep")
+    if not polys:
+        raise ParameterError("expected at least one polynomial")
+    asym = _carry(x, p, "abep")
     sym = _carry(asym[0], p, "bep")
     jets = [_poly_jet(asym[0], *f) for f in polys]
-    out = [np.abs(_apply(asym, jet) - _apply(sym, jet)) for jet in jets]
-    return [float(r[0]) for r in out] if x.ndim == 1 else out
+    return [np.abs(_apply(asym, jet) - _apply(sym, jet)) for jet in jets]

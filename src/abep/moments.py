@@ -31,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .absorption import (_sites, _value, single_absorption_solve, single_right_closed,
+from .absorption import (_sites, single_absorption_solve, single_right_closed,
                          two_particle_closed_form, two_particle_solve)
-from .core import (DOMAIN_TOL, SystemParams, _count, as_state, map_g_inv,
+from .core import (DOMAIN_TOL, SystemParams, _count, _value, as_state, map_g_inv,
                    partial_energies)
 from .errors import ParameterError, RejectionStall, RouteMismatch
 from .rng import as_generator
@@ -181,8 +181,7 @@ def reversible_log_density(x, p: SystemParams):
     out = out - p.n_sites * (math.lgamma(p.alpha)
                              + (p.alpha - 1.0) * math.log(s)
                              + p.alpha * math.log(t))
-    out = np.asarray(out)
-    return float(out) if out.ndim == 0 else out
+    return _value(out)
 
 
 def _domain_cut(p: SystemParams) -> float:

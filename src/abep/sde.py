@@ -220,9 +220,9 @@ def simulate_trajectory(x0, p: SystemParams, cfg: SdeConfig, model: str = "bep",
     return [(idx * cfg.dt, snap[0]) for idx, snap in zip(emit, snaps)]
 
 
-def stationary_estimate(p: SystemParams, cfg: SdeConfig, model: str, observable,
-                        n_chains: int = 1, x0=None, cap: float = DEFAULT_CAP):
-    """Long-run mean of one or several observables with batch-means errors.
+def stationary_estimate(p: SystemParams, cfg: SdeConfig, model: str, observables,
+                        n_chains: int = 1, x0=None, cap: float = DEFAULT_CAP) -> list:
+    """Long-run means of observables with batch-means errors.
 
     Runs n_chains independent chains from x0 (default: the zero state),
     stepped with sign noise (the simplified weak Euler scheme), and
@@ -230,17 +230,16 @@ def stationary_estimate(p: SystemParams, cfg: SdeConfig, model: str, observable,
     emits: len(cfg.steps()[1]) * n_chains samples.  The standard error comes
     from the spread of per-chain batch means, N_BATCHES per chain or one per
     sample if fewer, so it accounts for autocorrelation on scales below the
-    batch length.  ParameterError unless n_chains is a whole number >= 1 and
-    there are at least two batch means.
+    batch length.  ParameterError unless observables is a non-empty list or
+    tuple of callables, n_chains is a whole number >= 1 and there are at
+    least two batch means.
 
     An observable takes a batch: it is called once with an (M, N) array of
-    states and must return M values.  Given one callable the result is one
-    (mean, se) pair; given a sequence of callables, every one is evaluated
-    on the same simulated ensemble and the result is a list of (mean, se)
-    pairs, each bit-identical to a single-observable call with the same
-    arguments.
+    states and must return M values.  Every observable is evaluated on the
+    same simulated ensemble, and the result is a list of (mean, se) pairs,
+    each bit-identical to a call with that observable alone.
     """
-    single, observables = _observables(observable)
+    observables = _observables(observables)
     start = np.zeros(p.n_sites) if x0 is None else as_state(x0, p.n_sites)
     n_steps, emit = cfg.steps()
     n_means = min(N_BATCHES, len(emit)) * _count(n_chains, "n_chains")
@@ -260,7 +259,7 @@ def stationary_estimate(p: SystemParams, cfg: SdeConfig, model: str, observable,
         vals = _eval_observable(f, flat).reshape(m, r)
         batch_means = np.concatenate([vals[g].mean(axis=0) for g in groups])
         out.append((float(vals.mean()), _mean_se(batch_means)[1]))
-    return out[0] if single else out
+    return out
 
 
 def ensemble_endpoint(x0, p: SystemParams, model: str, dt: float, t: float,

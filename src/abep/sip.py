@@ -29,7 +29,8 @@ from .errors import ParameterError, SimulationCap
 # abep.sip.as_generator
 from .rng import as_generator, stream  # noqa: F401
 
-DEFAULT_MAX_EVENTS = 1_000_000
+# events any one run may take before SimulationCap
+MAX_EVENTS = 1_000_000
 
 
 def _edge_rate(alpha: float, edge: str) -> float:
@@ -52,9 +53,9 @@ def _hop_rates(k, k_target, into_edge, alpha: float, edge: str) -> np.ndarray:
     return rates
 
 
-def _rate_table(occ, alpha: float, edge: str = "unit") -> np.ndarray:
-    """Jump rates of every configuration: (2N, R) from site-major (N+2, R)
-    occupations, one run per column.
+def _rate_table(occ, alpha: float) -> np.ndarray:
+    """Unit-edge jump rates of every configuration: (2N, R) from site-major
+    (N+2, R) occupations, one run per column.
 
     Row 2(i-1) is the jump i -> i-1 and row 2i-1 the jump i -> i+1 from bulk
     site i.  A jump from an empty site has rate 0.
@@ -62,8 +63,8 @@ def _rate_table(occ, alpha: float, edge: str = "unit") -> np.ndarray:
     occ = occ.astype(float)     # the casts the rate law would make, once
     k = occ[1:-1]
     rates = np.empty((len(k), 2, occ.shape[1]))
-    rates[:, 0] = _hop_rates(k, occ[:-2], 0, alpha, edge)
-    rates[:, 1] = _hop_rates(k, occ[2:], -1, alpha, edge)
+    rates[:, 0] = _hop_rates(k, occ[:-2], 0, alpha, "unit")
+    rates[:, 1] = _hop_rates(k, occ[2:], -1, alpha, "unit")
     return rates.reshape(-1, occ.shape[1])
 
 
@@ -90,7 +91,7 @@ def sip_rates(xi, p: SystemParams):
 
 
 def _simulate(occ0, p: SystemParams, n_runs: int, rng: np.random.Generator,
-              t_max=None, max_events: int = DEFAULT_MAX_EVENTS):
+              t_max=None):
     """Run n_runs copies of the occupations occ0 together.
 
     Returns the (n_runs, N+2) final occupations and the (n_runs,) times at
@@ -100,7 +101,8 @@ def _simulate(occ0, p: SystemParams, n_runs: int, rng: np.random.Generator,
     active runs in ascending order.  They are one C-contiguous (N+2, active)
     array with their clocks beside it, written out and compacted only in the
     rounds in which runs absorb or pass the horizon.
-    ParameterError unless n_runs is a whole number >= 1 and t_max None or >= 0.
+    ParameterError unless n_runs is a whole number >= 1 and t_max None or >= 0;
+    SimulationCap when a run takes its (MAX_EVENTS + 1)-th event.
     """
     n_runs = _count(n_runs, "n_runs")
     if not (t_max is None or t_max >= 0):
@@ -130,9 +132,9 @@ def _simulate(occ0, p: SystemParams, n_runs: int, rng: np.random.Generator,
             occ[runs[halt]] = cur[:, halt].T
             t[runs[halt]] = t_max
         events += 1
-        if events > max_events and not stop.all():
+        if events > MAX_EVENTS and not stop.all():
             raise SimulationCap(
-                f"run exceeded {max_events} events without absorbing")
+                f"run exceeded {MAX_EVENTS} events without absorbing")
         row = (cum <= u[1] * total).sum(axis=0)
         # guard against pick == total round-off: take the last possible move
         over = row == 2 * n
@@ -157,15 +159,14 @@ def _count_rows(rows) -> Counter:
     return Counter(dict(zip(map(tuple, rows[first].tolist()), counts.tolist())))
 
 
-def mc_absorption(xi0, p: SystemParams, n_runs: int, seed: int = 0,
-                  max_events: int = DEFAULT_MAX_EVENTS):
+def mc_absorption(xi0, p: SystemParams, n_runs: int, seed: int = 0):
     """Empirical distribution of (left count, right count) at absorption.
 
     Returns a dict mapping each outcome to (frequency, binomial standard
     error).  All runs draw from the one stream (seed, "absorption-mc").
     """
     occ, _ = _simulate(as_particles(xi0, p.n_sites), p, n_runs,
-                       stream(seed, "absorption-mc"), None, max_events)
+                       stream(seed, "absorption-mc"))
     out = {}
     for outcome, c in sorted(_count_rows(occ[:, [0, -1]]).items()):
         f = c / n_runs
@@ -174,12 +175,11 @@ def mc_absorption(xi0, p: SystemParams, n_runs: int, seed: int = 0,
 
 
 def final_state_counts(xi0, p: SystemParams, n_runs: int, t_horizon: float,
-                       seed: int = 0,
-                       max_events: int = DEFAULT_MAX_EVENTS) -> Counter:
+                       seed: int = 0) -> Counter:
     """Counter of full configurations (as tuples) at a fixed horizon.
 
     All runs draw from the one stream (seed, "horizon-mc").
     """
     occ, _ = _simulate(as_particles(xi0, p.n_sites), p, n_runs,
-                       stream(seed, "horizon-mc"), float(t_horizon), max_events)
+                       stream(seed, "horizon-mc"), float(t_horizon))
     return _count_rows(occ)

@@ -170,7 +170,7 @@ def test_acceptance_one_point_moments():
             cfg = SdeConfig(dt=dt, t_end=100.0, thinning=0.1,
                             burn_in=20.0, seed=41)
             estimates[dt] = stationary_estimate(p, cfg, model="abep",
-                                                observable=obs, n_chains=48)
+                                                observables=obs, n_chains=48)
         for m in sites:
             closed = one_point_moment(m, p)
             z_by_dt = {}
@@ -199,7 +199,7 @@ def test_acceptance_two_point_moments():
     # one ensemble serves all three pairs
     estimates = stationary_estimate(
         p, cfg, model="abep", n_chains=64,
-        observable=[functools.partial(obs, m=m, n=n) for m, n in pairs])
+        observables=[functools.partial(obs, m=m, n=n) for m, n in pairs])
     for (m, n), (mean, se) in zip(pairs, estimates):
         assembly = two_point_moment(m, n, p)
         z = abs(mean - assembly) / se

@@ -280,6 +280,18 @@ def test_config_unknown_key(tmp_path, capsys):
     assert ":2:" in err and "bogus" in err
 
 
+def test_absorption_refuses_a_seed(tmp_path, capsys):
+    # the exact solves draw nothing: a seed would be accepted and ignored
+    assert run(["absorption", "--n", "3", "--i", "1", "--seed", "7", "--no-header"]) == 2
+    captured = capsys.readouterr()
+    assert "--seed" in captured.err and captured.out == ""
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("n = 3\ni = 1\nseed = 7\n")
+    assert run(["absorption", "--config", str(cfg), "--no-header"]) == 2
+    captured = capsys.readouterr()
+    assert ":3:" in captured.err and "'seed'" in captured.err and captured.out == ""
+
+
 def test_config_refuses_a_nested_config(tmp_path, capsys):
     # the file would otherwise be accepted and its config line ignored
     cfg = tmp_path / "outer.cfg"

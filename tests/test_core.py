@@ -105,7 +105,7 @@ def test_ragged_input_is_a_parameter_error():
     with pytest.raises(ParameterError, match="rectangular"):
         as_state([[0.1, 0.2], [0.3]], 2)
     with pytest.raises(ParameterError, match="rectangular"):
-        as_particles([[0, 1], [0]])
+        as_particles([[0, 1], [0]], 1)
 
 
 @pytest.mark.parametrize("a, b, se, z", [(1.0, 1.0, 0.0, 0.0),

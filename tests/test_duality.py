@@ -8,7 +8,7 @@ from scipy.special import eval_genlaguerre
 from abep import (SystemParams, classical_D, classical_D_sigma,
                   final_state_counts, generator_duality_residual, laguerre_d, map_g,
                   orthogonal_D, orthogonal_D_sigma, pochhammer,
-                  semigroup_duality_check, sip_generator_apply)
+                  semigroup_duality_check, sip_rates)
 import abep.duality as duality
 from abep.cli import run
 from abep.errors import NumericalBlowup, ParameterError
@@ -172,6 +172,8 @@ def test_duality_functions_equal_the_per_site_loops_bit_for_bit(alpha, t):
 
 
 def test_sip_generator_apply_exact():
+    # the particle generator on f as the rate-weighted sum over sip_rates, the
+    # discrete side of generator_duality_residual
     p = SystemParams(2, 0.0, 1.0, 1.0, 1.0)
     xi = np.array([0, 1, 1, 0])
 
@@ -179,7 +181,8 @@ def test_sip_generator_apply_exact():
         return float(occ[1])
 
     # rate out of site 1: absorb left (1) + join right (2), gain: join left (2)
-    val = sip_generator_apply(occupied_first, xi, p)
+    val = sum(rate * (occupied_first(target) - occupied_first(xi))
+              for target, rate in sip_rates(xi, p))
     assert val == pytest.approx(1.0 * (0 - 1) + 2.0 * (0 - 1) + 2.0 * (2 - 1))
 
 

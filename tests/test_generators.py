@@ -3,7 +3,7 @@ import pytest
 
 from abep import (SystemParams, Workspace, apply_generator,
                   generator_duality_residual, intertwining_residual, map_g,
-                  model_parts, sip_generator_apply)
+                  model_parts, sip_rates)
 from abep import generators
 from abep.cli import random_polynomials
 from abep.core import as_state
@@ -97,7 +97,7 @@ def test_exact_generator_matches_per_point_loop(model):
         n = p.n_sites
         polys = random_polynomials(RNG, n, 4, 3)
         for f in polys + [_coordinate(0, n), _coordinate(n - 1, n)]:
-            assert apply_generator(x, p, model, f) == \
+            assert apply_generator(x[None], p, model, f)[0] == \
                 pytest.approx(_per_point(x, p, model, f), rel=1e-6, abs=1e-6)
 
 
@@ -106,9 +106,9 @@ def test_batched_intertwining_matches_per_point_loop():
     # is round-off, and each side is the oracle's to its truncation
     for p, x in _reference_cases():
         polys = random_polynomials(RNG, p.n_sites, 4, 3)
-        res = intertwining_residual(x, p, polys)
-        assert res == [intertwining_residual(x, p, [f])[0] for f in polys]
-        assert max(res) < 1e-13
+        res = [r.tolist() for r in intertwining_residual(x[None], p, polys)]
+        assert res == [intertwining_residual(x[None], p, [f])[0].tolist() for f in polys]
+        assert np.max(res) < 1e-13
         z = map_g(x, p)
         for f in polys:
             assert abs(_per_point(x, p, "abep", f) - _per_point(z, p, "bep", f)) < 1e-6
@@ -122,12 +122,12 @@ def test_stacked_intertwining_equals_the_single_state_calls():
         extra[0, n // 2] = 0.0
         xs = np.vstack([x for q, x in cases if q.n_sites == n] + [extra])
         polys = random_polynomials(RNG, n, 4, 3)
-        # bit for bit, one polynomial and a list
-        want = [[intertwining_residual(x, p, [f])[0] for x in xs] for f in polys]
+        # bit for bit, one polynomial and a list: row i of the stack is the
+        # (1, N) stack xs[i:i+1]
+        want = [[float(intertwining_residual(xs[i:i + 1], p, [f])[0][0])
+                 for i in range(len(xs))] for f in polys]
         assert intertwining_residual(xs, p, polys[:1])[0].tolist() == want[0]
         assert [r.tolist() for r in intertwining_residual(xs, p, polys)] == want
-        assert intertwining_residual(xs[:1], p, polys)[0].tolist() == \
-            [intertwining_residual(xs[0], p, polys[:1])[0]]
 
 
 def test_stacked_intertwining_shows_f_the_single_state_points(monkeypatch):
@@ -141,7 +141,7 @@ def test_stacked_intertwining_shows_f_the_single_state_points(monkeypatch):
     monkeypatch.setattr(generators, "_poly_jet",
                         lambda z, *f: seen.append(z.copy()) or jet(z, *f))
     for x in xs:
-        intertwining_residual(x, p, polys)
+        intertwining_residual(x[None], p, polys)
     single, seen[:] = seen[:], []
     intertwining_residual(xs, p, polys)
     assert len(seen) == len(polys)
@@ -151,10 +151,13 @@ def test_stacked_intertwining_shows_f_the_single_state_points(monkeypatch):
 
 
 def test_stack_shapes_are_typed_errors():
+    # one calling form: a single state (N,) is refused, x[None] is its stack
     p = SystemParams(2, 0.2, 1.0, 1.0, 2.0)
-    for bad in (np.ones((2, 2, 2)), np.ones((3, 3)), np.ones((0, 2))):
+    for bad in (np.ones((2, 2, 2)), np.ones((3, 3)), np.ones((0, 2)), np.ones(2)):
         with pytest.raises(ParameterError):
             intertwining_residual(bad, p, [_coordinate(0, 2)])
+        with pytest.raises(ParameterError):
+            apply_generator(bad, p, "abep", _coordinate(0, 2))
 
 
 @pytest.mark.parametrize("model", ["bep", "abep"])
@@ -168,7 +171,7 @@ def test_batched_duality_residual_matches_per_point_loop(model, dfun):
         xi = np.array(xi)
         x = RNG.uniform(0.1, 1.5, 2)
         cont = _apply_per_point(x, p, model, lambda y: dual(y, xi), 1e-4)
-        disc = sip_generator_apply(lambda c: dual(x, c), xi, p)
+        disc = sum(rate * (dual(x, c) - dual(x, xi)) for c, rate in sip_rates(xi, p))
         res = generator_duality_residual(x, xi, p, model=model, dfun=dfun)
         assert res < 1e-12 * max(1.0, abs(disc))
         assert abs(cont - disc) == pytest.approx(res, abs=1e-6 * max(1.0, abs(disc)))
@@ -176,7 +179,7 @@ def test_batched_duality_residual_matches_per_point_loop(model, dfun):
 
 def test_wrong_shapes_are_typed_errors():
     p = SystemParams(2, 0.2, 1.0, 1.0, 2.0)
-    x = np.array([0.5, 0.8])
+    x = np.array([[0.5, 0.8]])
     good = _coordinate(0, 2)
     for bad in ((np.ones(2), np.ones((1, 2))),          # one coefficient per row
                 (np.ones(1), np.ones((1, 3))),          # one exponent per site
@@ -190,24 +193,21 @@ def test_wrong_shapes_are_typed_errors():
             intertwining_residual(x, p, [good, bad])
     with pytest.raises(ParameterError, match="at least one"):
         intertwining_residual(x, p, [])
-    # a batch of states is refused, not read as one state's site rows
-    with pytest.raises(ParameterError, match="one state"):
-        apply_generator(np.ones((2, 2)), p, "bep", good)
 
 
 def test_symmetric_drift_on_interior_coordinate():
     """The generator acts on an interior coordinate as the discrete laplacian."""
     p = SystemParams(3, 0.0, 1.3, 1.0, 2.0)
     z = np.array([0.7, 0.4, 1.1])
-    val = apply_generator(z, p, "bep", _coordinate(1, 3))
+    [val] = apply_generator(z[None], p, "bep", _coordinate(1, 3))
     assert val == pytest.approx(1.3 * (z[0] - 2 * z[1] + z[2]), abs=1e-14)
 
 
 def test_symmetric_drift_on_boundary_coordinates():
     p = SystemParams(2, 0.0, 1.5, 0.8, 2.0)
     z = np.array([0.9, 0.3])
-    left = apply_generator(z, p, "bep", _coordinate(0, 2))
-    right = apply_generator(z, p, "bep", _coordinate(1, 2))
+    [left] = apply_generator(z[None], p, "bep", _coordinate(0, 2))
+    [right] = apply_generator(z[None], p, "bep", _coordinate(1, 2))
     # reservoir injection alpha*T minus unit leak, plus the bulk exchange
     assert left == pytest.approx(1.5 * 0.8 - z[0] + 1.5 * (z[1] - z[0]), abs=1e-14)
     assert right == pytest.approx(1.5 * 2.0 - z[1] + 1.5 * (z[0] - z[1]), abs=1e-14)
@@ -217,7 +217,7 @@ def test_symmetric_carre_du_champ_on_squares():
     # second order part doubles the bond amplitude on (z_i - z_j)^2 terms
     p = SystemParams(2, 0.0, 1.0, 1.0, 1.0)
     z = np.array([0.6, 0.2])
-    val = apply_generator(z, p, "bep", (np.array([1.0]), np.array([[2, 0]])))
+    [val] = apply_generator(z[None], p, "bep", (np.array([1.0]), np.array([[2, 0]])))
     drift = (1.0 * 1.0 - z[0] + (z[1] - z[0])) * 2 * z[0]
     diff = 2.0 * (z[0] * z[1] + 1.0 * z[0])
     assert val == pytest.approx(drift + diff, rel=1e-14)
@@ -274,9 +274,8 @@ def test_intertwining_on_polynomials(sigma):
 
     # z_1^2 + z_2 z_3 / 2 - z_3
     f = (np.array([1.0, 0.5, -1.0]), np.array([[2, 0, 0], [0, 1, 1], [0, 0, 1]]))
-    for _ in range(10):
-        x = RNG.uniform(0.0, 2.0, 3)
-        assert intertwining_residual(x, p, [f])[0] < 1e-4
+    x = RNG.uniform(0.0, 2.0, (10, 3))
+    assert (intertwining_residual(x, p, [f])[0] < 1e-4).all()
 
 
 def test_intertwining_nontrivial_without_transform():
@@ -285,9 +284,9 @@ def test_intertwining_nontrivial_without_transform():
     p = SystemParams(2, 0.6, 1.0, 1.0, 2.0)
 
     f = (np.array([1.0]), np.array([[2, 0]]))                 # z_1^2
-    x = np.array([1.3, 0.9])
-    lhs = apply_generator(x, p, "abep", f)                    # L_abep (f o g)(x)
-    wrong = apply_generator(x, p, "bep", f)                   # (L_bep f)(x)
+    x = np.array([[1.3, 0.9]])
+    [lhs] = apply_generator(x, p, "abep", f)                  # L_abep (f o g)(x)
+    [wrong] = apply_generator(x, p, "bep", f)                 # (L_bep f)(x)
     assert abs(lhs - wrong) > 1e-3
 
 

@@ -121,9 +121,9 @@ def test_bep_single_site_stationary_mean():
     # whose stationary mean is alpha * (t_left + t_right) / 2
     p = SystemParams(1, 0.0, 1.5, 0.5, 1.0)
     cfg = SdeConfig(dt=1e-3, t_end=60.0, thinning=0.05, burn_in=10.0, seed=3)
-    mean, se = stationary_estimate(p, cfg, model="bep",
-                                   observable=lambda s: np.asarray(s)[..., 0],
-                                   n_chains=16)
+    [(mean, se)] = stationary_estimate(p, cfg, model="bep",
+                                       observables=[lambda s: np.asarray(s)[..., 0]],
+                                       n_chains=16)
     assert se < 0.1
     assert abs(mean - 1.5 * 0.75) < 3 * se
 
@@ -202,7 +202,7 @@ def test_whole_float_chain_counts_run_as_integers():
     assert (ensemble_endpoint(x0, p, "abep", 0.01, 0.1, 3.0, seed=0).tobytes()
             == ensemble_endpoint(x0, p, "abep", 0.01, 0.1, 3, seed=0).tobytes())
     cfg = SdeConfig(dt=0.01, t_end=1.0, thinning=0.1, seed=0)
-    obs = lambda s: s[:, 0]
+    obs = [lambda s: s[:, 0]]
     assert (stationary_estimate(p, cfg, "abep", obs, n_chains=2.0)
             == stationary_estimate(p, cfg, "abep", obs, n_chains=2))
 
@@ -214,25 +214,25 @@ def test_stationary_estimate_names_a_bad_chain_count(n_chains):
     p = SystemParams(2, 0.02, 1.0, 1.0, 1.0)
     cfg = SdeConfig(dt=0.01, t_end=1.0, thinning=0.1, seed=0)
     with pytest.raises(ParameterError, match="n_chains must be a whole number"):
-        stationary_estimate(p, cfg, "abep", lambda s: s[:, 0], n_chains=n_chains)
+        stationary_estimate(p, cfg, "abep", [lambda s: s[:, 0]], n_chains=n_chains)
 
 
 def test_stationary_estimate_needs_two_batch_means():
     # one chain with one sample gives one batch mean: its se would read 0
     p = SystemParams(1, 0.02, 1.0, 1.0, 1.0)
     cfg = SdeConfig(dt=0.01, t_end=1.0, thinning=1.0, seed=0)
-    obs = lambda s: s[:, 0]
+    obs = [lambda s: s[:, 0]]
     with pytest.raises(ParameterError, match="two batch means"):
         stationary_estimate(p, cfg, "abep", obs, n_chains=1)
     # two chains give two means
-    assert stationary_estimate(p, cfg, "abep", obs, n_chains=2)[1] > 0.0
+    assert stationary_estimate(p, cfg, "abep", obs, n_chains=2)[0][1] > 0.0
 
 
 def test_stationary_estimate_needs_samples():
     p = SystemParams(1, 0.0, 1.0, 1.0, 1.0)
     with pytest.raises(ParameterError):
         cfg = SdeConfig(dt=0.01, t_end=1.0, thinning=0.9, burn_in=0.9, seed=0)
-        stationary_estimate(p, cfg, "bep", lambda s: np.asarray(s)[..., 0])
+        stationary_estimate(p, cfg, "bep", [lambda s: np.asarray(s)[..., 0]])
 
 
 def test_stationary_estimate_averages_every_emitted_sample():
@@ -245,12 +245,12 @@ def test_stationary_estimate_averages_every_emitted_sample():
         return states[:, 0]
 
     cfg = SdeConfig(dt=0.1, t_end=0.3999999999, thinning=0.2, seed=0)
-    mean, _ = stationary_estimate(p, cfg, "abep", first_site, n_chains=3)
+    [(mean, _)] = stationary_estimate(p, cfg, "abep", [first_site], n_chains=3)
     assert seen[0].shape == (2 * 3, 1)
     assert mean == seen[0][:, 0].mean()
     same = SdeConfig(dt=0.1, t_end=0.4, thinning=0.2, seed=0)
-    assert stationary_estimate(p, same, "abep", first_site, n_chains=3) == \
-        stationary_estimate(p, cfg, "abep", first_site, n_chains=3)
+    assert stationary_estimate(p, same, "abep", [first_site], n_chains=3) == \
+        stationary_estimate(p, cfg, "abep", [first_site], n_chains=3)
 
 
 def _tail_observables(p):
@@ -265,8 +265,7 @@ def test_stationary_estimate_list_matches_single_calls():
     together = stationary_estimate(p, cfg, "abep", obs, n_chains=6)
     assert isinstance(together, list) and len(together) == 3
     for f, pair in zip(obs, together):
-        alone = stationary_estimate(p, cfg, "abep", f, n_chains=6)
-        assert isinstance(alone, tuple)
+        [alone] = stationary_estimate(p, cfg, "abep", [f], n_chains=6)
         # bit for bit, not approximately
         assert pair == alone
         assert pair[1] > 0.0
@@ -277,7 +276,7 @@ def test_stationary_estimate_rejects_wrong_shape_observable():
     cfg = SdeConfig(dt=0.01, t_end=1.0, thinning=0.1, seed=0)
     # indexes the first row instead of the first site: shape (N,), not (M,)
     with pytest.raises(ParameterError, match="observable must map"):
-        stationary_estimate(p, cfg, "bep", lambda s: s[0], n_chains=4)
+        stationary_estimate(p, cfg, "bep", [lambda s: s[0]], n_chains=4)
     with pytest.raises(ParameterError, match="observable must map"):
         stationary_estimate(p, cfg, "bep", [lambda s: s[:, 0], lambda s: s.sum()],
                             n_chains=4)
@@ -291,10 +290,13 @@ def test_stationary_estimate_observable_errors_propagate():
         raise ZeroDivisionError("observable failed")
 
     with pytest.raises(ZeroDivisionError, match="observable failed"):
-        stationary_estimate(p, cfg, "bep", broken, n_chains=4)
+        stationary_estimate(p, cfg, "bep", [broken], n_chains=4)
 
 
-@pytest.mark.parametrize("bad", [[], [1.0], "x"])
+# one calling form: a list of observables even for one, so a bare callable
+# is refused too
+@pytest.mark.parametrize("bad", [[], [1.0], "x", 3.0,
+                                 pytest.param(lambda s: s[:, 0], id="bare_callable")])
 def test_stationary_estimate_needs_callables(bad):
     p = SystemParams(1, 0.0, 1.0, 1.0, 1.0)
     cfg = SdeConfig(dt=0.01, t_end=1.0, thinning=0.1, seed=0)

@@ -12,6 +12,7 @@ from abep import SystemParams, final_state_counts, mc_absorption, sip_rates
 from abep.absorption import _exit_table, _generator
 from abep.errors import ParameterError, SimulationCap
 from abep.rng import stream
+import abep.sip
 from abep.sip import _edge_rate, _jump, _rate_table, _simulate
 
 RNG = np.random.default_rng(77)
@@ -60,11 +61,11 @@ def test_gillespie_conserves_particles():
     assert np.all(t > 0.0)
 
 
-def test_gillespie_event_cap():
+def test_gillespie_event_cap(monkeypatch):
     p = SystemParams(3, 0.0, 1.0, 1.0, 1.0)
-    with pytest.raises(SimulationCap):
-        _simulate(np.array([0, 5, 5, 5, 0]), p, 1, stream(0, "gillespie"),
-                  max_events=10)
+    monkeypatch.setattr(abep.sip, "MAX_EVENTS", 10)
+    with pytest.raises(SimulationCap, match="exceeded 10 events"):
+        _simulate(np.array([0, 5, 5, 5, 0]), p, 1, stream(0, "gillespie"))
 
 
 def test_single_particle_absorption_frequencies():
@@ -151,14 +152,15 @@ def _configurations(n, max_walkers):
             yield np.bincount(sites, minlength=n + 2)
 
 
-@pytest.mark.parametrize("edge", ["unit", "walk"])
-def test_rate_table_matches_per_site_loop(edge):
+def test_rate_table_matches_per_site_loop():
+    # the simulated unit edge; the walk rates are checked through the exit
+    # generator in test_generator_matches_per_site_build
     for n in range(1, 5):
         for alpha in (0.5, 1.0, 2.5):
             p = SystemParams(n, 0.0, alpha, 1.0, 1.0)
             for occ in _configurations(n, 3):
-                want = _moves_reference(occ.tolist(), n, alpha, edge)
-                table = _rate_table(occ[:, None], alpha, edge)[:, 0]
+                want = _moves_reference(occ.tolist(), n, alpha, "unit")
+                table = _rate_table(occ[:, None], alpha)[:, 0]
                 rows = np.flatnonzero(np.repeat(occ[1:-1] > 0, 2))
                 src = rows // 2 + 1
                 got = list(zip(src.tolist(), (src + 2 * (rows % 2) - 1).tolist(),
@@ -166,14 +168,13 @@ def test_rate_table_matches_per_site_loop(edge):
                 # the same floats in the same order, not approximately
                 assert got == want
                 assert not table[np.setdiff1d(range(2 * n), rows)].any()
-                if edge == "unit":
-                    rates = sip_rates(occ, p)
-                    assert [r for _, r in rates] == [r for _, _, r in want]
-                    for (target, _), (s, d, _) in zip(rates, want):
-                        step = np.zeros(n + 2, dtype=np.int64)
-                        step[s] -= 1
-                        step[d] += 1
-                        assert target.tolist() == (occ + step).tolist()
+                rates = sip_rates(occ, p)
+                assert [r for _, r in rates] == [r for _, _, r in want]
+                for (target, _), (s, d, _) in zip(rates, want):
+                    step = np.zeros(n + 2, dtype=np.int64)
+                    step[s] -= 1
+                    step[d] += 1
+                    assert target.tolist() == (occ + step).tolist()
 
 
 @pytest.mark.parametrize("edge", ["unit", "walk"])
@@ -276,19 +277,21 @@ def test_round_off_guard_takes_a_move_of_positive_rate():
     assert rng.rounds == 2
 
 
-def test_event_cap_counts_events_per_run():
+def test_event_cap_counts_events_per_run(monkeypatch):
     # two walkers on one site: every run absorbs in exactly two events
     p = SystemParams(1, 0.0, 1.0, 1.0, 1.0)
-    assert sum(f for f, _ in mc_absorption([0, 2, 0], p, 500, max_events=2).values()) == 1.0
+    monkeypatch.setattr(abep.sip, "MAX_EVENTS", 2)
+    assert sum(f for f, _ in mc_absorption([0, 2, 0], p, 500).values()) == 1.0
+    monkeypatch.setattr(abep.sip, "MAX_EVENTS", 1)
     with pytest.raises(SimulationCap):
-        mc_absorption([0, 2, 0], p, 500, max_events=1)
+        mc_absorption([0, 2, 0], p, 500)
     # one walker next to the left edge: about half the runs need one event,
     # the others at least three, so the batch passes the cap in some runs
     p = SystemParams(2, 0.0, 1.0, 1.0, 1.0)
     with pytest.raises(SimulationCap):
-        mc_absorption([0, 1, 0, 0], p, 64, max_events=1)
+        mc_absorption([0, 1, 0, 0], p, 64)
     with pytest.raises(SimulationCap):
-        final_state_counts([0, 1, 0, 0], p, 64, 100.0, max_events=1)
+        final_state_counts([0, 1, 0, 0], p, 64, 100.0)
 
 
 # counts a tolerance would round to integers must still be rejected
