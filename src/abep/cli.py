@@ -26,7 +26,7 @@ import numpy as np
 
 from .absorption import (single_absorption_solve, single_right_closed,
                          two_particle_closed_form, two_particle_solve)
-from .core import SystemParams, _mean_se, _z
+from .core import SystemParams, _count, _mean_se, _z
 from .duality import semigroup_duality_check
 from .errors import ConfigError, NumericalBlowup, ToolkitError
 from .generators import intertwining_residual
@@ -62,8 +62,9 @@ def _system_flags(sub, sigma_default=0.0):
 
 @functools.cache
 def build_parser():
-    """The parser and each subcommand's flag table, built once per process:
-    parsing, config expansion and the handlers only read them."""
+    """The parser, each subcommand's flag table and the --config pre-parser,
+    built once per process: parsing, config expansion and the handlers only
+    read them."""
     ap = argparse.ArgumentParser(
         prog="abep",
         description="Simulation and verification toolkit for asymmetric "
@@ -83,6 +84,7 @@ def build_parser():
                     help="comma-separated start state (default zeros)")
     sp.add_argument("--cap", type=float, default=DEFAULT_CAP)
     _common_flags(sp, with_check=False)
+    sp.set_defaults(handler=_cmd_simulate)
 
     sp = subs.add_parser("verify-duality",
                          help="two-sided Monte Carlo duality estimate")
@@ -102,6 +104,7 @@ def build_parser():
     sp.add_argument("--z-max", type=float, default=3.0)
     sp.add_argument("--cap", type=float, default=DEFAULT_CAP)
     _common_flags(sp)
+    sp.set_defaults(handler=_cmd_verify_duality)
 
     sp = subs.add_parser("verify-intertwining",
                          help="generator conjugation residuals on random states")
@@ -113,6 +116,7 @@ def build_parser():
     sp.add_argument("--tol", type=float, default=1e-10,
                     help="round-off bound: both generators are applied exactly")
     _common_flags(sp)
+    sp.set_defaults(handler=_cmd_verify_intertwining)
 
     sp = subs.add_parser("absorption",
                          help="exact dual-walker exit probabilities")
@@ -126,6 +130,7 @@ def build_parser():
                          "pair closed form)")
     sp.add_argument("--tol", type=float, default=1e-10)
     _common_flags(sp, with_seed=False)      # exact solves draw nothing
+    sp.set_defaults(handler=_cmd_absorption)
 
     sp = subs.add_parser("moments", help="stationary moment cross-validation")
     _system_flags(sp, sigma_default=0.1)
@@ -142,6 +147,7 @@ def build_parser():
     sp.add_argument("--cap", type=float, default=DEFAULT_CAP)
     sp.add_argument("--tol", type=float, default=1e-12)
     _common_flags(sp)
+    sp.set_defaults(handler=_cmd_moments)
 
     sp = subs.add_parser("reversible-check",
                          help="equal-temperature sampler vs its truncated law")
@@ -152,13 +158,18 @@ def build_parser():
     sp.add_argument("--samples", type=int, default=10_000)
     sp.add_argument("--z-max", type=float, default=3.0)
     _common_flags(sp)
+    sp.set_defaults(handler=_cmd_reversible_check)
 
     # per subcommand: each flag, and whether it takes no value (store_true)
     known = {}
     for name, sub in subs.choices.items():
         known[name] = {s: act.nargs == 0
                        for act in sub._actions for s in act.option_strings}
-    return ap, known
+    # finds --config under any spelling argparse takes for it; the full
+    # parse sees the same tokens again, so an ambiguous one still fails there
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config")
+    return ap, known, pre
 
 
 def _read_config(path, sub, valid):
@@ -199,36 +210,9 @@ def _read_config(path, sub, valid):
     return tokens
 
 
-def _expand_config(argv, known):
-    """Inject config-file tokens right after the subcommand, flags last."""
-    sub = argv[0]
-    rest = []
-    path = None
-    i = 1
-    while i < len(argv):
-        tok = argv[i]
-        if tok == "--config":
-            if i + 1 >= len(argv):
-                raise ConfigError("--config needs a file path")
-            path = argv[i + 1]
-            i += 2
-        elif tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-            i += 1
-        else:
-            rest.append(tok)
-            i += 1
-    if path is None:
-        return argv
-    if sub not in known:
-        raise ConfigError(f"unknown subcommand {sub!r}")
-    return [sub] + _read_config(path, sub, known[sub]) + rest
-
-
 def _parse_vector(text, n, what, dtype=float):
-    parts = [p for p in text.split(",") if p.strip() != ""]
-    try:
-        vals = [dtype(p) for p in parts]
+    try:                    # an empty field is an error, not a skipped value
+        vals = [dtype(p) for p in text.split(",")]
     except ValueError as exc:
         raise ConfigError(f"{what}: could not parse {text!r}") from exc
     if len(vals) != n:
@@ -237,11 +221,12 @@ def _parse_vector(text, n, what, dtype=float):
     return np.asarray(vals, dtype=dtype)
 
 
-def _check_tol(tol: float) -> None:
-    """The one --tol rule: at or below 0, or nan, every row would fail
-    whatever its gap, and at inf every row would pass."""
-    if not 0.0 < tol < math.inf:
-        raise ConfigError(f"--tol must be a positive finite number, got {tol}")
+def _check_bound(value: float, flag: str) -> None:
+    """The one rule for a row's pass bound (--tol, --z-max): at or below 0,
+    or nan, every row would fail whatever its gap, and at inf every row
+    would pass."""
+    if not 0.0 < value < math.inf:
+        raise ConfigError(f"{flag} must be a positive finite number, got {value}")
 
 
 def _fmt(value):
@@ -295,6 +280,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_verify_duality(args):
+    _check_bound(args.z_max, "--z-max")
     p = SystemParams(args.n, args.sigma, args.alpha, args.tl, args.tr)
     x0 = (np.full(args.n, 0.5) if args.x0 is None
           else _parse_vector(args.x0, args.n, "--x0"))
@@ -314,13 +300,10 @@ def _cmd_verify_duality(args):
 
 
 def _cmd_verify_intertwining(args):
-    if args.states < 1:
-        raise ConfigError("--states must be at least 1")
-    if args.funcs < 1:
-        raise ConfigError("--funcs must be at least 1")
-    if args.degree < 0:
-        raise ConfigError("--degree must be at least 0")
-    _check_tol(args.tol)
+    _count(args.states, "--states")
+    _count(args.funcs, "--funcs")
+    _count(args.degree, "--degree")     # degree 0: constants, residual exactly 0
+    _check_bound(args.tol, "--tol")
     p = SystemParams(args.n, args.sigma, args.alpha, args.tl, args.tr)
     rng = stream(args.seed, "verify-intertwining")
     states = rng.uniform(0.0, 2.0, size=(args.states, args.n))
@@ -332,7 +315,7 @@ def _cmd_verify_intertwining(args):
 
 
 def _cmd_absorption(args):
-    _check_tol(args.tol)
+    _check_bound(args.tol, "--tol")
     p = SystemParams(args.n, 0.0, args.alpha, 1.0, 1.0)
     if args.j is None:
         pl_s, pr_s = single_absorption_solve(args.i, p, edge=args.edge)
@@ -363,7 +346,7 @@ def _cmd_absorption(args):
 
 
 def _cmd_moments(args):
-    _check_tol(args.tol)
+    _check_bound(args.tol, "--tol")
     p = SystemParams(args.n, args.sigma, args.alpha, args.tl, args.tr)
     if args.two_point:
         header = ["m", "n", "assembly", "closed_form_display", "difference"]
@@ -401,8 +384,8 @@ def _cmd_moments(args):
 
 
 def _cmd_reversible_check(args):
-    if args.samples < 2:
-        raise ConfigError("--samples must be at least 2 for a standard error")
+    _count(args.samples, "--samples", 2)    # one sample has no standard error
+    _check_bound(args.z_max, "--z-max")
     p = SystemParams(args.n, args.sigma, args.alpha, args.t, args.t)
     samples, stats = reversible_sampler(p, args.samples, seed=args.seed,
                                         with_stats=True)
@@ -421,29 +404,25 @@ def _cmd_reversible_check(args):
     return header, rows, not all(row[-1] < args.z_max for row in rows)
 
 
-_HANDLERS = {
-    "simulate": _cmd_simulate,
-    "verify-duality": _cmd_verify_duality,
-    "verify-intertwining": _cmd_verify_intertwining,
-    "absorption": _cmd_absorption,
-    "moments": _cmd_moments,
-    "reversible-check": _cmd_reversible_check,
-}
-
-
 def run(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser, known = build_parser()
+    parser, known, pre = build_parser()
     if not argv:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        argv = _expand_config(argv, known) if not argv[0].startswith("-") else argv
+        if argv[0] in known:
+            try:
+                path = pre.parse_known_args(argv[1:])[0].config
+            except argparse.ArgumentError as exc:
+                raise ConfigError(str(exc)) from None
+            if path is not None:    # file tokens first: the flags after win
+                argv = argv[:1] + _read_config(path, argv[0], known[argv[0]]) + argv[1:]
         try:
             args = parser.parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
-        header, rows, failed = _HANDLERS[args.command](args)
+        header, rows, failed = args.handler(args)
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

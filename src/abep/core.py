@@ -47,8 +47,7 @@ class SystemParams:
     def __post_init__(self):
         if not (1 <= self.n_sites < np.inf and int(self.n_sites) == self.n_sites):
             raise ParameterError(f"n_sites must be a positive integer, got {self.n_sites}")
-        if not (0 < self.alpha < np.inf):
-            raise ParameterError(f"alpha must be finite and > 0, got {self.alpha}")
+        _positive(self.alpha, "alpha")
         for name in ("sigma", "t_left", "t_right"):
             if not (0 <= getattr(self, name) < np.inf):
                 raise ParameterError(
@@ -73,6 +72,13 @@ def _count(n, name: str, least: int = 1) -> int:
     if not (_whole(n) and least <= n < np.inf):
         raise ParameterError(f"{name} must be a whole number >= {least}, got {n}")
     return int(n)
+
+
+def _positive(value, name: str):
+    """value itself; ParameterError unless 0 < value < inf (nan fails)."""
+    if not 0 < value < np.inf:
+        raise ParameterError(f"{name} must be finite and > 0, got {value}")
+    return value
 
 
 def _mean_se(vals) -> tuple[float, float]:

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (SystemParams, _count, _mean_se, _value, _z, as_particles, as_state,
-                   map_g)
+from .core import (SystemParams, _count, _mean_se, _positive, _value, _z, as_particles,
+                   as_state, map_g)
 from .errors import ParameterError
 from .generators import apply_generator
 from .sde import DEFAULT_CAP, ensemble_endpoint, whole_steps
@@ -48,9 +48,7 @@ def pochhammer(a: float, k: int) -> float:
 
 def _orthogonal_t(t: float) -> float:
     """t itself; ParameterError unless 0 < t < inf."""
-    if not (0 < t < math.inf):
-        raise ParameterError(f"orthogonal parameter t must be finite and > 0, got {t}")
-    return t
+    return _positive(t, "orthogonal parameter t")
 
 
 def _weight(k: int, j: int, alpha: float) -> float:
@@ -64,9 +62,10 @@ def laguerre_d(zeta, k: int, alpha: float, t: float):
     (-t)^k * sum_{j=0}^{k} (-1)^j C(k, j) (zeta/t)^j / (alpha)_j, a
     polynomial in zeta proportional to a generalized Laguerre polynomial.
     Zero mean under the Gamma(alpha, scale t) law for every k >= 1.
-    Vectorized in zeta.  ParameterError unless k is a whole number >= 0
-    and 0 < t < inf.
+    Vectorized in zeta.  ParameterError unless k is a whole number >= 0,
+    0 < alpha < inf (the SystemParams rule) and 0 < t < inf.
     """
+    _positive(alpha, "alpha")
     t = _orthogonal_t(t)
     k = _count(k, "k", 0)
     y = np.asarray(zeta, dtype=float) / t

@@ -321,6 +321,43 @@ def test_config_missing_file(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_config_abbreviation_reads_the_file(tmp_path, capsys):
+    # argparse takes --conf for --config, so the file must be read too
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text("alpha = 3\n")
+    base = ["absorption", "--n", "5", "--i", "2", "--no-header"]
+    tables = []
+    for extra in (["--conf", str(cfg)], ["--alpha", "3"], []):
+        assert run(base + extra) == 0
+        tables.append(capsys.readouterr().out)
+    assert tables[0] == tables[1] != tables[2]
+    assert run(base + ["--conf", "/nonexistent.cfg"]) == 2
+    assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--config", "--conf"])
+def test_config_without_a_path_is_a_usage_error(flag, capsys):
+    assert run(["absorption", "--n", "5", "--i", "2", "--no-header", flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
+def test_ambiguous_config_abbreviation_is_refused(tmp_path, capsys):
+    # --c could be --config or --check: the file is not silently read
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text("alpha = 3\n")
+    assert run(["absorption", "--n", "5", "--i", "2", "--c", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "ambiguous option" in captured.err and captured.out == ""
+
+
+def test_simulate_vector_with_an_empty_field_is_a_usage_error(capsys):
+    # a dropped empty field would run 1,,2,3 from (1, 2, 3)
+    err = _assert_usage_error(["simulate", "--n", "3", "--x0", "1,,2,3", "--dt", "0.01",
+                               "--t-end", "0.1"], capsys, check=False)
+    assert "could not parse" in err
+
+
 def test_config_underscore_keys_match_hyphen_flags(tmp_path, capsys):
     cfg = tmp_path / "sim.cfg"
     cfg.write_text("t_end = 0.3\nthinning = 0.1\nno_header = on\n")
@@ -416,7 +453,8 @@ def _assert_usage_error(argv, capsys, check=True):
                                    ["--dual", "orthogonal", "--t-orth", "inf"],
                                    ["--dual", "orthogonal", "--xi0", "0,0",
                                     "--t-orth", "nan"],
-                                   ["--t-orth", "0.7"], ["--t-orth", "nan"]])
+                                   ["--t-orth", "0.7"], ["--t-orth", "nan"],
+                                   ["--xi0", "1,,0"]])
 def test_verify_duality_bad_arguments_are_usage_errors(flags, capsys):
     _assert_usage_error(["verify-duality", "--n", "2", *flags], capsys)
 
@@ -481,10 +519,11 @@ def test_counts_that_leave_nothing_to_estimate_are_usage_errors(argv, flag, caps
 
 @pytest.mark.parametrize("flags", [["--degree", "-1"], ["--tol", "0"],
                                    ["--tol=-1e-4"], ["--tol", "nan"],
-                                   ["--tol", "inf"]])
+                                   ["--tol", "inf"], ["--degree", "0"]])
 def test_verify_intertwining_bad_arguments_are_usage_errors(flags, capsys):
     # a --tol at or below 0, or nan, fails every row whatever the residuals,
-    # and an infinite one passes every row
+    # and an infinite one passes every row; degree-0 polynomials are
+    # constants, which both generators send to exactly 0
     _assert_usage_error(["verify-intertwining", "--n", "2", *flags], capsys)
 
 
@@ -497,6 +536,18 @@ def test_tol_that_decides_every_row_is_a_usage_error(argv, tol, capsys):
     # and inf would pass one whatever the gap
     err = _assert_usage_error([*argv, f"--tol={tol}"], capsys)
     assert err.startswith("error: --tol must be a positive finite number")
+
+
+@pytest.mark.parametrize("z_max", ["nan", "0", "-1", "inf"])
+@pytest.mark.parametrize("argv", [["verify-duality", "--n", "2", "--runs", "100",
+                                   "--dt", "0.01", "--t", "0.1"],
+                                  ["reversible-check", "--n", "1", "--sigma", "0.05",
+                                   "--t", "0.5", "--samples", "100"]])
+def test_z_max_that_decides_every_row_is_a_usage_error(argv, z_max, capsys):
+    # the --tol rule: a z-score is compared against --z-max, so nan or a
+    # bound at or below 0 fails every row and inf passes every row
+    err = _assert_usage_error([*argv, f"--z-max={z_max}"], capsys)
+    assert err.startswith("error: --z-max must be a positive finite number")
 
 
 def test_verify_intertwining_has_no_step_size(capsys):

@@ -50,6 +50,14 @@ def test_laguerre_d_rejects_bad_temperature():
             laguerre_d(np.array([1.0]), 2, 1.0, t)
 
 
+@pytest.mark.parametrize("alpha", [0.0, -1.0, -0.5, np.nan, np.inf])
+def test_laguerre_d_rejects_bad_alpha(alpha):
+    # the SystemParams rule: alpha = 0 used to escape as ZeroDivisionError
+    # from (alpha)_j, and a negative, nan or infinite alpha gave a value
+    with pytest.raises(ParameterError, match="alpha must be finite and > 0"):
+        laguerre_d(1.0, 1, alpha, 1.0)
+
+
 @pytest.mark.parametrize("xi", [[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]])
 @pytest.mark.parametrize("t", [0.0, -1.0, np.nan, np.inf])
 def test_orthogonal_d_rejects_bad_temperature_without_bulk_particles(xi, t):
