@@ -14,8 +14,8 @@ from .errors import (ConfigError, DomainError, NumericalBlowup,
                      SimulationCap, SingularSystem, SiteError, ToolkitError)
 from .generators import (Workspace, apply_generator, intertwining_residual,
                          model_parts)
-from .sde import (DEFAULT_CAP, SdeConfig, ensemble_endpoint,
-                  simulate_trajectory, stationary_estimate)
+from .sde import (CAP, SdeConfig, ensemble_endpoint, simulate_trajectory,
+                  stationary_estimate)
 from .sip import final_state_counts, mc_absorption, sip_rates
 from .duality import (DualityCheck, classical_D, classical_D_sigma,
                       generator_duality_residual, laguerre_d, orthogonal_D,
@@ -33,7 +33,7 @@ from .moments import (TwoPointReport, one_point_moment, one_point_routes,
 __version__ = "0.1.0"
 
 __all__ = [
-    "DOMAIN_TOL", "DEFAULT_CAP", "__version__",
+    "CAP", "DOMAIN_TOL", "__version__",
     "SystemParams", "as_state", "as_particles", "partial_energies",
     "map_g", "map_g_inv",
     "ToolkitError", "ParameterError", "DomainError", "NumericalBlowup",

@@ -33,7 +33,7 @@ from .generators import intertwining_residual
 from .moments import (one_point_routes, reversible_mass, reversible_moment,
                       reversible_sampler, two_point_report)
 from .rng import stream
-from .sde import DEFAULT_CAP, SdeConfig, simulate_trajectory, stationary_estimate
+from .sde import SdeConfig, simulate_trajectory, stationary_estimate
 
 
 def _common_flags(sub, with_check=True, with_seed=True):
@@ -82,7 +82,6 @@ def build_parser():
     sp.add_argument("--burn-in", type=float, default=0.0)
     sp.add_argument("--x0", default=None,
                     help="comma-separated start state (default zeros)")
-    sp.add_argument("--cap", type=float, default=DEFAULT_CAP)
     _common_flags(sp, with_check=False)
     sp.set_defaults(handler=_cmd_simulate)
 
@@ -102,7 +101,6 @@ def build_parser():
     sp.add_argument("--xi0", default=None,
                     help="dual occupations (default one particle at site 1)")
     sp.add_argument("--z-max", type=float, default=3.0)
-    sp.add_argument("--cap", type=float, default=DEFAULT_CAP)
     _common_flags(sp)
     sp.set_defaults(handler=_cmd_verify_duality)
 
@@ -144,7 +142,6 @@ def build_parser():
     sp.add_argument("--mc-burn-in", type=float, default=10.0)
     sp.add_argument("--mc-thinning", type=float, default=0.05)
     sp.add_argument("--mc-chains", type=int, default=8)
-    sp.add_argument("--cap", type=float, default=DEFAULT_CAP)
     sp.add_argument("--tol", type=float, default=1e-12)
     _common_flags(sp)
     sp.set_defaults(handler=_cmd_moments)
@@ -176,7 +173,7 @@ def _read_config(path, sub, valid):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     tokens = []
     for lineno, raw in enumerate(lines, start=1):
@@ -212,13 +209,13 @@ def _read_config(path, sub, valid):
 
 def _parse_vector(text, n, what, dtype=float):
     try:                    # an empty field is an error, not a skipped value
-        vals = [dtype(p) for p in text.split(",")]
-    except ValueError as exc:
+        vals = np.asarray([dtype(p) for p in text.split(",")], dtype=dtype)
+    except (ValueError, OverflowError) as exc:     # overflow: an int past int64
         raise ConfigError(f"{what}: could not parse {text!r}") from exc
     if len(vals) != n:
         raise ConfigError(f"{what} needs {n} comma-separated values, "
                           f"got {len(vals)}")
-    return np.asarray(vals, dtype=dtype)
+    return vals
 
 
 def _check_bound(value: float, flag: str) -> None:
@@ -245,8 +242,11 @@ def _emit(header, rows, args):
         writer.writerow([_fmt(v) for v in row])
     text = buf.getvalue()
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {args.out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -273,7 +273,7 @@ def _cmd_simulate(args):
     thinning = args.thinning if args.thinning is not None else args.t_end / 100.0
     cfg = SdeConfig(dt=args.dt, t_end=args.t_end, thinning=thinning,
                     burn_in=args.burn_in, seed=args.seed)
-    traj = simulate_trajectory(x0, p, cfg, model=args.model, cap=args.cap)
+    traj = simulate_trajectory(x0, p, cfg, model=args.model)
     header = ["t"] + [f"x{i}" for i in range(1, args.n + 1)]
     rows = [(float(t), *map(float, state)) for t, state in traj]
     return header, rows, False
@@ -291,8 +291,7 @@ def _cmd_verify_duality(args):
         xi0[1:-1] = _parse_vector(args.xi0, args.n, "--xi0", dtype=int)
     res = semigroup_duality_check(
         x0, xi0, args.t, p, model=args.model, dfun=args.dual,
-        n_runs=args.runs, seed=args.seed, dt=args.dt, t_orth=args.t_orth,
-        cap=args.cap)
+        n_runs=args.runs, seed=args.seed, dt=args.dt, t_orth=args.t_orth)
     header = ["lhs", "lhs_se", "rhs", "rhs_se", "z_score"]
     rows = [(res.lhs, res.lhs_se, res.rhs, res.rhs_se, res.z_score)]
     failed = not (res.z_score < args.z_max)
@@ -372,7 +371,7 @@ def _cmd_moments(args):
             for m in sites]
         try:
             mc = stationary_estimate(p, cfg, model="abep", observables=observables,
-                                     n_chains=args.mc_chains, cap=args.cap)
+                                     n_chains=args.mc_chains)
         except NumericalBlowup as exc:
             print(f"note: Monte Carlo exploded ({exc}); emitting nan for every "
                   "site", file=sys.stderr)
@@ -423,10 +422,10 @@ def run(argv=None) -> int:
         except SystemExit as exc:
             return int(exc.code or 0)
         header, rows, failed = args.handler(args)
+        _emit(header, rows, args)
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(header, rows, args)
     if getattr(args, "check", False) and failed:
         return 1
     return 0

@@ -100,9 +100,9 @@ def _value(x):
 def as_state(x, n_sites: int, allow_negative: bool = False) -> np.ndarray:
     """Coerce to a float array of site energies and validate it.
 
-    allow_negative=True skips the sign check, for the transforms and the
-    duality functions: their formulas hold at any finite real point, such as
-    a numerical-derivative step x - h*e_i below an empty site.
+    allow_negative=True skips the sign check, for map_g, map_g_inv and the
+    duality site product: their formulas hold at any finite real point, such
+    as a central-difference test step below an empty site.
     """
     arr = _array(x, "energy configuration", float)
     if arr.ndim < 1:

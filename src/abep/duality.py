@@ -29,7 +29,8 @@ from .core import (SystemParams, _count, _mean_se, _positive, _value, _z, as_par
                    as_state, map_g)
 from .errors import ParameterError
 from .generators import apply_generator
-from .sde import DEFAULT_CAP, ensemble_endpoint, whole_steps
+from . import sde
+from .sde import ensemble_endpoint, whole_steps
 from .sip import final_state_counts, sip_rates
 from .rng import stream
 
@@ -180,8 +181,7 @@ class DualityCheck:
 def semigroup_duality_check(x0, xi0, t_horizon: float, p: SystemParams,
                             model: str = "bep", dfun: str = "classical",
                             n_runs: int = 10_000, seed: int = 0,
-                            dt: float = 1e-3, t_orth=None,
-                            cap: float = DEFAULT_CAP) -> DualityCheck:
+                            dt: float = 1e-3, t_orth=None) -> DualityCheck:
     """Compare E[D(X_t, xi0)] against E[D(x0, Xi_t)] with n_runs per side.
 
     The left side propagates diffusion chains from x0 with the
@@ -192,8 +192,8 @@ def semigroup_duality_check(x0, xi0, t_horizon: float, p: SystemParams,
 
     Consecutive calls that differ only in xi0, dfun or t_orth share one
     diffusion ensemble: the last one is kept read-only, keyed by x0, p,
-    model, dt, t_horizon, n_runs, seed and cap, and a hit gives the bytes of
-    a fresh simulation.
+    model, dt, t_horizon, n_runs, seed and sde.CAP, and a hit gives the bytes
+    of a fresh simulation.
     ParameterError unless n_runs is a whole number >= 2 (a standard error
     needs two runs), dt > 0 and t_horizon is 0 or a whole number of steps
     dt within 1e-9 relative: the diffusion side takes round(t_horizon / dt).
@@ -208,11 +208,11 @@ def semigroup_duality_check(x0, xi0, t_horizon: float, p: SystemParams,
         v = float(dual(arr, occ0))
         return DualityCheck(v, 0.0, v, 0.0, 0.0)
 
-    key = (arr.tobytes(), p, model, dt, t_horizon, n_runs, int(seed), cap)
+    key = (arr.tobytes(), p, model, dt, t_horizon, n_runs, int(seed), sde.CAP)
     finals = _endpoint_cache.get(key)
     if finals is None:
         finals = ensemble_endpoint(arr, p, model, dt, t_horizon, n_runs,
-                                   stream(seed, f"duality-sde-{model}"), cap)
+                                   stream(seed, f"duality-sde-{model}"))
         finals.flags.writeable = False
         _endpoint_cache.clear()
         _endpoint_cache[key] = finals

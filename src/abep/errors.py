@@ -14,7 +14,7 @@ class DomainError(ToolkitError):
 
 
 class NumericalBlowup(ToolkitError):
-    """A simulated trajectory exceeded the configured magnitude cap."""
+    """A simulated trajectory passed the magnitude cap abep.CAP."""
 
 
 class SimulationCap(ToolkitError):

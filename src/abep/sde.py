@@ -38,7 +38,7 @@ from .errors import NumericalBlowup, ParameterError
 from .generators import Workspace, model_parts
 from .rng import as_generator, stream
 
-DEFAULT_CAP = 1e6
+CAP = 1e6         # a component past it is a blow-up; read at each call
 _ZERO = np.zeros(())                # the clamps' 0.0, bound as in Workspace
 # batch means per chain in the standard error of stationary_estimate
 N_BATCHES = 20
@@ -150,8 +150,7 @@ def _sign_noise(rng: np.random.Generator):
 
 
 def _run_chains(start: np.ndarray, n_chains: int, p: SystemParams, model: str,
-                dt: float, n_steps: int, draw, cap: float,
-                emit: range = range(0)):
+                dt: float, n_steps: int, draw, emit: range = range(0)):
     """Propagate n_chains chains all started at the state start, (N,); the
     batch is stepped site-major.
 
@@ -160,13 +159,14 @@ def _run_chains(start: np.ndarray, n_chains: int, p: SystemParams, model: str,
     Returns the final states, chain-major (R, N), and the snapshots, one
     (len(emit), R, N) array whose row i holds the states after step emit[i].
     ParameterError, before any step, unless n_chains is a whole number >= 1,
-    model is 'bep' or 'abep', and cap is greater than every component of
-    start (a nan cap is not); NumericalBlowup when any component passes it.
+    model is 'bep' or 'abep', and every component of start is below CAP;
+    NumericalBlowup when any component passes CAP.
     """
     r = _count(n_chains, "n_chains")
+    cap = CAP
     if not (start < cap).all():
-        raise ParameterError(
-            f"cap must be greater than every component of the start state, got {cap}")
+        raise ParameterError(f"start state must be below the cap {cap:.4g}, "
+                             f"got {start.max():.4g}")
     x = np.repeat(start[:, None], r, axis=1)
     # one workspace per ensemble, bound to x, so no step allocates: x is
     # stepped in place, and the noise comes in chunks of whole steps, the
@@ -201,8 +201,7 @@ def _run_chains(start: np.ndarray, n_chains: int, p: SystemParams, model: str,
     return x.T.copy(), snaps
 
 
-def simulate_trajectory(x0, p: SystemParams, cfg: SdeConfig, model: str = "bep",
-                        cap: float = DEFAULT_CAP):
+def simulate_trajectory(x0, p: SystemParams, cfg: SdeConfig, model: str = "bep"):
     """Integrate one trajectory with Gaussian increments, emitting thinned
     states after burn-in.
 
@@ -216,21 +215,20 @@ def simulate_trajectory(x0, p: SystemParams, cfg: SdeConfig, model: str = "bep",
     # one chain: the (c, N+1, 1) noise block is c steps of N+1 normals
     _, snaps = _run_chains(arr, 1, p, model, cfg.dt, n_steps,
                            lambda out: rng.standard_normal(out.shape, out=out),
-                           cap, emit)
+                           emit)
     return [(idx * cfg.dt, snap[0]) for idx, snap in zip(emit, snaps)]
 
 
 def stationary_estimate(p: SystemParams, cfg: SdeConfig, model: str, observables,
-                        n_chains: int = 1, x0=None, cap: float = DEFAULT_CAP) -> list:
+                        n_chains: int = 1) -> list:
     """Long-run means of observables with batch-means errors.
 
-    Runs n_chains independent chains from x0 (default: the zero state),
-    stepped with sign noise (the simplified weak Euler scheme), and
-    averages the states of every chain at the steps simulate_trajectory
-    emits: len(cfg.steps()[1]) * n_chains samples.  The standard error comes
-    from the spread of per-chain batch means, N_BATCHES per chain or one per
-    sample if fewer, so it accounts for autocorrelation on scales below the
-    batch length.  ParameterError unless observables is a non-empty list or
+    Runs n_chains independent chains from the zero state, stepped with sign
+    noise (the simplified weak Euler scheme), and averages the states of
+    every chain at the steps simulate_trajectory emits, len(cfg.steps()[1])
+    samples per chain.  The standard error comes from the spread of
+    per-chain batch means, N_BATCHES per chain or one per sample if fewer,
+    so it accounts for autocorrelation on scales below the batch length.  ParameterError unless observables is a non-empty list or
     tuple of callables, n_chains is a whole number >= 1 and there are at
     least two batch means.
 
@@ -240,7 +238,6 @@ def stationary_estimate(p: SystemParams, cfg: SdeConfig, model: str, observables
     each bit-identical to a call with that observable alone.
     """
     observables = _observables(observables)
-    start = np.zeros(p.n_sites) if x0 is None else as_state(x0, p.n_sites)
     n_steps, emit = cfg.steps()
     n_means = min(N_BATCHES, len(emit)) * _count(n_chains, "n_chains")
     if n_means < 2:
@@ -249,8 +246,8 @@ def stationary_estimate(p: SystemParams, cfg: SdeConfig, model: str, observables
             f"need two batch means for a standard error, got {n_means}: "
             "increase t_end or n_chains, or reduce burn_in or thinning")
     rng = stream(cfg.seed, f"stationary-{model}")
-    _, snaps = _run_chains(start, n_chains, p, model, cfg.dt, n_steps,
-                           _sign_noise(rng), cap, emit)
+    _, snaps = _run_chains(np.zeros(p.n_sites), n_chains, p, model, cfg.dt, n_steps,
+                           _sign_noise(rng), emit)
     m, r, n = snaps.shape
     flat = snaps.reshape(m * r, n)
     groups = np.array_split(np.arange(m), min(N_BATCHES, m))
@@ -263,7 +260,7 @@ def stationary_estimate(p: SystemParams, cfg: SdeConfig, model: str, observables
 
 
 def ensemble_endpoint(x0, p: SystemParams, model: str, dt: float, t: float,
-                      n_chains: int, seed, cap: float = DEFAULT_CAP) -> np.ndarray:
+                      n_chains: int, seed) -> np.ndarray:
     """Final states of n_chains independent chains all started at x0,
     stepped with sign noise (the simplified weak Euler scheme): samples of
     a law whose expectations approximate the diffusion's to weak order 1.
@@ -274,6 +271,5 @@ def ensemble_endpoint(x0, p: SystemParams, model: str, dt: float, t: float,
     arr = as_state(x0, p.n_sites)
     n_steps = whole_steps(t, dt)
     rng = as_generator(seed, f"endpoint-{model}")
-    final, _ = _run_chains(arr, n_chains, p, model, dt, n_steps,
-                           _sign_noise(rng), cap)
+    final, _ = _run_chains(arr, n_chains, p, model, dt, n_steps, _sign_noise(rng))
     return final

@@ -13,6 +13,7 @@ import pytest
 import abep.cli
 import abep.generators
 import abep.moments
+import abep.sde
 from abep import (AbsorptionResult, SdeConfig, SystemParams, one_point_moment,
                   reversible_mass, stationary_estimate, two_particle_solve,
                   two_point_report)
@@ -256,6 +257,17 @@ def test_out_writes_file(tmp_path, capsys):
     assert text.splitlines()[0] == WALK_HEADER_SINGLE
 
 
+@pytest.mark.parametrize("target", ["", "missing/table.csv"],
+                         ids=["directory", "missing-parent"])
+def test_out_that_cannot_be_written_is_a_usage_error(target, tmp_path, capsys):
+    # the open error used to escape with a traceback and exit 1, which reads
+    # as a failed check
+    out = tmp_path / target
+    err = _assert_usage_error(["absorption", "--n", "3", "--i", "2", "--out", str(out)],
+                              capsys)
+    assert err.startswith(f"error: cannot write {out}")
+
+
 def test_config_file_supplies_values_and_flags_win(tmp_path, capsys):
     cfg = tmp_path / "job.cfg"
     cfg.write_text(
@@ -319,6 +331,14 @@ def test_config_missing_file(capsys):
     assert run(["absorption", "--config", "/nonexistent.cfg",
                 "--n", "2", "--i", "1"]) == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+def test_config_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    # the decode error used to escape with a traceback and exit 1
+    cfg = tmp_path / "latin.cfg"
+    cfg.write_bytes(b"n = 3\xff\n")
+    err = _assert_usage_error(["absorption", "--config", str(cfg), "--i", "2"], capsys)
+    assert "cannot read config file" in err
 
 
 def test_config_abbreviation_reads_the_file(tmp_path, capsys):
@@ -454,7 +474,9 @@ def _assert_usage_error(argv, capsys, check=True):
                                    ["--dual", "orthogonal", "--xi0", "0,0",
                                     "--t-orth", "nan"],
                                    ["--t-orth", "0.7"], ["--t-orth", "nan"],
-                                   ["--xi0", "1,,0"]])
+                                   ["--xi0", "1,,0"],
+                                   # past int64: overflowed with a traceback
+                                   ["--xi0", "99999999999999999999,0"]])
 def test_verify_duality_bad_arguments_are_usage_errors(flags, capsys):
     _assert_usage_error(["verify-duality", "--n", "2", *flags], capsys)
 
@@ -485,17 +507,29 @@ def test_moments_one_batch_mean_is_a_usage_error(capsys):
 
 @pytest.mark.parametrize("argv, check", [
     (["simulate", "--n", "2", "--t-end", "0.1", "--dt", "0.01", "--thinning", "0.05",
-      "--cap", "nan"], False),
+      "--x0", "1e6,0"], False),
     (["simulate", "--n", "2", "--t-end", "0.1", "--dt", "0.01", "--thinning", "0.05",
-      "--cap", "-1"], False),
+      "--x0", "0,2e6"], False),
     (["verify-duality", "--n", "2", "--model", "abep", "--sigma", "0.05", "--runs", "10",
-      "--dt", "0.01", "--t", "0.1", "--cap", "nan"], True),
-    (["moments", "--n", "2", "--sigma", "0.02", "--mc-dt", "0.01", "--mc-t-end", "1",
-      "--mc-burn-in", "0", "--mc-thinning", "0.1", "--cap", "nan"], True)],
-    ids=["simulate-nan", "simulate-negative", "verify-duality-nan", "moments-nan"])
+      "--dt", "0.01", "--t", "0.1", "--x0", "1e6,0"], True)],
+    ids=["simulate-at", "simulate-above", "verify-duality-at"])
 def test_cap_not_above_the_start_state_is_a_usage_error(argv, check, capsys):
-    # a nan cap used to read as a blow-up at the first step
-    assert "cap must be greater" in _assert_usage_error(argv, capsys, check=check)
+    # refused before the first step, which would otherwise read as a blow-up
+    err = _assert_usage_error(argv, capsys, check=check)
+    assert "start state must be below the cap 1e+06" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "2", "--tl", "5", "--tr", "5", "--dt", "0.01", "--t-end", "20",
+     "--thinning", "1"],
+    ["verify-duality", "--n", "2", "--tl", "5", "--tr", "5", "--dt", "0.01", "--t", "2",
+     "--runs", "10", "--check"]], ids=["simulate", "verify-duality"])
+def test_blowup_is_a_runtime_error(argv, monkeypatch, capsys):
+    # every chain starts at 0.5, below a cap of 1, and the T = 5
+    # reservoirs push some chain past it
+    monkeypatch.setattr(abep.sde, "CAP", 1.0)
+    err = _assert_usage_error(argv + ["--x0", "0.5,0.5"], capsys, check=False)
+    assert "(cap 1)" in err
 
 
 @pytest.mark.parametrize("flag", ["--sigma", "--alpha", "--tl", "--tr"])

@@ -10,6 +10,7 @@ from abep import (SystemParams, classical_D, classical_D_sigma,
                   orthogonal_D, orthogonal_D_sigma, pochhammer,
                   semigroup_duality_check, sip_rates)
 import abep.duality as duality
+import abep.sde as sde
 from abep.cli import run
 from abep.errors import NumericalBlowup, ParameterError
 
@@ -282,7 +283,7 @@ def test_semigroup_check_accepts_whole_step_horizons(t, dt):
 
 MEMO_P = SystemParams(2, 0.05, 2.0, 0.5, 1.5)
 MEMO_ARGS = dict(x0=(0.5, 0.5), p=MEMO_P, model="abep", dt=5e-3,
-                 t_horizon=0.2, n_runs=200, seed=4, cap=1e6)
+                 t_horizon=0.2, n_runs=200, seed=4)
 
 
 @pytest.fixture
@@ -324,7 +325,7 @@ def test_semigroup_check_memo_hit_equals_cold_call(simulations, model, sigma):
 @pytest.mark.parametrize("change", [
     dict(x0=(0.5, 0.6)), dict(p=SystemParams(2, 0.06, 2.0, 0.5, 1.5)),
     dict(model="bep"), dict(dt=1e-2), dict(t_horizon=0.3), dict(n_runs=201),
-    dict(seed=5), dict(cap=1e5)])
+    dict(seed=5)])
 def test_semigroup_check_memo_key_holds_every_ensemble_argument(simulations, change):
     base = _memo_check()
     _memo_check(**change)
@@ -362,18 +363,22 @@ def test_semigroup_check_memo_is_read_only(simulations):
         finals[0, 0] = 1.0
 
 
-def test_semigroup_check_blowup_stores_nothing(simulations):
+def test_semigroup_check_blowup_stores_nothing(simulations, monkeypatch):
     # every chain starts 0.01 below the cap, so the first step that moves
     # one up by more trips; a cap at the start is refused before any step
     for cap, error in [(0.51, NumericalBlowup), (0.5, ParameterError)]:
-        with pytest.raises(error):
-            _memo_check(cap=cap)
+        with monkeypatch.context() as m, pytest.raises(error):
+            m.setattr(sde, "CAP", cap)
+            _memo_check()
         assert duality._endpoint_cache == {}
     _memo_check()
     (kept,) = duality._endpoint_cache.items()
-    with pytest.raises(NumericalBlowup):
-        _memo_check(cap=0.51)
+    # the key holds the cap read at call time: a lower one simulates again
+    with monkeypatch.context() as m, pytest.raises(NumericalBlowup):
+        m.setattr(sde, "CAP", 0.51)
+        _memo_check()
     assert list(duality._endpoint_cache.items()) == [kept]
+    assert len(simulations) == 4
 
 
 def test_verify_duality_cli_reuse_prints_fresh_bytes(capsys):

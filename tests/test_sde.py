@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import abep.sde
 from abep import (SdeConfig, SystemParams, ensemble_endpoint,
                   one_point_moment, simulate_trajectory, stationary_estimate)
 from abep.errors import NumericalBlowup, ParameterError
@@ -150,19 +151,48 @@ def test_asymmetric_unstable_seed_raises():
         simulate_trajectory(np.zeros(1), p, cfg, model="abep")
 
 
-def test_small_cap_trips():
-    p = SystemParams(2, 0.0, 1.0, 5.0, 5.0)
-    cfg = SdeConfig(dt=0.01, t_end=20.0, thinning=1.0, burn_in=0.0, seed=1)
-    with pytest.raises(NumericalBlowup):
-        simulate_trajectory(np.zeros(2), p, cfg, cap=0.5)
+CAP_P = SystemParams(2, 0.0, 1.0, 5.0, 5.0)
+CAP_CFG = SdeConfig(dt=0.01, t_end=20.0, thinning=1.0, burn_in=0.0, seed=1)
+# each route from the zero state, the only start of stationary_estimate
+CAP_ROUTES = {
+    "trajectory": lambda: simulate_trajectory(np.zeros(2), CAP_P, CAP_CFG),
+    "endpoint": lambda: ensemble_endpoint(np.zeros(2), CAP_P, "bep", CAP_CFG.dt,
+                                          CAP_CFG.t_end, 4, seed=1),
+    "stationary": lambda: stationary_estimate(CAP_P, CAP_CFG, "bep",
+                                              [lambda s: s[:, 0]], n_chains=4),
+}
 
 
-@pytest.mark.parametrize("cap", [float("nan"), -1.0, 0.0, 0.5])
-def test_cap_must_exceed_the_start_state(cap):
+def test_small_cap_trips(monkeypatch):
+    monkeypatch.setattr(abep.sde, "CAP", 0.5)
+    with pytest.raises(NumericalBlowup, match=r"\(cap 0.5\) at t = "):
+        CAP_ROUTES["trajectory"]()
+
+
+@pytest.mark.parametrize("route", ["endpoint", "stationary"])
+def test_small_cap_trips_every_ensemble_route(route, monkeypatch):
+    monkeypatch.setattr(abep.sde, "CAP", 0.5)
+    with pytest.raises(NumericalBlowup, match=r"\(cap 0.5\) at t = "):
+        CAP_ROUTES[route]()
+
+
+@pytest.mark.parametrize("route", CAP_ROUTES)
+def test_start_at_the_cap_is_refused_before_any_step(route, monkeypatch):
+    # the zero state at a cap of 0; with _step_batch unset, a step taken
+    # before the check would raise TypeError instead
+    monkeypatch.setattr(abep.sde, "CAP", 0.0)
+    monkeypatch.setattr(abep.sde, "_step_batch", None)
+    with pytest.raises(ParameterError, match="start state must be below the cap 0,"):
+        CAP_ROUTES[route]()
+
+
+@pytest.mark.parametrize("cap", [0.0, 0.5])
+def test_cap_must_exceed_the_start_state(cap, monkeypatch):
     # t = 0 takes no step, so the error comes from the check made before it
+    monkeypatch.setattr(abep.sde, "CAP", cap)
     p = SystemParams(2, 0.1, 2.0, 0.5, 1.5)
-    with pytest.raises(ParameterError, match="cap must be greater"):
-        ensemble_endpoint(np.full(2, 0.5), p, "abep", 0.01, 0.0, 4, seed=0, cap=cap)
+    with pytest.raises(ParameterError, match="start state must be below the cap"):
+        ensemble_endpoint(np.full(2, 0.5), p, "abep", 0.01, 0.0, 4, seed=0)
 
 
 def test_ensemble_endpoint_shape_and_determinism():
