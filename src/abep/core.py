@@ -139,10 +139,17 @@ def partial_energies(x) -> np.ndarray:
 
     ``e[..., i]`` is the energy at sites i+1..N (1-based: E_{i+1}), and the
     final entry is 0.  Non-increasing along the last axis.
+
+    Summed from site N down, one whole column per call: the order of a
+    reversed cumulative sum, so the same bits, without its per-row strided
+    scan.  The last column is copied, since 0.0 + (-0.0) would be 0.0.
     """
     arr = np.asarray(x, dtype=float)
-    e = np.zeros(arr.shape[:-1] + (arr.shape[-1] + 1,), dtype=float)
-    e[..., :-1] = np.flip(np.cumsum(np.flip(arr, -1), -1), -1)
+    n = arr.shape[-1]
+    e = np.zeros(arr.shape[:-1] + (n + 1,), dtype=float)
+    e[..., n - 1:n] = arr[..., n - 1:]      # empty when n = 0
+    for i in range(n - 2, -1, -1):
+        np.add(e[..., i + 1], arr[..., i], out=e[..., i])
     return e
 
 

@@ -40,10 +40,13 @@ _endpoint_cache: dict = {}
 
 
 def pochhammer(a: float, k: int) -> float:
-    """Rising factorial a (a+1) ... (a+k-1) for a whole number k >= 0."""
+    """Rising factorial a (a+1) ... (a+k-1) for a whole number k >= 0; for
+    a > 0 it stops at an overflow, as every later factor keeps it inf."""
     out = 1.0
     for j in range(_count(k, "k", 0)):
         out *= a + j
+        if out == math.inf and a > 0:
+            break
     return out
 
 

@@ -246,8 +246,13 @@ def reversible_sampler(p: SystemParams, n_samples: int, seed=0,
     when the predicted acceptance rate reversible_mass(p) is below 1e-6
     (sigma * T too large for this chain).
 
-    Returns an (n_samples, N) array, plus a stats dict (proposed,
-    accepted, acceptance_rate) when with_stats is set.
+    Proposals come in blocks of ceil((need + 5 sqrt(need (1 - rate))) / rate)
+    rows, at most 200,000, for the `need` samples still missing; the stream
+    fills them row by row, so the samples do not depend on the block sizes.
+
+    Returns an (n_samples, N) array, plus a stats dict when with_stats is
+    set: proposed counts every drawn row, accepted every accepted one (kept
+    or not), and acceptance_rate is accepted / proposed.
     """
     t = _require_equal_temps(p)
     n_samples = _count(n_samples, "n_samples")
@@ -262,16 +267,17 @@ def reversible_sampler(p: SystemParams, n_samples: int, seed=0,
     got = 0
     proposed = 0
     accepted = 0
-    chunk = int(min(200_000, max(2 * n_samples, 1024)))
     while got < n_samples:
-        z = rng.gamma(p.alpha, t, size=(chunk, n))
-        proposed += chunk
-        z = z[s * z.sum(axis=1) < 1.0 - DOMAIN_TOL]
+        need = n_samples - got
+        rows = min(200_000, math.ceil(
+            (need + 5.0 * math.sqrt(need * (1.0 - rate))) / rate))
+        z = rng.gamma(p.alpha, t, size=(rows, n))
+        proposed += rows
+        z = np.compress(s * z.sum(axis=1) < 1.0 - DOMAIN_TOL, z, axis=0)
         accepted += len(z)
-        take = min(len(z), n_samples - got)
-        if take:
-            kept[got:got + take] = z[:take]
-            got += take
+        take = min(len(z), need)
+        kept[got:got + take] = z[:take]
+        got += take
     x = map_g_inv(kept, p)
     if with_stats:
         stats = {"proposed": proposed, "accepted": accepted,

@@ -25,6 +25,20 @@ def test_partial_energies_batched():
     assert np.all(e[:, -1] == 0.0)
 
 
+@pytest.mark.parametrize("shape", [(4,), (1,), (50, 1), (50, 3), (0, 3), (3, 5, 4),
+                                   (2, 0, 2)])
+def test_partial_energies_match_reversed_cumsum(shape):
+    # the reversed cumulative sum adds in the same order, so the bytes agree;
+    # negative entries, and -0.0 ones: a suffix sum of -0.0 alone is -0.0
+    x = RNG.uniform(-1, 3, size=shape)
+    x.flat[::3] = -0.0
+    if x.size:
+        x[..., -1] = -0.0
+    expect = np.zeros(shape[:-1] + (shape[-1] + 1,))
+    expect[..., :-1] = np.flip(np.cumsum(np.flip(x, -1), -1), -1)
+    assert partial_energies(x).tobytes() == expect.tobytes()
+
+
 @pytest.mark.parametrize("sigma", [0.05, 0.3, 1.0])
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_map_round_trip(sigma, n):

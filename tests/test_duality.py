@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -23,6 +24,26 @@ def test_pochhammer_small_cases():
     assert pochhammer(2.0, 3) == 2.0 * 3.0 * 4.0
     assert pochhammer(0.5, 2) == pytest.approx(0.75)
     assert pochhammer(2.0, 2.0) == pochhammer(2.0, 2)
+
+
+@pytest.mark.parametrize("a", [0.5, 2.0, 1e300, -1.5, -3.0])
+def test_pochhammer_matches_the_full_product(a):
+    # stopping at an overflow returns what the product of all k factors is
+    for k in (0, 1, 5, 170, 171, 172, 400):
+        full = 1.0
+        for j in range(k):
+            full *= a + j
+        assert repr(pochhammer(a, k)) == repr(full), k
+
+
+def test_pochhammer_stops_once_the_product_overflows():
+    # the product of k = 1e18 factors would take centuries to finish
+    t0 = time.perf_counter()
+    assert pochhammer(2.0, 10**18) == math.inf
+    p = SystemParams(2, 0.0, 2.0, 0.5, 1.5)
+    z = np.array([[0.0, 0.3], [0.5, 0.2], [0.999, 0.9]])
+    assert classical_D(z, [0, 3 * 10**18, 0, 0], p).tolist() == [0.0, 0.0, 0.0]
+    assert time.perf_counter() - t0 < 1.0
 
 
 @pytest.mark.parametrize("k", [2.7, -3, np.nan, np.inf, True])

@@ -9,8 +9,8 @@ import pytest
 from scipy import integrate
 
 import abep.moments
-from abep import (SystemParams, Workspace, map_g, model_parts,
-                  one_point_moment, one_point_routes, partial_energies,
+from abep import (DOMAIN_TOL, SystemParams, Workspace, map_g, map_g_inv,
+                  model_parts, one_point_moment, one_point_routes, partial_energies,
                   reversible_cdf_1d, reversible_log_density, reversible_mass,
                   reversible_moment, reversible_sampler,
                   two_particle_closed_form, two_particle_solve,
@@ -373,12 +373,14 @@ def test_sampler_stats_and_stall():
 
 @pytest.mark.usefixtures("pinned_exp")
 def test_sampler_pinned_bytes():
-    # the samples and stats of the benchmark's reversible sampler op
+    # the samples of the benchmark's reversible sampler op; the digest of
+    # the samples alone was taken before the proposal blocks were sized
     p = SystemParams(1, 0.5, 1.0, 1.0, 1.0)
     x, stats = reversible_sampler(p, 200_000, seed=0, with_stats=True)
-    digest = hashlib.sha256(repr(stats).encode() + x.tobytes()).hexdigest()
-    assert digest == \
-        "133b91e3e4dee249d931d0f58fc17d197bf742e6aa9fafc10b385df63ec5d019"
+    assert hashlib.sha256(x.tobytes()).hexdigest() == \
+        "7708b23ff59474440ce9a02385f129a45683eb69e798f3f54a16a6d3279d049c"
+    assert stats == {"proposed": 231_902, "accepted": 200_300,
+                     "acceptance_rate": 200_300 / 231_902}
 
 
 @pytest.mark.usefixtures("pinned_exp")
@@ -386,10 +388,36 @@ def test_sampler_pinned_bytes_sigma_zero():
     # sigma = 0 keeps every proposal, and g is the identity
     p = SystemParams(2, 0.0, 1.0, 1.0, 1.0)
     x, stats = reversible_sampler(p, 5_000, seed=0, with_stats=True)
-    assert stats == {"proposed": 10_000, "accepted": 10_000, "acceptance_rate": 1.0}
-    digest = hashlib.sha256(repr(stats).encode() + x.tobytes()).hexdigest()
-    assert digest == \
-        "5fcd0d83169653e4a6c114dd6c8c800031e8d50e2c10fdf07d0f3415d1e30443"
+    assert hashlib.sha256(x.tobytes()).hexdigest() == \
+        "e19d4703f74a0872c70c9ca0be930f71c9128d30eebf3754a844fc6c8538205d"
+    assert stats == {"proposed": 5_000, "accepted": 5_000, "acceptance_rate": 1.0}
+
+
+@pytest.mark.parametrize("n,sigma,alpha,n_samples", [
+    (1, 0.5, 1.0, 250_000), (3, 0.05, 2.0, 5_000), (12, 0.01, 0.7, 5_000)])
+def test_sampler_keeps_the_first_accepted_rows_of_the_stream(n, sigma, alpha,
+                                                             n_samples):
+    # the samples do not depend on the block sizes: they are the first
+    # n_samples accepted rows of one long draw; at N = 1 the 200,000-row
+    # cap splits the run into two blocks
+    p = SystemParams(n, sigma, alpha, 1.0, 1.0)
+    x = reversible_sampler(p, n_samples, seed=np.random.default_rng(7))
+    z = np.random.default_rng(7).gamma(alpha, 1.0, size=(2 * n_samples, n))
+    z = z[sigma * z.sum(axis=1) < 1.0 - DOMAIN_TOL]
+    assert len(z) >= n_samples
+    assert x.tobytes() == map_g_inv(z[:n_samples], p).tobytes()
+
+
+def test_sampler_proposal_budget():
+    # the benchmark op's configuration: acceptance P(1, 2) = 0.865 needs
+    # about 231,000 proposals for 200,000 samples
+    p = SystemParams(1, 0.5, 1.0, 1.0, 1.0)
+    _, stats = reversible_sampler(p, 200_000, seed=0, with_stats=True)
+    assert stats["proposed"] < 240_000
+    # sigma = 0 accepts every proposal and proposes no more than it needs
+    _, stats = reversible_sampler(SystemParams(2, 0.0, 1.0, 1.0, 1.0), 5_000,
+                                  seed=0, with_stats=True)
+    assert stats["proposed"] == stats["accepted"] == 5_000
 
 
 def test_sampler_respects_domain():
