@@ -9,9 +9,9 @@ number.
 """
 from .core import (DOMAIN_TOL, SystemParams, as_particles, as_state, map_g,
                    map_g_inv, partial_energies)
-from .errors import (ConfigError, DomainError, NumericalBlowup,
-                     ParameterError, RejectionStall, RouteMismatch,
-                     SimulationCap, SingularSystem, SiteError, ToolkitError)
+from .errors import (ConfigError, DomainError, NumericalBlowup, ParameterError,
+                     RouteMismatch, SimulationCap, SingularSystem, SiteError,
+                     ToolkitError)
 from .generators import (Workspace, apply_generator, intertwining_residual,
                          model_parts)
 from .sde import (CAP, SdeConfig, ensemble_endpoint, simulate_trajectory,
@@ -25,8 +25,7 @@ from .absorption import (AbsorptionResult, single_absorption_solve,
                          single_right_closed, two_particle_closed_form,
                          two_particle_solve)
 from .moments import (TwoPointReport, one_point_moment, one_point_routes,
-                      reversible_cdf_1d, reversible_log_density,
-                      reversible_mass, reversible_moment,
+                      reversible_cdf_1d, reversible_mass, reversible_moment,
                       reversible_sampler, two_point_closed_form,
                       two_point_moment, two_point_report)
 
@@ -37,8 +36,8 @@ __all__ = [
     "SystemParams", "as_state", "as_particles", "partial_energies",
     "map_g", "map_g_inv",
     "ToolkitError", "ParameterError", "DomainError", "NumericalBlowup",
-    "SimulationCap", "RejectionStall", "SingularSystem", "ConfigError",
-    "RouteMismatch", "SiteError",
+    "SimulationCap", "SingularSystem", "ConfigError", "RouteMismatch",
+    "SiteError",
     "Workspace", "model_parts", "apply_generator", "intertwining_residual",
     "SdeConfig", "simulate_trajectory", "stationary_estimate",
     "ensemble_endpoint",
@@ -50,6 +49,6 @@ __all__ = [
     "two_particle_solve", "two_particle_closed_form",
     "TwoPointReport", "one_point_moment", "one_point_routes",
     "two_point_moment", "two_point_closed_form", "two_point_report",
-    "reversible_log_density", "reversible_mass", "reversible_moment",
-    "reversible_sampler", "reversible_cdf_1d",
+    "reversible_mass", "reversible_moment", "reversible_sampler",
+    "reversible_cdf_1d",
 ]

@@ -20,6 +20,7 @@ semigroup identity by a two-sided Monte Carlo z-score.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,10 +35,6 @@ from .sde import ensemble_endpoint, whole_steps
 from .sip import final_state_counts, sip_rates
 from .rng import stream
 
-# the last diffusion ensemble of semigroup_duality_check, keyed by every
-# argument it depends on; one entry, read-only
-_endpoint_cache: dict = {}
-
 
 def pochhammer(a: float, k: int) -> float:
     """Rising factorial a (a+1) ... (a+k-1) for a whole number k >= 0; for
@@ -48,6 +45,13 @@ def pochhammer(a: float, k: int) -> float:
         if out == math.inf and a > 0:
             break
     return out
+
+
+def _rising(alpha: float, k: int) -> None:
+    """ParameterError when (alpha)_k is inf: site factors of degree k divide by it."""
+    if pochhammer(alpha, k) == math.inf:
+        raise ParameterError(
+            f"(alpha)_k leaves the float range at alpha = {alpha!r}, site count k = {k}")
 
 
 def _orthogonal_t(t: float) -> float:
@@ -67,11 +71,12 @@ def laguerre_d(zeta, k: int, alpha: float, t: float):
     polynomial in zeta proportional to a generalized Laguerre polynomial.
     Zero mean under the Gamma(alpha, scale t) law for every k >= 1.
     Vectorized in zeta.  ParameterError unless k is a whole number >= 0,
-    0 < alpha < inf (the SystemParams rule) and 0 < t < inf.
+    0 < alpha < inf (the SystemParams rule), (alpha)_k < inf and 0 < t < inf.
     """
     _positive(alpha, "alpha")
     t = _orthogonal_t(t)
     k = _count(k, "k", 0)
+    _rising(alpha, k)
     y = np.asarray(zeta, dtype=float) / t
     acc = np.zeros_like(y)
     for j in range(k + 1):
@@ -82,7 +87,8 @@ def laguerre_d(zeta, k: int, alpha: float, t: float):
 def _site_product(z, xi, p: SystemParams, t: float, factor):
     """(T_l - t)^{xi_0} (T_r - t)^{xi_{N+1}}, then val = factor(val, z_i, xi_i) at
     each occupied bulk site i in turn; broadcasts over leading axes of z.
-    ParameterError when a boundary power leaves the float range."""
+    ParameterError when a boundary power leaves the float range, or a bulk
+    count k has (alpha)_k = inf."""
     occ = as_particles(xi, p.n_sites)
     arr = as_state(z, p.n_sites, allow_negative=True)
     try:
@@ -91,6 +97,8 @@ def _site_product(z, xi, p: SystemParams, t: float, factor):
         raise ParameterError(
             f"boundary factor (T_l - t)^{occ[0]} (T_r - t)^{occ[-1]} leaves the "
             f"float range at T_l = {p.t_left}, T_r = {p.t_right}, t = {t}") from None
+    # (alpha)_k grows with k >= 1 and (alpha)_0 = 1: the largest count decides
+    _rising(p.alpha, int(occ[1:-1].max()))
     val = np.full(arr.shape[:-1], base, dtype=float)
     for i in np.flatnonzero(occ[1:-1]):
         val = factor(val, arr[..., i], int(occ[i + 1]))
@@ -181,6 +189,17 @@ class DualityCheck:
     z_score: float
 
 
+@functools.lru_cache(maxsize=1)
+def _finals(x0: bytes, p: SystemParams, model: str, dt: float, t_horizon: float,
+            n_runs: int, seed: int, cap: float) -> np.ndarray:
+    """Read-only final states of the diffusion side of semigroup_duality_check,
+    for the last key only; cap is sde.CAP, part of the key as the run reads it."""
+    finals = ensemble_endpoint(np.frombuffer(x0), p, model, dt, t_horizon, n_runs,
+                               stream(seed, f"duality-sde-{model}"))
+    finals.flags.writeable = False
+    return finals
+
+
 def semigroup_duality_check(x0, xi0, t_horizon: float, p: SystemParams,
                             model: str = "bep", dfun: str = "classical",
                             n_runs: int = 10_000, seed: int = 0,
@@ -194,31 +213,28 @@ def semigroup_duality_check(x0, xi0, t_horizon: float, p: SystemParams,
     z-score as a DualityCheck.
 
     Consecutive calls that differ only in xi0, dfun or t_orth share one
-    diffusion ensemble: the last one is kept read-only, keyed by x0, p,
-    model, dt, t_horizon, n_runs, seed and sde.CAP, and a hit gives the bytes
-    of a fresh simulation.
+    diffusion ensemble: the last one is kept read-only in an lru cache of
+    size one, keyed by x0, p, model, dt, t_horizon, n_runs, seed and
+    sde.CAP, and a hit gives the bytes of a fresh simulation.
     ParameterError unless n_runs is a whole number >= 2 (a standard error
     needs two runs), dt > 0 and t_horizon is 0 or a whole number of steps
     dt within 1e-9 relative: the diffusion side takes round(t_horizon / dt).
-    A t_orth given with dfun="classical" is a ParameterError too.
+    A t_orth given with dfun="classical", and an xi0 that D cannot
+    evaluate (a boundary power or a bulk (alpha)_k past the float range),
+    are ParameterErrors too, raised before either side simulates.
     """
     _count(n_runs, "n_runs", 2)
     whole_steps(t_horizon, dt, "t_horizon")
     arr = as_state(x0, p.n_sites)
     occ0 = as_particles(xi0, p.n_sites)
     dual, _ = _select_dfun(model, dfun, p, t_orth)
+    # D(x0, xi0) refuses a bad xi0 before either side simulates
+    v = float(dual(arr, occ0))
     if t_horizon == 0:
-        v = float(dual(arr, occ0))
         return DualityCheck(v, 0.0, v, 0.0, 0.0)
 
-    key = (arr.tobytes(), p, model, dt, t_horizon, n_runs, int(seed), sde.CAP)
-    finals = _endpoint_cache.get(key)
-    if finals is None:
-        finals = ensemble_endpoint(arr, p, model, dt, t_horizon, n_runs,
-                                   stream(seed, f"duality-sde-{model}"))
-        finals.flags.writeable = False
-        _endpoint_cache.clear()
-        _endpoint_cache[key] = finals
+    finals = _finals(arr.tobytes(), p, model, dt, t_horizon, n_runs, int(seed),
+                     sde.CAP)
     lhs, lhs_se = _mean_se(dual(finals, occ0))
 
     counts = final_state_counts(occ0, p, n_runs, t_horizon, seed=seed)

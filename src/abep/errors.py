@@ -21,10 +21,6 @@ class SimulationCap(ToolkitError):
     """An event-driven run hit its safety cap before finishing."""
 
 
-class RejectionStall(ToolkitError):
-    """Rejection sampler has a predicted acceptance below 1e-6."""
-
-
 class SingularSystem(ToolkitError):
     """A linear system that should be regular failed to solve."""
 

@@ -11,8 +11,8 @@ those moments along independent routes so they can be cross-checked:
                 exact two-walker solve or by the two-walker closed form
 
 For equal reservoir temperatures the process is reversible and its
-stationary density is known explicitly; the density, its mass and exact
-moments, an exact rejection sampler for it, and the exact N = 1 CDF (for
+stationary density is known explicitly; its mass and exact moments, an
+exact rejection sampler for it, and the exact N = 1 CDF (for
 distribution-level tests in one dimension) are provided at the bottom.
 
 Boundary-rate bookkeeping for the dual walkers follows the same
@@ -33,9 +33,8 @@ import numpy as np
 
 from .absorption import (_sites, single_absorption_solve, single_right_closed,
                          two_particle_closed_form, two_particle_solve)
-from .core import (DOMAIN_TOL, SystemParams, _count, _value, as_state, map_g_inv,
-                   partial_energies)
-from .errors import ParameterError, RejectionStall, RouteMismatch
+from .core import DOMAIN_TOL, SystemParams, _count, _value, map_g_inv
+from .errors import ParameterError, RouteMismatch
 from .rng import as_generator
 
 
@@ -157,33 +156,6 @@ def _require_equal_temps(p: SystemParams) -> float:
     return p.t_left
 
 
-def reversible_log_density(x, p: SystemParams):
-    """Log of the unnormalized reversible density at equal temperatures.
-
-    Accepts a single configuration or a batch with shape (..., N); returns
-    a float or an array of matching leading shape.  Requires sigma > 0
-    (the symmetric model's reversible law is a plain Gamma product and
-    needs no special handling here).
-    """
-    t = _require_equal_temps(p)
-    if p.sigma <= 0.0:
-        raise ParameterError("reversible density is defined for sigma > 0")
-    arr = as_state(x, p.n_sites)
-    s = p.sigma
-    e1 = partial_energies(arr)[..., 0]
-    out = np.expm1(-s * e1) / (s * t)
-    site_exponent = p.alpha * np.arange(p.n_sites) + 1.0
-    out = out - s * np.sum(arr * site_exponent, axis=-1)
-    if p.alpha != 1.0:
-        with np.errstate(divide="ignore"):
-            out = out + (p.alpha - 1.0) * np.sum(
-                np.log1p(-np.exp(-s * arr)), axis=-1)
-    out = out - p.n_sites * (math.lgamma(p.alpha)
-                             + (p.alpha - 1.0) * math.log(s)
-                             + p.alpha * math.log(t))
-    return _value(out)
-
-
 def _domain_cut(p: SystemParams) -> float:
     """c = 1/(sigma T): the image of g is {sigma * total of z < 1} = {total/T < c}."""
     t = _require_equal_temps(p)
@@ -191,7 +163,7 @@ def _domain_cut(p: SystemParams) -> float:
 
 
 def reversible_mass(p: SystemParams) -> float:
-    """Total mass of exp(reversible_log_density), P(N alpha, 1/(sigma T)).
+    """Total mass of the unnormalized reversible density, P(N alpha, 1/(sigma T)).
 
     P is the regularized lower incomplete gamma function: the chance that
     N independent Gamma(alpha, scale T) proposals of reversible_sampler have
@@ -202,18 +174,14 @@ def reversible_mass(p: SystemParams) -> float:
     return float(gammainc(p.n_sites * p.alpha, _domain_cut(p)))
 
 
-def _divisor_mass(p: SystemParams) -> float:
-    """reversible_mass(p) for a caller that divides by it.
-
-    ParameterError when the mass underflows below the smallest normal
-    double, where the quotient would be nan or lose its digits.
-    """
+def _mass(p: SystemParams, least: float, use: str) -> float:
+    """reversible_mass(p); ParameterError when it is below least, where use fails."""
     mass = reversible_mass(p)
-    if not mass >= np.finfo(float).tiny:
+    if not mass >= least:
         raise ParameterError(
             f"the reversible mass P(N alpha, c) = P({p.n_sites * p.alpha!r}, "
-            f"{_domain_cut(p)!r}) underflows to {mass!r}; alpha is too large "
-            "against c = 1/(sigma T)")
+            f"{_domain_cut(p)!r}) with c = 1/(sigma T) is {mass!r}, below "
+            f"{least:.3g}, where {use}")
     return mass
 
 
@@ -226,14 +194,15 @@ def reversible_moment(m: int, p: SystemParams) -> float:
     c = 1/(sigma T) the moment is
     1 - sigma alpha T (N - m + 1) P(N alpha + 1, c) / P(N alpha, c),
     which tends to one_point_moment at equal temperatures as c grows.
-    ParameterError when P(N alpha, c) underflows.
+    ParameterError when P(N alpha, c) is below the smallest normal double.
     """
     from scipy.special import gammainc
 
     _sites(p.n_sites, m)
     a, c = p.n_sites * p.alpha, _domain_cut(p)
+    mass = _mass(p, np.finfo(float).tiny, "the moment's quotient loses its digits")
     return 1.0 - p.sigma * p.alpha * p.t_left * (p.n_sites - m + 1) * float(
-        gammainc(a + 1.0, c) / _divisor_mass(p))
+        gammainc(a + 1.0, c) / mass)
 
 
 def reversible_sampler(p: SystemParams, n_samples: int, seed=0,
@@ -242,9 +211,8 @@ def reversible_sampler(p: SystemParams, n_samples: int, seed=0,
 
     Proposes N independent Gamma(alpha, scale T) coordinates, keeps the
     draw when sigma times its total is below one, and maps it back through
-    the inverse energy transform.  Raises RejectionStall, before any draw,
-    when the predicted acceptance rate reversible_mass(p) is below 1e-6
-    (sigma * T too large for this chain).
+    the inverse energy transform.  ParameterError, before any draw, when
+    the predicted acceptance rate reversible_mass(p) is below 1e-6.
 
     Proposals come in blocks of ceil((need + 5 sqrt(need (1 - rate))) / rate)
     rows, at most 200,000, for the `need` samples still missing; the stream
@@ -256,10 +224,7 @@ def reversible_sampler(p: SystemParams, n_samples: int, seed=0,
     """
     t = _require_equal_temps(p)
     n_samples = _count(n_samples, "n_samples")
-    rate = reversible_mass(p)
-    if rate < 1e-6:
-        raise RejectionStall(f"predicted acceptance rate {rate:.3e}; "
-                             "sigma*T is too large")
+    rate = _mass(p, 1e-6, "the rejection sampler would stall")
     rng = as_generator(seed, "reversible-sampler")
     n = p.n_sites
     s = p.sigma
@@ -294,7 +259,7 @@ def reversible_cdf_1d(p: SystemParams):
     F(x) = P(alpha, u c) / P(alpha, c), with P the regularized lower
     incomplete gamma function.  Returns F as a vectorized callable: 0 for
     x <= 0 and exactly 1 at +inf.  Needs N = 1 and sigma > 0, and raises
-    ParameterError when P(alpha, c) underflows.
+    ParameterError when P(alpha, c) is below the smallest normal double.
     """
     from scipy.special import gammainc
 
@@ -302,7 +267,8 @@ def reversible_cdf_1d(p: SystemParams):
         raise ParameterError("the exact CDF is implemented for N = 1 only")
     if p.sigma <= 0.0:
         raise ParameterError("the exact CDF is defined for sigma > 0")
-    c, mass = _domain_cut(p), _divisor_mass(p)
+    c = _domain_cut(p)
+    mass = _mass(p, np.finfo(float).tiny, "the CDF's quotient loses its digits")
 
     def cdf(values):
         u = -np.expm1(-p.sigma * np.maximum(values, 0.0))

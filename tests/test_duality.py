@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -42,7 +43,9 @@ def test_pochhammer_stops_once_the_product_overflows():
     assert pochhammer(2.0, 10**18) == math.inf
     p = SystemParams(2, 0.0, 2.0, 0.5, 1.5)
     z = np.array([[0.0, 0.3], [0.5, 0.2], [0.999, 0.9]])
-    assert classical_D(z, [0, 3 * 10**18, 0, 0], p).tolist() == [0.0, 0.0, 0.0]
+    # such a site count has no float (alpha)_k: refused, and just as fast
+    with pytest.raises(ParameterError, match=r"\(alpha\)_k leaves the float range"):
+        classical_D(z, [0, 3 * 10**18, 0, 0], p)
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -162,6 +165,47 @@ def test_boundary_factor_out_of_range_is_a_parameter_error(xi):
     assert classical_D(z, [300, 0, 0, 0], p) == 10.0 ** 300
     assert orthogonal_D(z, [0, 0, 0, 2000], SystemParams(2, 0.0, 1.0, 1.0, 1.0),
                         0.5) == 0.0
+
+
+def test_site_count_past_the_rising_factorial_is_a_parameter_error():
+    # (1)_1100 is inf: the degree-1100 weights C(1100, j) / (1)_j raised an
+    # untyped OverflowError, and the classical factor z^k / (1)_k gave 0 or nan
+    p = SystemParams(2, 0.0, 1.0, 0.5, 1.5)
+    with pytest.raises(ParameterError, match=r"\(alpha\)_k leaves the float range"):
+        laguerre_d(0.5, 1100, 1.0, 1.0)
+    for xi in ([0, 1100, 0, 0], [0, 1, 400, 0]):
+        for call in (lambda: classical_D([2.0, 2.0], xi, p),
+                     lambda: orthogonal_D([2.0, 2.0], xi, p, 1.0),
+                     lambda: generator_duality_residual([2.0, 2.0], xi, p)):
+            with pytest.raises(ParameterError, match=r"\(alpha\)_k .* k = "):
+                call()
+    # the largest count with a finite (1)_k still evaluates
+    assert pochhammer(1.0, 170) < math.inf
+    assert math.isfinite(laguerre_d(0.5, 170, 1.0, 1.0))
+    assert classical_D([2.0, 2.0], [0, 170, 0, 0], p) == 2.0 ** 170 / pochhammer(1.0, 170)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--dual", "orthogonal", "--xi0", "1100,0"],
+    ["--sigma", "0", "--x0", "2,2", "--xi0", "400,0"],
+    ["--sigma", "0", "--x0", "50,50", "--xi0", "400,0"],
+    ["--xi0", "3000000000000000000,0"]],
+    ids=["orthogonal-overflow", "classical-false-pass", "classical-nan", "3e18"])
+def test_verify_duality_count_past_the_rising_factorial_runs_nothing(
+        flags, simulations, monkeypatch, capsys):
+    # these raised OverflowError (exit 1), passed a check of 0 against 0,
+    # printed nan with RuntimeWarnings, and ran 3e18 walkers for 45 s
+    particle_runs = []
+    monkeypatch.setattr(duality, "final_state_counts",
+                        lambda *args, **kwargs: particle_runs.append(args))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run(["verify-duality", "--n", "2", "--t", "0.1", "--dt", "0.01",
+                  "--runs", "200", "--check", "--no-header", *flags])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error: (alpha)_k leaves the float range")
+    assert simulations == [] and particle_runs == []
 
 
 def _classical_loop(z, occ, p):
@@ -318,9 +362,9 @@ def simulations(monkeypatch):
         return simulate(*args, **kwargs)
 
     monkeypatch.setattr(duality, "ensemble_endpoint", counted)
-    duality._endpoint_cache.clear()
+    duality._finals.cache_clear()
     yield calls
-    duality._endpoint_cache.clear()
+    duality._finals.cache_clear()
 
 
 def _memo_check(xi0=(0, 1, 0, 0), dfun="classical", **changes):
@@ -336,8 +380,9 @@ def test_semigroup_check_memo_hit_equals_cold_call(simulations, model, sigma):
              ((0, 1, 1, 0), "classical"), ((0, 0, 2, 1), "orthogonal")]
     warm = [_memo_check(xi, dfun, p=p, model=model) for xi, dfun in calls]
     assert len(simulations) == 1
+    assert duality._finals.cache_info().hits == len(calls) - 1
     for (xi, dfun), chk in zip(calls, warm):
-        duality._endpoint_cache.clear()
+        duality._finals.cache_clear()
         # bit for bit, not approximately
         assert chk == _memo_check(xi, dfun, p=p, model=model)
     assert len(simulations) == 1 + len(calls)
@@ -352,7 +397,7 @@ def test_semigroup_check_memo_key_holds_every_ensemble_argument(simulations, cha
     _memo_check(**change)
     assert len(simulations) == 2
     # one entry: the first ensemble was dropped, so going back simulates again
-    assert len(duality._endpoint_cache) == 1
+    assert duality._finals.cache_info().currsize == 1
     assert _memo_check() == base
     assert len(simulations) == 3
 
@@ -378,7 +423,13 @@ def test_classical_refuses_t_orth_before_any_simulation(simulations, t_orth):
 
 def test_semigroup_check_memo_is_read_only(simulations):
     _memo_check()
-    (finals,) = duality._endpoint_cache.values()
+    # the key the check stored: asking for it again is a hit, not a run
+    a = MEMO_ARGS
+    finals = duality._finals(np.array(a["x0"]).tobytes(), a["p"], a["model"], a["dt"],
+                             a["t_horizon"], a["n_runs"], a["seed"], sde.CAP)
+    info = duality._finals.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    assert len(simulations) == 1
     assert not finals.flags.writeable
     with pytest.raises(ValueError):
         finals[0, 0] = 1.0
@@ -391,14 +442,16 @@ def test_semigroup_check_blowup_stores_nothing(simulations, monkeypatch):
         with monkeypatch.context() as m, pytest.raises(error):
             m.setattr(sde, "CAP", cap)
             _memo_check()
-        assert duality._endpoint_cache == {}
-    _memo_check()
-    (kept,) = duality._endpoint_cache.items()
+        assert duality._finals.cache_info().currsize == 0
+    kept = _memo_check()
     # the key holds the cap read at call time: a lower one simulates again
     with monkeypatch.context() as m, pytest.raises(NumericalBlowup):
         m.setattr(sde, "CAP", 0.51)
         _memo_check()
-    assert list(duality._endpoint_cache.items()) == [kept]
+    assert len(simulations) == 4
+    # the blow-up stored nothing and left the entry before it in place
+    assert duality._finals.cache_info().currsize == 1
+    assert _memo_check() == kept
     assert len(simulations) == 4
 
 
@@ -408,10 +461,10 @@ def test_verify_duality_cli_reuse_prints_fresh_bytes(capsys):
             "--dt", "5e-3", "--seed", "4", "--no-header"]
     outputs = []
     for fresh in (False, True):
-        duality._endpoint_cache.clear()
+        duality._finals.cache_clear()
         for xi0 in ("1,0", "1,1"):
             if fresh:
-                duality._endpoint_cache.clear()
+                duality._finals.cache_clear()
             assert run(argv + ["--xi0", xi0]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]

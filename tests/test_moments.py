@@ -11,12 +11,12 @@ from scipy import integrate
 import abep.moments
 from abep import (DOMAIN_TOL, SystemParams, Workspace, map_g, map_g_inv,
                   model_parts, one_point_moment, one_point_routes, partial_energies,
-                  reversible_cdf_1d, reversible_log_density, reversible_mass,
-                  reversible_moment, reversible_sampler,
+                  reversible_cdf_1d, reversible_mass, reversible_moment,
+                  reversible_sampler,
                   two_particle_closed_form, two_particle_solve,
                   two_point_closed_form, two_point_moment, two_point_report)
 from abep.cli import run
-from abep.errors import ParameterError, RejectionStall, RouteMismatch
+from abep.errors import ParameterError, RouteMismatch
 
 RNG = np.random.default_rng(52)
 
@@ -221,25 +221,8 @@ def test_two_point_table_keeps_the_sum_order_of_large_blocks():
         for a, b in zip(m.tolist(), m2.tolist())]
 
 
-def test_reversible_density_at_origin():
-    p = SystemParams(1, 0.1, 1.0, 2.0, 2.0)
-    assert np.exp(reversible_log_density(np.zeros(1), p)) == pytest.approx(0.5)
-    assert reversible_log_density(np.zeros(1), p) == pytest.approx(-math.log(2.0))
-
-
-def test_reversible_density_site_dependence():
-    # the per-site exponent grows along the chain, so the density is not
-    # permutation invariant
-    p = SystemParams(2, 0.3, 1.0, 1.0, 1.0)
-    a = reversible_log_density(np.array([1.0, 0.2]), p)
-    b = reversible_log_density(np.array([0.2, 1.0]), p)
-    assert abs(a - b) > 1e-3
-
-
 def test_reversible_density_unequal_temperatures_rejected():
     p = SystemParams(2, 0.3, 1.0, 1.0, 2.0)
-    with pytest.raises(ParameterError):
-        reversible_log_density(np.ones(2), p)
     with pytest.raises(ParameterError):
         reversible_sampler(p, 10)
 
@@ -254,29 +237,6 @@ def test_reversible_sampler_rejects_bad_counts(n_samples):
 def test_reversible_sampler_takes_whole_float_counts():
     p = SystemParams(2, 0.3, 1.0, 1.0, 1.0)
     assert reversible_sampler(p, 7.0).tobytes() == reversible_sampler(p, 7).tobytes()
-
-
-def test_reversible_density_matches_pushforward():
-    # density of x equals the Gamma product density of g(x) times the
-    # volume factor of the transform
-    p = SystemParams(3, 0.25, 1.4, 0.8, 0.8)
-    t = 0.8
-    for _ in range(20):
-        x = RNG.uniform(0.05, 1.0, 3)
-        z = map_g(x, p)
-        log_gamma = np.sum((p.alpha - 1.0) * np.log(z) - z / t
-                           - math.lgamma(p.alpha) - p.alpha * math.log(t))
-        log_det = -p.sigma * partial_energies(x)[:-1].sum()
-        assert reversible_log_density(x, p) == pytest.approx(
-            log_gamma + log_det, abs=1e-10)
-
-
-def test_reversible_density_integrates_to_truncated_mass():
-    p = SystemParams(1, 0.3, 1.0, 1.0, 1.0)
-    grid = np.linspace(0.0, 120.0, 400_001)
-    dens = np.exp(reversible_log_density(grid[:, None], p))
-    mass = integrate.trapezoid(dens, grid)
-    assert mass == pytest.approx(-math.expm1(-1.0 / 0.3), rel=1e-6)
 
 
 def test_reversible_moment_and_mass_closed_forms():
@@ -317,6 +277,35 @@ def test_underflowed_mass_is_a_parameter_error():
                      lambda: reversible_cdf_1d(p)):
             with pytest.raises(ParameterError, match=r"P\(N alpha, c\)"):
                 call()
+
+
+# P(240, 1/(10 * 100)) underflows to 0: N alpha is what is too large
+# against c = 1/(sigma T), so no message may blame sigma * T alone
+TOO_SMALL = ["--n", "2", "--sigma", "10", "--alpha", "120", "--t", "100"]
+
+
+@pytest.mark.parametrize("use", ["sampler", "moment", "reversible-check"])
+def test_too_small_mass_is_refused_by_one_rule(use, capsys):
+    p = SystemParams(2, 10.0, 120.0, 100.0, 100.0)
+    assert reversible_mass(p) == 0.0
+    if use == "reversible-check":
+        assert run(["reversible-check", *TOO_SMALL, "--samples", "50"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = captured.err
+        assert message.startswith("error: ") and "Traceback" not in message
+    else:
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ParameterError) as info:
+            if use == "sampler":
+                reversible_sampler(p, 50, seed=rng)
+            else:
+                reversible_moment(1, p)
+        assert rng.bit_generator.state == before
+        message = str(info.value)
+    assert "P(N alpha, c) = P(240.0, 0.001)" in message
+    assert "too large" not in message and "sigma*T" not in message
 
 
 @pytest.mark.parametrize("n,sigma,alpha,t,seed", [
@@ -366,7 +355,7 @@ def test_sampler_stats_and_stall():
     stuck = SystemParams(1, 1000.0, 1.0, 2000.0, 2000.0)
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
-    with pytest.raises(RejectionStall):
+    with pytest.raises(ParameterError, match=r"P\(N alpha, c\) .* below 1e-06"):
         reversible_sampler(stuck, 50, seed=rng)
     assert rng.bit_generator.state == before
 
@@ -446,9 +435,15 @@ def test_cdf_matches_density_quadrature(sigma, alpha, t):
     cdf = reversible_cdf_1d(p)
     mass = reversible_mass(p)
 
-    # x = y^2 keeps the integrand bounded at the origin when alpha < 1
+    # the density of x is the Gamma(alpha, T) density at z = g(x) times the
+    # Jacobian of g, exp(-sigma * sum_i E_i(x)); x = y^2 keeps the integrand
+    # bounded at the origin when alpha < 1
     def integrand(y):
-        return 2.0 * y * np.exp(reversible_log_density(np.array([y * y]), p))
+        x = np.array([y * y])
+        z = float(map_g(x, p)[0])
+        log_gamma = ((alpha - 1.0) * math.log(z) - z / t - math.lgamma(alpha)
+                     - alpha * math.log(t))
+        return 2.0 * y * math.exp(log_gamma - sigma * partial_energies(x)[:-1].sum())
 
     for x in (0.05, 0.5, 2.0, 6.0, 25.0):
         want = integrate.quad(integrand, 0.0, math.sqrt(x),
