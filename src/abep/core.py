@@ -67,10 +67,11 @@ def _whole(x) -> bool:
     return x.dtype.kind in "iu" or x.dtype.kind == "f" and (x == np.rint(x)).all()
 
 
-def _count(n, name: str, least: int = 1) -> int:
-    """n as an int; ParameterError unless it is a whole number >= least."""
-    if not (_whole(n) and least <= n < np.inf):
-        raise ParameterError(f"{name} must be a whole number >= {least}, got {n}")
+def _count(n, name: str, least: int = 1, below=np.inf) -> int:
+    """n as an int; ParameterError unless it is a whole number in [least, below)."""
+    if not (_whole(n) and least <= n < below):
+        bound = "" if below == np.inf else f" and < {below}"
+        raise ParameterError(f"{name} must be a whole number >= {least}{bound}, got {n}")
     return int(n)
 
 

@@ -7,8 +7,8 @@ particle configuration (sites 0..N+1) and T a free positive parameter:
     orthogonal: (T_l-T)^{xi_0} * prod_i d(z_i, xi_i) * (T_r-T)^{xi_{N+1}}
 
 where (alpha)_k is the rising factorial and d(zeta, k) is a rescaled
-generalized Laguerre polynomial of degree k, evaluated by its terminating
-hypergeometric sum; classical is the same site product at T = 0.  The
+generalized Laguerre polynomial of degree k, evaluated by Horner's rule on
+one coefficient table; classical is the same site product at T = 0.  The
 asymmetric variants compose with the energy transform: they evaluate the
 same products at g(x).
 
@@ -47,58 +47,58 @@ def pochhammer(a: float, k: int) -> float:
     return out
 
 
-def _rising(alpha: float, k: int) -> None:
-    """ParameterError when (alpha)_k is inf: site factors of degree k divide by it."""
-    if pochhammer(alpha, k) == math.inf:
-        raise ParameterError(
-            f"(alpha)_k leaves the float range at alpha = {alpha!r}, site count k = {k}")
+def _finite(values, what: str, where: str):
+    """values; ParameterError unless all are finite: the one rule for the state-free
+    factors of D(., xi), (alpha)_k, the site coefficients and the boundary factor."""
+    if not np.isfinite(values).all():
+        raise ParameterError(f"{what} leaves the float range at {where}")
+    return values
 
 
-def _orthogonal_t(t: float) -> float:
-    """t itself; ParameterError unless 0 < t < inf."""
-    return _positive(t, "orthogonal parameter t")
-
-
-def _weight(k: int, j: int, alpha: float) -> float:
-    """C(k, j) / (alpha)_j: the z^j weight of the degree-k site factor."""
-    return math.comb(k, j) / pochhammer(alpha, j)
+def _site_coeffs(k: int, alpha: float, t: float) -> np.ndarray:
+    """c_j = C(k, j) (-t)^{k-j} / (alpha)_j, j = 0..k: the degree-k site factor
+    is sum_j c_j zeta^j, at t = 0 the classical zeta^k / (alpha)_k.  (alpha)_j
+    is one running product in pochhammer's order, so it has pochhammer's bits."""
+    j = np.arange(k + 1)
+    rising = np.cumprod(np.r_[1.0, alpha + j[:-1]])
+    with np.errstate(over="ignore"):
+        c = np.array([math.comb(k, i) for i in j], float) * (-t) ** (k - j) / rising
+    return _finite(c, f"a degree-{k} site coefficient", f"alpha = {alpha!r}, t = {t!r}")
 
 
 def laguerre_d(zeta, k: int, alpha: float, t: float):
-    """Single-site orthogonal factor of degree k.
-
-    (-t)^k * sum_{j=0}^{k} (-1)^j C(k, j) (zeta/t)^j / (alpha)_j, a
-    polynomial in zeta proportional to a generalized Laguerre polynomial.
-    Zero mean under the Gamma(alpha, scale t) law for every k >= 1.
-    Vectorized in zeta.  ParameterError unless k is a whole number >= 0,
-    0 < alpha < inf (the SystemParams rule), (alpha)_k < inf and 0 < t < inf.
+    """Single-site orthogonal factor of degree k: sum_j c_j zeta^j by Horner's
+    rule, c_j = C(k, j) (-t)^{k-j} / (alpha)_j, a polynomial proportional to a
+    generalized Laguerre polynomial, of zero mean under the Gamma(alpha,
+    scale t) law for every k >= 1.  Vectorized in zeta.  ParameterError
+    unless k is a whole number >= 0, 0 < alpha < inf (the SystemParams
+    rule), 0 < t < inf and (alpha)_k and every c_j are finite.
     """
     _positive(alpha, "alpha")
-    t = _orthogonal_t(t)
+    _positive(t, "orthogonal parameter t")
     k = _count(k, "k", 0)
-    _rising(alpha, k)
-    y = np.asarray(zeta, dtype=float) / t
+    _finite(pochhammer(alpha, k), "(alpha)_k", f"alpha = {alpha!r}, site count k = {k}")
+    y = np.asarray(zeta, dtype=float)
     acc = np.zeros_like(y)
-    for j in range(k + 1):
-        acc = acc + ((-1.0) ** j * _weight(k, j, alpha)) * y**j
-    return (-t) ** k * acc
+    for c in _site_coeffs(k, alpha, t)[::-1]:
+        acc = acc * y + c
+    return acc
 
 
 def _site_product(z, xi, p: SystemParams, t: float, factor):
     """(T_l - t)^{xi_0} (T_r - t)^{xi_{N+1}}, then val = factor(val, z_i, xi_i) at
     each occupied bulk site i in turn; broadcasts over leading axes of z.
-    ParameterError when a boundary power leaves the float range, or a bulk
-    count k has (alpha)_k = inf."""
+    ParameterError when the boundary factor is not finite, or a bulk count k
+    has (alpha)_k = inf."""
     occ = as_particles(xi, p.n_sites)
     arr = as_state(z, p.n_sites, allow_negative=True)
-    try:
-        base = (p.t_left - t) ** int(occ[0]) * (p.t_right - t) ** int(occ[-1])
-    except OverflowError:
-        raise ParameterError(
-            f"boundary factor (T_l - t)^{occ[0]} (T_r - t)^{occ[-1]} leaves the "
-            f"float range at T_l = {p.t_left}, T_r = {p.t_right}, t = {t}") from None
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = _finite((p.t_left - t) ** occ[0] * (p.t_right - t) ** occ[-1],
+                       f"boundary factor (T_l - t)^{occ[0]} (T_r - t)^{occ[-1]}",
+                       f"T_l = {p.t_left}, T_r = {p.t_right}, t = {t}")
     # (alpha)_k grows with k >= 1 and (alpha)_0 = 1: the largest count decides
-    _rising(p.alpha, int(occ[1:-1].max()))
+    k = int(occ[1:-1].max())
+    _finite(pochhammer(p.alpha, k), "(alpha)_k", f"alpha = {p.alpha!r}, site count k = {k}")
     val = np.full(arr.shape[:-1], base, dtype=float)
     for i in np.flatnonzero(occ[1:-1]):
         val = factor(val, arr[..., i], int(occ[i + 1]))
@@ -114,7 +114,7 @@ def classical_D(z, xi, p: SystemParams):
 def orthogonal_D(z, xi, p: SystemParams, t: float):
     """Laguerre-product duality function with free parameter 0 < t < inf,
     checked for every xi."""
-    t = _orthogonal_t(t)
+    _positive(t, "orthogonal parameter t")
     return _site_product(z, xi, p, t,
                          lambda val, zi, k: val * laguerre_d(zi, k, p.alpha, t))
 
@@ -131,14 +131,14 @@ def orthogonal_D_sigma(x, xi, p: SystemParams, t: float):
 
 def _dual_poly(xi, p: SystemParams, t: float):
     """D(., xi) as (coeffs, exps) in z: the boundary factor times prod_i
-    sum_{j <= xi_i} C(xi_i, j) (-t)^{xi_i - j} z_i^j / (alpha)_j."""
+    sum_j c_j z_i^j, the c_j of _site_coeffs(xi_i, alpha, t)."""
     occ = as_particles(xi, p.n_sites)
     # the boundary factor: the site product with every site factor 1
     base = _site_product(np.zeros(p.n_sites), occ, p, t, lambda val, zi, k: val)
     coeffs, exps = np.array([base]), np.zeros((1, p.n_sites), np.int64)
     for i in np.flatnonzero(occ[1:-1]):
         k = int(occ[i + 1])
-        w = [_weight(k, j, p.alpha) * (-t) ** (k - j) for j in range(k + 1)]
+        w = _site_coeffs(k, p.alpha, t)
         coeffs, exps = np.outer(coeffs, w).ravel(), np.repeat(exps, k + 1, axis=0)
         exps[:, i] = np.tile(np.arange(k + 1), len(exps) // (k + 1))
     return coeffs, exps
@@ -156,7 +156,8 @@ def _select_dfun(model: str, dfun: str, p: SystemParams, t_orth):
         return (lambda state, xi: fun(state, xi, p)), 0.0
     if dfun != "orthogonal":
         raise ParameterError(f"unknown duality function {dfun!r}")
-    t = _orthogonal_t(0.5 * (p.t_left + p.t_right) if t_orth is None else t_orth)
+    t = _positive(0.5 * (p.t_left + p.t_right) if t_orth is None else t_orth,
+                  "orthogonal parameter t")
     fun = orthogonal_D if model == "bep" else orthogonal_D_sigma
     return (lambda state, xi: fun(state, xi, p, t)), t
 
@@ -233,7 +234,7 @@ def semigroup_duality_check(x0, xi0, t_horizon: float, p: SystemParams,
     if t_horizon == 0:
         return DualityCheck(v, 0.0, v, 0.0, 0.0)
 
-    finals = _finals(arr.tobytes(), p, model, dt, t_horizon, n_runs, int(seed),
+    finals = _finals(arr.tobytes(), p, model, dt, t_horizon, n_runs, seed,
                      sde.CAP)
     lhs, lhs_se = _mean_se(dual(finals, occ0))
 

@@ -10,14 +10,15 @@ import zlib
 
 import numpy as np
 
-_SEED_MASK = (1 << 63) - 1
+from .core import _count
 
 
 def stream(seed: int, task: str) -> np.random.Generator:
-    """Return the generator for one (seed, task) pair."""
+    """Return the generator for one (seed, task) pair.  ParameterError unless
+    seed is a whole number in [0, 2**63), so no two seeds share a stream."""
     # the third entry is fixed at 0: changing or dropping it would change
     # every stream, and with it every seeded result
-    key = (int(seed) & _SEED_MASK, zlib.crc32(task.encode("utf8")), 0)
+    key = (_count(seed, "seed", 0, 2**63), zlib.crc32(task.encode("utf8")), 0)
     return np.random.default_rng(np.random.SeedSequence(key))
 
 
@@ -25,4 +26,4 @@ def as_generator(seed, task: str) -> np.random.Generator:
     """Accept either an integer seed or an existing Generator."""
     if isinstance(seed, np.random.Generator):
         return seed
-    return stream(int(seed), task)
+    return stream(seed, task)

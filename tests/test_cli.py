@@ -292,6 +292,15 @@ def test_config_unknown_key(tmp_path, capsys):
     assert ":2:" in err and "bogus" in err
 
 
+@pytest.mark.parametrize("seed", ["9223372036854775808", "-1"])
+def test_simulate_refuses_a_seed_outside_its_range(seed, capsys):
+    # these printed the rows of --seed 0 and --seed 9223372036854775807
+    assert run(["simulate", "--n", "2", "--t-end", "0.1", "--dt", "0.01",
+                "--thinning", "0.05", "--seed", seed]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: seed must be")
+
+
 def test_absorption_refuses_a_seed(tmp_path, capsys):
     # the exact solves draw nothing: a seed would be accepted and ignored
     assert run(["absorption", "--n", "3", "--i", "1", "--seed", "7", "--no-header"]) == 2

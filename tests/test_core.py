@@ -5,6 +5,7 @@ from abep import (DOMAIN_TOL, DomainError, SystemParams, as_particles, as_state,
                   map_g, map_g_inv, partial_energies)
 from abep.core import _z
 from abep.errors import ParameterError
+from abep.rng import stream
 
 RNG = np.random.default_rng(20240817)
 
@@ -128,3 +129,18 @@ def test_ragged_input_is_a_parameter_error():
 def test_z_rule_at_zero_and_nan_standard_error(a, b, se, z):
     # a nan se gives a nan z, which fails every `z < z_max` check
     assert np.array_equal(_z(a, b, se), z, equal_nan=True)
+
+
+@pytest.mark.parametrize("seed", [2**63, 2**64, -1, 2.5, np.nan, True, "3"])
+def test_stream_refuses_a_seed_outside_its_range(seed):
+    # seeds were folded with & (2**63 - 1): 2**63 drew the stream of 0, and
+    # -1 that of 2**63 - 1
+    with pytest.raises(ParameterError, match="seed must be a whole number >= 0 and <"):
+        stream(seed, "task")
+
+
+def test_stream_takes_every_seed_in_its_range():
+    for seed in (0, 7, 2**63 - 1, np.int64(7), np.uint64(2**63 - 1)):
+        stream(seed, "task")
+    # an integral float is that seed
+    assert stream(7.0, "task").random() == stream(7, "task").random()

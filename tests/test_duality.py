@@ -61,12 +61,28 @@ def test_pochhammer_and_laguerre_reject_bad_degree(k):
 @pytest.mark.parametrize("k", range(6))
 @pytest.mark.parametrize("alpha", [0.7, 1.0, 2.3])
 def test_laguerre_d_matches_scipy(k, alpha):
-    t = 1.3
     z = RNG.uniform(0.0, 4.0, 40)
-    mine = laguerre_d(z, k, alpha, t)
-    ref = ((-t) ** k * math.factorial(k) / pochhammer(alpha, k)
-           * eval_genlaguerre(k, alpha - 1, z / t))
-    assert mine == pytest.approx(ref, rel=1e-10, abs=1e-12)
+    for t in (1.3, 0.3, 4.0):
+        mine = laguerre_d(z, k, alpha, t)
+        ref = ((-t) ** k * math.factorial(k) / pochhammer(alpha, k)
+               * eval_genlaguerre(k, alpha - 1, z / t))
+        assert mine == pytest.approx(ref, rel=1e-10, abs=1e-12), t
+
+
+@pytest.mark.parametrize("t", [1e-200, 1e-160])
+def test_laguerre_d_at_tiny_t_is_the_classical_factor(t):
+    # the scaled form (-t)^k sum_j (...) (zeta/t)^j gave nan at 1e-200 and
+    # inf at 1e-160; the factor tends to C(k, k) zeta^k / (alpha)_k as t -> 0
+    z = np.array([0.5, 1.0, 2.7])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert laguerre_d(0.5, 2, 1.0, t) == pytest.approx(0.125)
+        for k in range(6):
+            for alpha in (0.7, 1.0, 2.3):
+                val = laguerre_d(z, k, alpha, t)
+                assert np.isfinite(val).all()
+                assert val == pytest.approx(math.comb(k, k) * z**k / pochhammer(alpha, k),
+                                            rel=1e-12)
 
 
 def test_laguerre_d_rejects_bad_temperature():
@@ -185,6 +201,53 @@ def test_site_count_past_the_rising_factorial_is_a_parameter_error():
     assert classical_D([2.0, 2.0], [0, 170, 0, 0], p) == 2.0 ** 170 / pochhammer(1.0, 170)
 
 
+def test_state_free_factor_past_the_float_range_is_a_parameter_error():
+    # (-t) ** k raised an untyped OverflowError at t = 1e10, k = 40, and the
+    # boundary powers 1e155 and 1e155 passed one by one, their product gave inf
+    p = SystemParams(2, 0.0, 2.0, 0.5, 1.5)
+    z, xi = [0.5, 0.5], [0, 40, 0, 0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: laguerre_d(0.5, 40, 2.0, 1e10),
+                     lambda: orthogonal_D(z, xi, p, 1e10),
+                     lambda: generator_duality_residual(z, xi, p, dfun="orthogonal",
+                                                        t_orth=1e10)):
+            with pytest.raises(ParameterError, match="degree-40 site coefficient .* "
+                                                     "float range"):
+                call()
+        with pytest.raises(ParameterError, match=r"boundary factor .* float range"):
+            classical_D(z, [1, 0, 0, 1], SystemParams(2, 0.0, 1.0, 1e155, 1e155))
+
+
+def test_verify_duality_orthogonal_t_past_the_float_range_runs_nothing(
+        simulations, monkeypatch, capsys):
+    # this ended in a traceback (exit 1) from (-t) ** k
+    particle_runs = []
+    monkeypatch.setattr(duality, "final_state_counts",
+                        lambda *args, **kwargs: particle_runs.append(args))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run(["verify-duality", "--n", "2", "--dual", "orthogonal", "--t-orth",
+                  "1e10", "--xi0", "40,0", "--t", "0.1", "--dt", "0.01", "--runs", "50"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error: a degree-40 site coefficient")
+    assert simulations == [] and particle_runs == []
+
+
+def test_verify_duality_orthogonal_at_tiny_t_prints_the_classical_rows(capsys):
+    # this printed nan,nan,nan,nan,nan with RuntimeWarnings and exited 1
+    flags = ["--n", "2", "--xi0", "2,0", "--tl", "0.5", "--tr", "1.5", "--t", "0.5",
+             "--dt", "2e-3", "--runs", "2000", "--check", "--no-header"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["verify-duality", "--dual", "orthogonal", "--t-orth", "1e-200",
+                    *flags]) == 0
+        orthogonal = capsys.readouterr().out
+        assert run(["verify-duality", *flags]) == 0
+    assert orthogonal == capsys.readouterr().out
+
+
 @pytest.mark.parametrize("flags", [
     ["--dual", "orthogonal", "--xi0", "1100,0"],
     ["--sigma", "0", "--x0", "2,2", "--xi0", "400,0"],
@@ -243,6 +306,32 @@ def test_duality_functions_equal_the_per_site_loops_bit_for_bit(alpha, t):
             assert (classical_D(zz, occ, p) == _classical_loop(zz, occ, p)).all()
             assert (orthogonal_D(zz, occ, p, t)
                     == _orthogonal_loop(zz, occ, p, t)).all()
+
+
+@pytest.mark.parametrize("alpha", [0.7, 2.3])
+def test_orthogonal_at_tiny_t_is_the_classical_function(alpha):
+    # the occupations of the bit-for-bit test; classical is the t -> 0 member
+    p = SystemParams(3, 0.0, alpha, 0.5, 1.5)
+    z = np.random.default_rng(11).uniform(0.0, 3.0, (7, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for occ in itertools.product(range(4), repeat=5):
+            assert orthogonal_D(z, occ, p, 1e-200) == pytest.approx(
+                classical_D(z, occ, p), rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.7, 2.3])
+@pytest.mark.parametrize("t", [0.0, 0.4, 1.3])
+def test_dual_poly_is_the_function_the_monte_carlo_evaluates(alpha, t):
+    # the polynomial the exact generator differentiates, evaluated at z, is
+    # D(z, xi) to round-off: classical at t = 0, orthogonal otherwise
+    p = SystemParams(3, 0.0, alpha, 0.5, 1.5)
+    z = np.random.default_rng(11).uniform(0.0, 3.0, (7, 3))
+    for occ in itertools.product(range(4), repeat=5):
+        coeffs, exps = duality._dual_poly(occ, p, t)
+        terms = np.prod(z[:, None, :] ** exps, axis=-1)
+        ref = classical_D(z, occ, p) if t == 0 else orthogonal_D(z, occ, p, t)
+        assert (abs(terms @ coeffs - ref) <= 1e-13 * (terms @ abs(coeffs))).all(), occ
 
 
 def test_sip_generator_apply_exact():
